@@ -14,10 +14,8 @@ workers and records what each costs:
   amortization story is visible in the artifact, not just claimed.
 
 The JSON artifact is written to ``benchmarks/results/`` like every
-other benchmark (see ``benchmarks/README.md``); a compatibility symlink
-``BENCH_mttkrp_executor.json`` is refreshed at the repo root for older
-tooling that diffed it there.  Bit-identity across executors is
-asserted inline — a benchmark that silently computed different numbers
+other benchmark (see ``benchmarks/README.md``).  Bit-identity across
+executors is asserted inline — a benchmark that silently computed different numbers
 would be measuring the wrong thing.
 """
 
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +31,6 @@ from repro.kernels import MTTKRPEngine
 from repro.parallel.executor import ProcessExecutor
 
 from conftest import BENCH_SEED, save_artifact
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RANK = 16
 ROUNDS = 5
@@ -147,14 +142,6 @@ def test_bench_mttkrp_executor(executor_setup, results_dir):
     }
     json_path = results_dir / "BENCH_mttkrp_executor.json"
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
-    # Compatibility symlink: the artifact used to live at the repo root.
-    legacy = REPO_ROOT / "BENCH_mttkrp_executor.json"
-    if legacy.is_symlink() or legacy.exists():
-        legacy.unlink()
-    try:
-        legacy.symlink_to(json_path.relative_to(REPO_ROOT))
-    except OSError:  # filesystems without symlink support
-        legacy.write_text(json_path.read_text())
 
     lines = ["MTTKRP executor sweep (reddit/small, "
              f"nnz={tensor.nnz}, rank={RANK}, "

@@ -7,6 +7,13 @@ guarantee: after the warm-up sweep, repeated calls on the static pattern
 must allocate **nothing** (child counts, accumulators, and outputs all
 come from the pooled workspace).
 
+The ``native_vs_numpy`` rows time the compiled root kernel
+(:mod:`repro.kernels.native`, which serves every ALLMODE tree) against
+the NumPy slab sweep on all four datasets at ranks 16 and 32: per-mode
+and whole-sweep means at every slab target, serial, and the speedup of
+the best native slab over the best NumPy slab.  Both sides must agree
+bit for bit.
+
 Unlike the other benchmarks this one's primary artifact is JSON
 (``BENCH_mttkrp_tiled.json``) so future PRs can diff the perf trajectory
 programmatically; a human-readable table is saved alongside.
@@ -14,21 +21,27 @@ programmatically; a human-readable table is saved alongside.
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 
 import numpy as np
 import pytest
 
-from repro.kernels import MTTKRPEngine
+from repro.kernels import MTTKRPEngine, native
 
-from conftest import BENCH_SEED, save_artifact
+from conftest import BENCH_SEED, DATASET_NAMES, save_artifact
 
 RANK = 16
 ROUNDS = 5
 #: One-slab limit, the library default, and two finer decompositions.
 SLAB_TARGETS = (10**9, 65536, 8192, 1024)
 THREADS = (1, 2, 4)
+#: Ranks of the native-vs-NumPy rows.
+NATIVE_RANKS = (16, 32)
+#: The module whose ``root_kernel`` lookup the NumPy rows switch off
+#: (the package re-exports a function of the same name).
+CSF_MODULE = importlib.import_module("repro.kernels.mttkrp_csf")
 
 
 def _engine_allocations(engine: MTTKRPEngine) -> tuple[int, int]:
@@ -79,6 +92,47 @@ def _sweep_config(tensor, factors, slab_target: int,
     }
 
 
+def _kernel_rows(tensor, factors) -> dict:
+    """Serial sweeps at every slab target: per-mode and sweep means."""
+    rows = []
+    outputs = None
+    for target in SLAB_TARGETS:
+        cfg = _sweep_config(tensor, factors, target, threads=1)
+        engine = MTTKRPEngine(tensor, slab_nnz_target=target, threads=1)
+        outs = [engine.mttkrp(factors, m).tobytes()
+                for m in range(tensor.nmodes)]
+        assert outputs is None or outs == outputs, "slab size moved bits"
+        outputs = outs
+        rows.append({"slab_nnz_target": target,
+                     "per_mode_mean_seconds": cfg["per_mode_mean_seconds"],
+                     "mean_sweep_seconds": cfg["mean_sweep_seconds"]})
+    best = min(rows, key=lambda r: r["mean_sweep_seconds"])
+    return {"rows": rows, "best": best, "outputs": outputs}
+
+
+def _native_vs_numpy(datasets, monkeypatch) -> list[dict]:
+    entries = []
+    for name in DATASET_NAMES:
+        tensor = datasets[name]
+        for rank in NATIVE_RANKS:
+            rng = np.random.default_rng(BENCH_SEED)
+            factors = [rng.uniform(0.0, 1.0, (s, rank))
+                       for s in tensor.shape]
+            fast = _kernel_rows(tensor, factors)
+            with monkeypatch.context() as patch:
+                patch.setattr(CSF_MODULE, "root_kernel", lambda: None)
+                slow = _kernel_rows(tensor, factors)
+            assert fast.pop("outputs") == slow.pop("outputs"), \
+                f"native kernel differs from NumPy on {name}"
+            entries.append({
+                "dataset": f"{name}/small", "nnz": tensor.nnz,
+                "rank": rank, "native": fast, "numpy": slow,
+                "speedup_best_sweep": (slow["best"]["mean_sweep_seconds"]
+                                       / fast["best"]["mean_sweep_seconds"]),
+            })
+    return entries
+
+
 @pytest.fixture(scope="module")
 def tiled_setup(small_datasets):
     tensor = small_datasets["reddit"]
@@ -87,7 +141,8 @@ def tiled_setup(small_datasets):
     return tensor, factors
 
 
-def test_bench_mttkrp_tiled(tiled_setup, results_dir):
+def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
+                            monkeypatch):
     tensor, factors = tiled_setup
     configs = [_sweep_config(tensor, factors, target, threads)
                for target in SLAB_TARGETS
@@ -107,6 +162,9 @@ def test_bench_mttkrp_tiled(tiled_setup, results_dir):
         "rank": RANK,
         "rounds": ROUNDS,
         "configs": configs,
+        # Empty where the kernel cannot be built: nothing to compare.
+        "native_vs_numpy": (_native_vs_numpy(small_datasets, monkeypatch)
+                            if native.root_kernel() is not None else []),
     }
     json_path = results_dir / "BENCH_mttkrp_tiled.json"
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -121,5 +179,15 @@ def test_bench_mttkrp_tiled(tiled_setup, results_dir):
             f"{max(cfg['slab_counts']):>6} "
             f"{cfg['mean_sweep_seconds'] * 1e3:>10.2f} "
             f"{cfg['steady']['new_allocations']:>14}")
+    lines += ["", "Native root kernel vs NumPy slab sweep (serial, best "
+              "slab target each)",
+              f"{'dataset':>15} {'rank':>5} {'numpy ms':>10} "
+              f"{'native ms':>10} {'speedup':>8}"]
+    for entry in payload["native_vs_numpy"]:
+        lines.append(
+            f"{entry['dataset']:>15} {entry['rank']:>5} "
+            f"{entry['numpy']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
+            f"{entry['native']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
+            f"{entry['speedup_best_sweep']:>8.1f}")
     lines.append(f"[json saved to {json_path}]")
     save_artifact(results_dir, "bench_mttkrp_tiled", "\n".join(lines))

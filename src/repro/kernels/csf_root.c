@@ -1,0 +1,208 @@
+/*
+ * Fused root-mode CSF MTTKRP (paper Algorithm 3, any tensor order).
+ *
+ * One recursive per-fiber loop: a node's row is the sum of its
+ * children's rows, each child row scaled by the child's factor row (leaf
+ * rows are the leaf factor row scaled by the non-zero's value).  The
+ * children of the node being reduced live in a per-level scratch of
+ * max-fan-out x rank doubles, so no nnz x rank intermediate is ever
+ * written.  Root rows go straight into the output.
+ *
+ * Bit identity with the NumPy sweep (np.add.reduceat along axis 0) is
+ * the contract, so every segment is summed in NumPy's order:
+ *
+ *     seg = x[0] + pairwise(x[1:])
+ *
+ * where pairwise() replays NumPy's pairwise summation: below 8 rows a
+ * sequential sum from `init` (NumPy's starting value, -0.0 or 0.0
+ * depending on its version, probed by the loader); up to 128 rows 8
+ * strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+ * plus the remainder in order; above that a split at n/2 rounded down to
+ * a multiple of 8.  Build with -ffp-contract=off (no fused multiply-add)
+ * and without fast-math so the compiler keeps this exact order.
+ *
+ * Every index is bounds-checked in the loop: a malformed tree returns an
+ * error code instead of reading out of bounds.  All scratch is allocated
+ * per call, so concurrent calls share no state.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define PW_BLOCK 128
+
+enum { CSF_OK = 0, CSF_BAD_FID = 1, CSF_BAD_FPTR = 2, CSF_NO_MEMORY = 3 };
+
+typedef struct {
+    int64_t nmodes, rank;
+    const int64_t *dims;            /* row bound of each level's ids */
+    const int64_t *const *fptr;     /* levels 0 .. nmodes-2 */
+    const int64_t *const *fids;     /* levels 0 .. nmodes-1 */
+    const double *vals;
+    const double *const *factors;   /* factor of each level's mode */
+    double **children;              /* per level: max-fan-out x rank */
+    double *acc8;                   /* 8 x rank pairwise accumulators */
+    double *split;                  /* one row per pairwise split depth */
+    double init;
+} sweep_t;
+
+/* dst = NumPy pairwise sum of the n rows at a (row stride = rank). */
+static void pairwise(const sweep_t *t, const double *a, int64_t n,
+                     double *dst, double *split)
+{
+    const int64_t F = t->rank;
+    int64_t i, j, f;
+    if (n < 8) {
+        for (f = 0; f < F; f++)
+            dst[f] = t->init;
+        for (i = 0; i < n; i++)
+            for (f = 0; f < F; f++)
+                dst[f] += a[i * F + f];
+    } else if (n <= PW_BLOCK) {
+        double *r = t->acc8;
+        memcpy(r, a, (size_t)(8 * F) * sizeof(double));
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++)
+                for (f = 0; f < F; f++)
+                    r[j * F + f] += a[(i + j) * F + f];
+        for (f = 0; f < F; f++)
+            dst[f] = ((r[f] + r[F + f]) + (r[2 * F + f] + r[3 * F + f]))
+                   + ((r[4 * F + f] + r[5 * F + f])
+                      + (r[6 * F + f] + r[7 * F + f]));
+        for (; i < n; i++)
+            for (f = 0; f < F; f++)
+                dst[f] += a[i * F + f];
+    } else {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        pairwise(t, a, n2, dst, split + F);
+        pairwise(t, a + n2 * F, n - n2, split, split + F);
+        for (f = 0; f < F; f++)
+            dst[f] += split[f];
+    }
+}
+
+/* dst = row of `node` at `level`: the reduceat of its children's rows,
+ * excluding the factor of `level` itself. */
+static int node_row(const sweep_t *t, int64_t level, int64_t node,
+                    double *dst)
+{
+    const int64_t F = t->rank, child = level + 1;
+    const int64_t lo = t->fptr[level][node], hi = t->fptr[level][node + 1];
+    const int64_t *ids = t->fids[child];
+    const double *factor = t->factors[child];
+    double *rows = t->children[child];
+    int64_t c, f;
+    for (c = lo; c < hi; c++) {
+        const int64_t id = ids[c];
+        double *row = rows + (c - lo) * F;
+        const double *frow;
+        if (id < 0 || id >= t->dims[child])
+            return CSF_BAD_FID;
+        frow = factor + id * F;
+        if (child == t->nmodes - 1) {
+            const double v = t->vals[c];
+            for (f = 0; f < F; f++)
+                row[f] = frow[f] * v;
+        } else {
+            int err = node_row(t, child, c, row);
+            if (err)
+                return err;
+            for (f = 0; f < F; f++)
+                row[f] *= frow[f];
+        }
+    }
+    memcpy(dst, rows, (size_t)F * sizeof(double));
+    if (hi - lo > 1) {
+        pairwise(t, rows + F, hi - lo - 1, t->split, t->split + F);
+        for (f = 0; f < F; f++)
+            dst[f] += t->split[f];
+    }
+    return CSF_OK;
+}
+
+/* Rows of a split chain for n rows (pairwise recursion depth + 2). */
+static int64_t split_rows(int64_t n)
+{
+    int64_t depth = 2;
+    while (n > PW_BLOCK) {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        n -= n2;              /* the larger half bounds the depth */
+        depth++;
+    }
+    return depth;
+}
+
+/*
+ * out[fids[0][r], :] = row of root r, for every root r.
+ *
+ * nnodes[l] is the node count of level l (nnodes[nmodes-1] = nnz);
+ * dims[l] bounds the ids at level l (dims[0] = rows of out); factors[l]
+ * is the C-contiguous dims[l] x rank factor of level l's mode
+ * (factors[0] is unused).  Returns a CSF_* code.
+ */
+int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
+                   const int64_t *dims, const int64_t *const *fptr,
+                   const int64_t *const *fids, const double *vals,
+                   const double *const *factors, double *out, double init)
+{
+    sweep_t t;
+    double *children[64];
+    int64_t offset[64];
+    int64_t maxfan = 1, total = 0, level, node;
+    double *pool;
+    int err = CSF_OK;
+
+    if (nmodes < 2 || nmodes > 64 || rank < 1)
+        return CSF_BAD_FPTR;
+    /* Validate every pointer array: starts at 0, strictly increasing
+     * (every node has a child), ends at the child count.  By induction
+     * every entry is then in [0, child count] and no difference
+     * overflows. */
+    for (level = 0; level < nmodes - 1; level++) {
+        const int64_t *p = fptr[level];
+        int64_t fan = 0;
+        if (p[0] != 0 || p[nnodes[level]] != nnodes[level + 1])
+            return CSF_BAD_FPTR;
+        for (node = 0; node < nnodes[level]; node++) {
+            const int64_t k = p[node + 1] - p[node];
+            if (k < 1)
+                return CSF_BAD_FPTR;
+            if (k > fan)
+                fan = k;
+        }
+        offset[level + 1] = total;
+        total += fan * rank;
+        if (fan > maxfan)
+            maxfan = fan;
+    }
+    pool = (double *)malloc((size_t)(total + (8 + split_rows(maxfan))
+                                      * rank) * sizeof(double));
+    if (pool == NULL)
+        return CSF_NO_MEMORY;
+    for (level = 1; level < nmodes; level++)
+        children[level] = pool + offset[level];
+
+    t.nmodes = nmodes;
+    t.rank = rank;
+    t.dims = dims;
+    t.fptr = fptr;
+    t.fids = fids;
+    t.vals = vals;
+    t.factors = factors;
+    t.children = children;
+    t.acc8 = pool + total;
+    t.split = t.acc8 + 8 * rank;
+    t.init = init;
+
+    for (node = 0; node < nnodes[0] && !err; node++) {
+        const int64_t id = fids[0][node];
+        if (id < 0 || id >= dims[0])
+            err = CSF_BAD_FID;
+        else
+            err = node_row(&t, 0, node, out + id * rank);
+    }
+    free(pool);
+    return err;
+}

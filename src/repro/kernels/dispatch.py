@@ -53,6 +53,7 @@ from .mttkrp_sparse import (
     representation_name,
     representation_nnz,
 )
+from .native import root_kernel
 from .workspace import KernelWorkspace
 
 #: Factor-representation policies for :class:`MTTKRPEngine`.
@@ -561,10 +562,12 @@ class StreamingMTTKRPEngine:
     executor while the parent computes on the current one.
 
     **Bit-identity.**  The store holds ALLMODE trees split at root-slice
-    boundaries, so every slab is served by the root kernel: the per-slab
-    upward sweep (:func:`~repro.kernels.mttkrp_csf._upward_to_level`) is
-    computed segment-by-segment exactly as the monolithic in-core sweep
-    would (fiber segments never cross a slab boundary), and each slab
+    boundaries, so every slab is served by the root kernel — the
+    compiled one of :mod:`repro.kernels.native`, or the NumPy sweep
+    :func:`~repro.kernels.mttkrp_csf._upward_to_level` when it is
+    unavailable.  Either computes each slab segment-by-segment exactly
+    as the monolithic in-core sweep would (fiber segments never cross a
+    slab boundary, and both replay ``reduceat``'s order), and each slab
     writes a **disjoint** set of output rows (root ids are unique and
     ascending across slabs), so no reduction — and no reduction-order
     sensitivity — exists.  Residency decisions only change *when* bytes
@@ -662,6 +665,9 @@ class StreamingMTTKRPEngine:
         rank = int(np.asarray(factors[0]).shape[1])
         start = time.perf_counter()
         out, allocated = self._out_buffer(mode, rank)
+        kernel = root_kernel()
+        run = (kernel.bind(self.store.mode_order(mode), factors, out)
+               if kernel is not None else None)
         with span("mttkrp", mode=mode, representation="dense",
                   streaming=True):
             for slab in self._streamer.iter_mode(mode):
@@ -670,8 +676,10 @@ class StreamingMTTKRPEngine:
                 # slab boundary and root ids are disjoint across slabs,
                 # so these row writes compose bit-identically with the
                 # monolithic sweep.
-                rows = _upward_to_level(tree, factors, 0)
-                out[tree.fids[0]] = rows
+                if run is not None:
+                    run(tree)
+                else:
+                    out[tree.fids[0]] = _upward_to_level(tree, factors, 0)
         stats = MTTKRPCallStats(
             mode=mode, leaf_mode=self.store.mode_order(mode)[-1],
             representation="dense",

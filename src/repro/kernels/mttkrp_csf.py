@@ -19,9 +19,10 @@ All three vectorize the tree traversals with ``repeat`` (downward) and
 
 Each kernel has two execution paths:
 
-* the **monolithic** path (``tiling=None``) — one sweep over the whole
-  tree, allocating its temporaries per call; kept as the simple reference
-  implementation and for one-off calls;
+* the **monolithic** path (``tiling=None``) — one NumPy sweep over the
+  whole tree, allocating its temporaries per call; kept as the simple
+  reference implementation, the bitwise anchor of the ``csf`` family,
+  and for one-off calls;
 * the **slab-tiled** path — the tree is partitioned into nnz-balanced
   root-slice slabs (:class:`repro.tensor.tiling.CSFTiling`) executed via
   :func:`repro.parallel.threadpool.parallel_for`, with every temporary
@@ -31,6 +32,22 @@ Each kernel has two execution paths:
   into disjoint ranges of one shared buffer which a single deterministic
   scatter then reduces — so results are **bit-identical** for any slab
   count and any thread count, like blocked ADMM.
+
+The tiled **root** kernel runs each slab as one call into the compiled
+fused kernel of :mod:`repro.kernels.native` (one recursive per-fiber C
+loop, no nnz x rank temporaries, GIL released).  It replays
+``np.add.reduceat``'s summation order exactly — each fiber is
+``x[lo] + pairwise_sum(x[lo+1:hi])`` with NumPy's pairwise scheme
+(sequential below 8 rows, 8 strided accumulators up to 128, a split at
+``n/2`` rounded down to a multiple of 8 above) — so it is byte-equal to
+the NumPy sweep and stays in the ``csf`` family.  The library is built
+at first use with the system C compiler into
+``$XDG_CACHE_HOME/repro/native/``; without a compiler, on a build
+failure, or if its self-check against the NumPy sweep finds one
+differing bit, the NumPy slab sweep below serves instead (one
+``RuntimeWarning`` per process).  The monolithic path, the
+process-executor workers and the leaf/internal kernels always run
+NumPy.
 """
 
 from __future__ import annotations
@@ -44,6 +61,7 @@ from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFSlab, CSFTiling
 from ..types import VALUE_DTYPE, FactorList
 from ..validation import check_mode, require
+from .native import root_kernel
 from .scatter import scatter_add_rows, segment_sums
 from .workspace import KernelWorkspace
 
@@ -267,6 +285,13 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
     if _offloads(executor, ws):
         _run_shared_slabs(executor, ws, csf, factors, "root", 0,
                           ("out", root_mode), rank, threads)
+        return out
+
+    kernel = root_kernel()
+    if kernel is not None:
+        run = kernel.bind(csf.mode_order, factors, out)
+        parallel_for(lambda slab: run(slab.tree), tiling.slabs,
+                     threads=threads)
         return out
 
     def run_slab(slab: CSFSlab) -> None:

@@ -1,0 +1,339 @@
+"""The fused root-mode CSF MTTKRP kernel, compiled with the system C compiler.
+
+``csf_root.c`` (shipped next to this module) is one recursive per-fiber
+loop for the root kernel at any tensor order: each node's row is reduced
+from its children's rows held in a small per-level scratch of
+max-fan-out x rank, so no nnz x rank temporary is ever written (paper
+Algorithm 3, the shape of SPLATT's C kernels).
+
+**Bit identity is the contract.**  The NumPy sweep sums every fiber with
+``np.add.reduceat`` along axis 0, which computes a segment as
+``x[lo] + pairwise_sum(x[lo+1:hi])`` with NumPy's own pairwise scheme
+(sequential below 8 rows, 8 strided accumulators up to 128 rows, a
+recursive split above).  The C loop replays exactly that order, is built
+with ``-ffp-contract=off`` and without ``-march=native`` or fast-math,
+and so returns byte-equal results to the NumPy sweep.  The starting
+value of NumPy's short sums (``-0.0`` or ``0.0``, which differs across
+NumPy versions) is probed at load time and handed to the kernel.
+
+**Build and cache.**  At first use the source is compiled with ``cc``
+(else ``gcc``) from ``PATH`` into
+``$XDG_CACHE_HOME/repro/native/<hash>.so`` (``~/.cache`` when unset),
+keyed by a hash of the source, the compiler and its version, and the
+flags.  The library is written under a temporary name and published with
+an atomic rename, so concurrent processes never load a half-written
+file.  It is loaded with :mod:`ctypes`, which releases the GIL for the
+call, so slabs run truly in parallel on a thread pool.
+
+**Fallback.**  Before first use, the loaded kernel is checked for byte
+equality against the NumPy sweep on probe trees whose fan-outs reach
+every branch of the pairwise sum.  If there is no compiler, the compile
+or load fails, or the self-check finds a single differing bit,
+:func:`root_kernel` returns ``None`` for the rest of the process, one
+``RuntimeWarning`` and one ``kernel_fallback`` observability record are
+emitted, and callers use the NumPy sweep instead.
+
+**Input safety.**  The kernel never reads out of bounds: pointer arrays
+must start at 0, increase strictly and end at the child count, and every
+id must lie below the rows of its factor (or of the output at the root).
+Violations raise :class:`IndexError` — what the NumPy sweep raises for
+an out-of-range id — instead of crashing the process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..observability import record_kernel_fallback
+from ..tensor.csf import CSFTensor
+from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
+
+SOURCE = Path(__file__).with_name("csf_root.c")
+#: Compilers tried in order, looked up on ``PATH``.
+COMPILERS = ("cc", "gcc")
+#: Portable flags: no ``-march=native``, no fast-math, no FMA contraction.
+CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+#: Tree depth limit of the C loop's per-level tables.
+MAX_MODES = 64
+
+#: Fan-outs of the self-check probe trees.  A node with ``k`` children
+#: pairwise-sums ``k - 1`` rows, so these reach every branch: fewer than
+#: 8 rows (including none), exactly 8, 8-128 with and without a
+#: remainder, exactly 128, and one and several recursive splits.
+PROBE_FANOUTS = (1, 2, 7, 8, 9, 16, 17, 128, 129, 130, 137, 257, 300)
+
+_ERRORS = {1: "a fiber id is out of range of its factor",
+           2: "malformed fptr (must start at 0, increase strictly and "
+              "end at the child count)"}
+
+
+class NativeUnavailable(RuntimeError):
+    """The compiled kernel cannot serve this process."""
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro/native``, ``~/.cache`` when unset."""
+    base = os.environ.get("XDG_CACHE_HOME")
+    root = Path(base) if base else Path.home() / ".cache"
+    return root / "repro" / "native"
+
+
+def find_compiler() -> str:
+    """Absolute path of the system C compiler."""
+    for name in COMPILERS:
+        path = shutil.which(name)
+        if path:
+            return path
+    raise NativeUnavailable("no C compiler (cc/gcc) on PATH")
+
+
+def library_path(compiler: str) -> Path:
+    """Cache path of the library built from the current source."""
+    version = subprocess.run([compiler, "--version"], capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+    digest = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), compiler.encode(), version.encode(),
+                 " ".join(CFLAGS).encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return cache_dir() / f"{digest.hexdigest()[:24]}.so"
+
+
+def compile_library(compiler: str, path: Path) -> None:
+    """Compile the kernel to *path*, published by an atomic rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            raise NativeUnavailable(
+                f"{compiler} exited {proc.returncode}: "
+                f"{proc.stderr.strip()[:300]}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _open(path: Path) -> Callable:
+    fn = ctypes.CDLL(str(path)).repro_csf_root
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_int64, ctypes.c_int64] \
+        + [ctypes.c_void_p] * 7 + [ctypes.c_double]
+    return fn
+
+
+def load_function() -> Callable:
+    """The ``repro_csf_root`` entry point, compiling it if not cached."""
+    compiler = find_compiler()
+    path = library_path(compiler)
+    if path.exists():
+        try:
+            return _open(path)
+        except OSError:
+            pass  # a damaged cache entry: rebuild it below
+    compile_library(compiler, path)
+    return _open(path)
+
+
+def _index_array(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
+
+
+class RootKernel:
+    """The loaded kernel: ``bind`` one call's factors, then run trees."""
+
+    def __init__(self, fn: Callable, init: float):
+        self._fn = fn
+        #: Starting value of NumPy's short pairwise sums.
+        self.init = float(init)
+
+    def bind(self, mode_order: Sequence[int], factors: FactorList,
+             out: np.ndarray) -> Callable[[CSFTensor], None]:
+        """A runner writing root rows of trees in *mode_order* into *out*.
+
+        *out* must be a C-contiguous float64 ``(rows, rank)`` array; the
+        runner overwrites the rows of the tree's root ids and leaves
+        every other row alone, so slabs with disjoint roots may run
+        concurrently into one *out*.  Factors are made C-contiguous
+        once here (Fortran-ordered or strided views are copied).
+        """
+        mode_order = tuple(mode_order)
+        nmodes = len(mode_order)
+        if not 2 <= nmodes <= MAX_MODES:
+            raise ValueError(f"the native kernel takes 2 to {MAX_MODES} "
+                             f"modes, not {nmodes}")
+        if out.dtype != VALUE_DTYPE or out.ndim != 2 \
+                or not out.flags.c_contiguous or not out.flags.writeable:
+            raise ValueError("out must be a writeable C-contiguous "
+                             "float64 matrix")
+        rank = int(out.shape[1])
+        mats = [np.ascontiguousarray(factors[m], dtype=VALUE_DTYPE)
+                for m in mode_order[1:]]
+        for mat in mats:
+            if mat.ndim != 2 or mat.shape[1] != rank:
+                raise ValueError("every factor needs the output's "
+                                 f"{rank} columns")
+        dims = np.array([out.shape[0]] + [m.shape[0] for m in mats],
+                        dtype=INDEX_DTYPE)
+        fac_ptrs = np.array([0] + [m.ctypes.data for m in mats],
+                            dtype=np.uintp)
+        fn, init = self._fn, self.init
+
+        def run(tree: CSFTensor) -> None:
+            if tuple(tree.mode_order) != mode_order:
+                raise ValueError("tree mode order differs from the bound "
+                                 "factors' order")
+            if rank == 0:
+                return
+            fids = [_index_array(a) for a in tree.fids]
+            fptr = [_index_array(a) for a in tree.fptr]
+            vals = np.ascontiguousarray(tree.vals, dtype=VALUE_DTYPE)
+            nnodes = np.array([a.shape[0] for a in fids], dtype=INDEX_DTYPE)
+            if len(fids) != nmodes or len(fptr) != nmodes - 1 \
+                    or vals.shape[0] != nnodes[-1] \
+                    or any(p.shape[0] != n + 1
+                           for p, n in zip(fptr, nnodes)):
+                raise IndexError("CSF level arrays have inconsistent "
+                                 "lengths")
+            ptrs = np.array([a.ctypes.data for a in fptr + fids],
+                            dtype=np.uintp)
+            code = fn(nmodes, rank, nnodes.ctypes.data, dims.ctypes.data,
+                      ptrs.ctypes.data,
+                      ptrs.ctypes.data + ptrs.itemsize * (nmodes - 1),
+                      vals.ctypes.data, fac_ptrs.ctypes.data,
+                      out.ctypes.data, init)
+            if code == 3:
+                raise MemoryError("native CSF kernel scratch")
+            if code:
+                raise IndexError(_ERRORS.get(code, f"native error {code}"))
+
+        run.factors = mats  # fac_ptrs points into these (maybe) copies
+        return run
+
+
+# ----------------------------------------------------------------------
+# Self-check
+# ----------------------------------------------------------------------
+def numpy_pairwise_init() -> float:
+    """Starting value of NumPy's short sums: ``-0.0`` or ``0.0``.
+
+    ``reduceat`` of two ``-0.0`` rows is ``-0.0 + (init + -0.0)``: signed
+    zero exactly when ``init`` is ``-0.0``.
+    """
+    pair = np.add.reduceat(np.array([[-0.0], [-0.0]]), [0], axis=0)
+    return -0.0 if np.signbit(pair[0, 0]) else 0.0
+
+
+def probe_tree(level_fanouts: Sequence[Sequence[int]],
+               rng: np.random.Generator, dim: int = 50) -> CSFTensor:
+    """A tree whose level-``l`` nodes cycle through ``level_fanouts[l]``.
+
+    Root ids are a permutation (they address output rows); deeper ids
+    are random below *dim*.  Values span twelve decades and include
+    signed zeros, so any change of summation order shows in the bytes.
+    """
+    nroots = len(level_fanouts[0])
+    counts, fptr = [nroots], []
+    for fans in level_fanouts:
+        kids = np.resize(np.asarray(fans, dtype=INDEX_DTYPE), counts[-1])
+        fptr.append(np.concatenate([[0], np.cumsum(kids)]).astype(
+            INDEX_DTYPE))
+        counts.append(int(kids.sum()))
+    fids = [rng.permutation(nroots).astype(INDEX_DTYPE)]
+    fids += [rng.integers(0, dim, n).astype(INDEX_DTYPE)
+             for n in counts[1:]]
+    vals = signed_values(rng, counts[-1])
+    shape = (nroots,) + (dim,) * (len(counts) - 1)
+    return CSFTensor(shape, tuple(range(len(counts))), fids, fptr, vals)
+
+
+def signed_values(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Signed values over twelve decades with some exact ``-0.0``/``0.0``."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    flat = vals.reshape(-1)
+    flat[::97] = -0.0
+    flat[1::89] = 0.0
+    return vals
+
+
+def self_check(kernel: RootKernel) -> None:
+    """Raise :class:`NativeUnavailable` unless *kernel* is byte-equal.
+
+    Compares against the monolithic NumPy sweep on a 3-mode probe with
+    :data:`PROBE_FANOUTS` at both levels and a 4-mode probe, at ranks 1
+    and 3 (scalar and vector-plus-tail column loops).
+    """
+    from .mttkrp_csf import mttkrp_csf_root
+
+    rng = np.random.default_rng(20170814)
+    fans = PROBE_FANOUTS
+    trees = [probe_tree([fans, fans], rng),
+             probe_tree([(1, 9, 130), (1, 9), (1, 8, 129)], rng)]
+    for tree in trees:
+        for rank in (1, 3):
+            factors = [signed_values(rng, n, rank) for n in tree.shape]
+            want = mttkrp_csf_root(tree, factors)
+            got = np.zeros_like(want)
+            kernel.bind(tree.mode_order, factors, got)(tree)
+            if got.tobytes() != want.tobytes():
+                raise NativeUnavailable(
+                    f"self-check mismatch on a {tree.nmodes}-mode probe "
+                    f"at rank {rank}")
+
+
+# ----------------------------------------------------------------------
+# Process-wide resolution
+# ----------------------------------------------------------------------
+_LOCK = threading.Lock()
+_STATE: dict[str, RootKernel | None] = {}
+
+
+def _resolve() -> RootKernel | None:
+    try:
+        kernel = RootKernel(load_function(), numpy_pairwise_init())
+        self_check(kernel)
+        return kernel
+    except Exception as exc:  # any failure means: use the NumPy sweep
+        reason = f"{type(exc).__name__}: {exc}"
+    warnings.warn(f"native CSF kernel unavailable ({reason}); root-mode "
+                  "MTTKRP uses the NumPy sweep", RuntimeWarning,
+                  stacklevel=4)
+    record_kernel_fallback("csf_root", reason)
+    return None
+
+
+def root_kernel() -> RootKernel | None:
+    """The process's compiled root kernel, or ``None`` to use NumPy.
+
+    Resolved once per process (compile or cache load, then the
+    self-check); every later call returns the same answer.
+    """
+    try:
+        return _STATE["kernel"]
+    except KeyError:
+        pass
+    with _LOCK:
+        if "kernel" not in _STATE:
+            _STATE["kernel"] = _resolve()
+    return _STATE["kernel"]
+
+
+def reset() -> None:
+    """Forget the resolved kernel so the next use resolves afresh."""
+    with _LOCK:
+        _STATE.clear()

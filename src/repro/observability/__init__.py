@@ -37,6 +37,7 @@ from .hooks import (
     record_executor_fallback,
     record_integrity_event,
     record_iteration,
+    record_kernel_fallback,
     record_mttkrp_call,
     record_representation,
     record_slab_event,
@@ -165,6 +166,7 @@ __all__ = [
     "record_representation",
     "record_admm_report",
     "record_iteration",
+    "record_kernel_fallback",
     "record_slab_event",
     "record_supervisor_event",
     "record_tune_decision",

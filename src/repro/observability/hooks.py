@@ -145,6 +145,14 @@ def record_executor_fallback(from_executor: str, to_executor: str,
                                 "to": to_executor, "detail": detail})
 
 
+def record_kernel_fallback(kernel: str, detail: str = "") -> None:
+    """A compiled kernel is unavailable; its NumPy twin serves instead."""
+    if not is_enabled():
+        return
+    active_registry().counter("kernel_fallbacks", kernel=kernel).inc()
+    _emit("kernel_fallback", {"kernel": kernel, "detail": detail})
+
+
 def record_supervisor_event(kind: str, attempt: int,
                             detail: str = "") -> None:
     """One recovery action of the fit supervisor.

@@ -14,6 +14,9 @@ hypothesis's function-scoped-fixture health check stays quiet.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import zlib
 
 import numpy as np
@@ -21,6 +24,21 @@ import pytest
 
 from repro.tensor import COOTensor, random_coo
 from repro.tensor.random import random_factors
+
+#: Per-session ``XDG_CACHE_HOME`` directories: the compiled MTTKRP
+#: kernel is built there (once per session), not into the user's cache.
+_SESSION_CACHES: list[str] = []
+
+
+def pytest_configure(config) -> None:
+    path = tempfile.mkdtemp(prefix="repro-test-cache-")
+    _SESSION_CACHES.append(path)
+    os.environ["XDG_CACHE_HOME"] = path
+
+
+def pytest_unconfigure(config) -> None:
+    while _SESSION_CACHES:
+        shutil.rmtree(_SESSION_CACHES.pop(), ignore_errors=True)
 
 
 def pytest_runtest_setup(item) -> None:
