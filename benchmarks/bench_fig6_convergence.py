@@ -2,7 +2,9 @@
 
 For each corpus: one unblocked and one blocked rank-50-analog run from
 *identical* initializations, reporting relative error as a function of
-wall-clock time and of outer iteration (the paper's two columns).
+wall-clock time and of outer iteration (the paper's two columns).  The
+summary gives both the iterations and the seconds each variant needs to
+reach the worse of the two final errors.
 
 Paper shape: blocking improves per-iteration convergence on every
 dataset — either a lower final error (NELL: 3.7x faster to a ~3% lower
@@ -28,6 +30,12 @@ MAX_OUTER = 40
 def iterations_to_reach(errors: np.ndarray, target: float) -> int:
     hits = np.nonzero(errors <= target)[0]
     return int(hits[0]) + 1 if hits.size else len(errors)
+
+
+def seconds_to_reach(trace, target: float) -> float:
+    """Wall-clock at the end of the first outer iteration at *target*."""
+    seconds, errors = trace.error_vs_time()
+    return float(seconds[iterations_to_reach(errors, target) - 1])
 
 
 def run_fig6(small_datasets) -> tuple[str, dict]:
@@ -65,10 +73,14 @@ def run_fig6(small_datasets) -> tuple[str, dict]:
                                          target)
         blocked_iters = iterations_to_reach(
             runs["blocked"].trace.errors(), target)
+        base_secs = seconds_to_reach(runs["base"].trace, target)
+        blocked_secs = seconds_to_reach(runs["blocked"].trace, target)
         outcome[name] = {
             "base_err": base_err, "blocked_err": blocked_err,
             "base_iters_to_target": base_iters,
             "blocked_iters_to_target": blocked_iters,
+            "base_seconds_to_target": base_secs,
+            "blocked_seconds_to_target": blocked_secs,
         }
         summary_rows.append({
             "Dataset": name.capitalize(),
@@ -77,6 +89,8 @@ def run_fig6(small_datasets) -> tuple[str, dict]:
             "err delta %": f"{100 * (blocked_err - base_err) / base_err:+.2f}",
             "base iters->tgt": base_iters,
             "blocked iters->tgt": blocked_iters,
+            "base s->tgt": f"{base_secs:.2f}",
+            "blocked s->tgt": f"{blocked_secs:.2f}",
         })
     plots = []
     for name in DATASET_NAMES:

@@ -5,17 +5,26 @@ The mode subproblem is split into ``B`` row blocks
 ``min sum_b 1/2 ||(X_(m))_b - H_b (KR)^T||^2 + r(H_b)``
 ``s.t. H_b = H_tilde_b  for every block``
 
-which is exact whenever the prox is row separable.  Each block then runs
-Algorithm 1 **to its own convergence**:
+which is exact whenever the prox is row separable.  Each block runs
+Algorithm 1 **to its own convergence**: high-signal blocks take the extra
+iterations they need instead of being stopped by the aggregate criterion,
+and low-signal blocks stop early instead of being dragged along
+(non-uniform convergence).
 
-* high-signal blocks take the extra iterations they need instead of being
-  stopped by the aggregate criterion, and low-signal blocks stop early
-  instead of being dragged along (non-uniform convergence);
-* a block's primal/dual/aux working set is ~``3 * block_rows * F`` doubles
-  — cache resident for the paper's default of 50 rows — so the repeated
-  linear passes hit cache instead of DRAM (memory bandwidth);
-* blocks share nothing, so the only parallel coordination is the dynamic
-  claiming of block indices (synchronization elimination).
+The blocks are solved together as one *active set*.  Each inner step
+runs the line-6 substitution, the prox and the dual update once over the
+stacked rows of every block still running, and takes the per-block
+residuals from one batched row reduction.  Blocks that converge or reach
+the iteration cap leave the stack.  The Python cost of a step is
+therefore a fixed handful of vectorised calls whatever the block count,
+while the arithmetic done still shrinks as blocks stop.
+
+Each row sees exactly the operations the one-block-at-a-time loop
+applies to it: the stacked ``potrs`` solves every right-hand side as it
+would solve it alone (OpenBLAS, threaded or not), the prox is row
+separable, and the block sums keep ``einsum``'s summation order.
+Factors, duals and the report are bitwise identical to
+:func:`repro.testing.oracles.per_block_admm_reference`.
 
 The Cholesky factor of ``G + rho I`` is mode-global (every block shares G
 and hence rho), computed once and reused by all blocks.
@@ -32,9 +41,8 @@ from ..constraints.base import Constraint
 from ..linalg.cholesky import CholeskyFactor
 from ..observability import span
 from ..parallel.partition import row_blocks
-from ..parallel.threadpool import parallel_for
 from ..validation import require
-from .residuals import relative_residuals
+from .residuals import block_relative_residual
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
 
@@ -65,31 +73,6 @@ class BlockedAdmmReport:
                        zip(self.block_rows, self.block_iterations)))
 
 
-def _solve_block(block: slice, primal: np.ndarray, dual: np.ndarray,
-                 mttkrp: np.ndarray, chol: CholeskyFactor, rho: float,
-                 constraint: Constraint, tolerance: float,
-                 max_iterations: int) -> tuple[slice, np.ndarray, np.ndarray,
-                                               int, bool]:
-    """Algorithm 1 restricted to one row block; returns the updated rows."""
-    h = primal[block].copy()
-    u = dual[block].copy()
-    k = mttkrp[block]
-    iterations = 0
-    converged = False
-    with span("admm.block", rows=block.stop - block.start):
-        while iterations < max_iterations:
-            iterations += 1
-            aux = chol.solve_t(k + rho * (h + u))
-            h_prev = h
-            h = constraint.prox(aux - u, 1.0 / rho)
-            u = u + h - aux
-            r, s = relative_residuals(h, aux, h_prev, u)
-            if r < tolerance and s < tolerance:
-                converged = True
-                break
-    return block, h, u, iterations, converged
-
-
 def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
                         gram: np.ndarray, constraint: Constraint,
                         rho_policy: RhoPolicy | None = None,
@@ -105,8 +88,8 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
         Rows per block; the paper's default is 50.  ``block_size >= rows``
         degenerates to the unblocked algorithm (one block).
     threads:
-        Thread count for the real pool (``None`` = auto).  Results are
-        bit-identical for any thread count — blocks are independent.
+        Accepted for call compatibility and ignored: all blocks advance
+        together in one batched solve, so nothing is scheduled.
     """
     require(constraint.row_separable,
             f"constraint {constraint.name!r} is not row separable; "
@@ -119,24 +102,109 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
     blocks = row_blocks(state.rows, block_size)
+    lengths = np.array([b.stop - b.start for b in blocks], dtype=np.intp)
+    iterations = np.zeros(len(blocks), dtype=np.intp)
+    converged = np.zeros(len(blocks), dtype=bool)
 
-    primal, dual = state.primal, state.dual
-    results = parallel_for(
-        lambda blk: _solve_block(blk, primal, dual, mttkrp, chol, rho,
-                                 constraint, tolerance, max_iterations),
-        blocks, threads=threads)
+    with span("admm.solve", rows=state.rows, blocks=len(blocks)):
+        if blocks and max_iterations > 0:
+            _solve_active_set(state, mttkrp, chol, rho, constraint,
+                              tolerance, max_iterations, int(lengths[0]),
+                              lengths, iterations, converged)
 
-    iterations: list[int] = []
-    rows: list[int] = []
-    all_converged = True
-    for block, h, u, iters, conv in results:
-        primal[block] = h
-        dual[block] = u
-        iterations.append(iters)
-        rows.append(block.stop - block.start)
-        all_converged &= conv
-
-    return BlockedAdmmReport(block_iterations=tuple(iterations),
-                             block_rows=tuple(rows), rho=rho,
-                             converged=all_converged,
+    return BlockedAdmmReport(block_iterations=tuple(iterations.tolist()),
+                             block_rows=tuple(lengths.tolist()), rho=rho,
+                             converged=bool(converged.all()),
                              jitter_added=chol.jitter_added)
+
+
+def _solve_active_set(state: AdmmState, mttkrp: np.ndarray,
+                      chol: CholeskyFactor, rho: float,
+                      constraint: Constraint, tolerance: float,
+                      max_iterations: int, size: int, lengths: np.ndarray,
+                      iterations: np.ndarray,
+                      converged: np.ndarray) -> None:
+    """Algorithm 1 over the stacked rows of every running block.
+
+    The stack is the leading ``m`` rows of the state itself: U is updated
+    in place in the dual, and H alternates between the primal and one
+    spare buffer (the prox writes into whichever does not hold the
+    current H).  When blocks leave, the stack is reordered so that the
+    staying rows come first, in order, and the leaving rows rest behind
+    them; ``order`` maps stack rows back to state rows, and the state is
+    put back in row order at the end.  The scratch is two factor-sized
+    buffers, as much as the per-block loop's collected results.
+    ``iterations`` and ``converged`` are filled per block.
+    """
+    primal, dual = state.primal, state.dual
+    mttkrp = np.asarray(mttkrp, dtype=primal.dtype)
+    buffers = (primal, np.empty_like(primal))
+    # K + rho (H + U), then H_tilde (solved in place), then the residual
+    # differences; also the staging area for reordering.
+    work = np.empty_like(primal)
+    active = np.arange(len(lengths))
+    order = None  # stack row -> state row; None while that is the identity
+    finished = []  # (start, stop, array holding the final H of those rows)
+    m = primal.shape[0]
+    h, held = primal, 0  # ``held``: which buffer holds H (None: neither)
+    step = 0
+    while True:
+        step += 1
+        u = dual[:m]
+        rhs = work[:m]
+        spare = 1 if held == 0 else 0
+        scratch = buffers[spare][:m]
+        if order is None:
+            np.add(h, u, out=rhs)
+            rhs *= rho
+            rhs += mttkrp
+        else:
+            np.add(h, u, out=scratch)
+            scratch *= rho
+            np.take(mttkrp, order[:m], axis=0, out=rhs, mode="clip")
+            rhs += scratch
+        aux = chol.solve_t(rhs, overwrite=True)
+        h_prev = h
+        h = constraint.prox(np.subtract(aux, u, out=scratch), 1.0 / rho)
+        held = spare if h is scratch else None
+        u += h
+        u -= aux
+        r = block_relative_residual(np.subtract(h, aux, out=rhs), h, size)
+        s = block_relative_residual(np.subtract(h, h_prev, out=rhs), u,
+                                    size)
+        done = (r < tolerance) & (s < tolerance)
+        leaving = done if step < max_iterations else np.ones_like(done)
+        if not leaving.any():
+            continue
+        iterations[active[leaving]] = step
+        converged[active[done]] = True
+        if leaving.all():
+            break
+        leaving_rows = np.repeat(leaving, lengths[active])
+        perm = np.concatenate((np.flatnonzero(~leaving_rows),
+                               np.flatnonzero(leaving_rows)))
+        if held is None:
+            held = spare
+        np.take(h, perm, axis=0, out=rhs, mode="clip")
+        buffers[held][:m] = rhs
+        np.take(u, perm, axis=0, out=rhs, mode="clip")
+        u[...] = rhs
+        if order is None:
+            order = np.arange(primal.shape[0])
+        order[:m] = order[:m][perm]
+        stay = m - int(np.count_nonzero(leaving_rows))
+        finished.append((stay, m, buffers[held]))
+        active = active[~leaving]
+        m = stay
+        h = buffers[held][:m]
+
+    if order is None:
+        if held != 0:
+            primal[...] = h
+    else:
+        finished.append((0, m, h))
+        for start, stop, final in finished:
+            work[order[start:stop]] = final[start:stop]
+        primal[...] = work
+        work[order] = dual
+        dual[...] = work

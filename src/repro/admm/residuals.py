@@ -6,6 +6,11 @@ import numpy as np
 
 _TINY = 1e-30
 
+#: Elements ``einsum`` sums in one pass.  It works through longer
+#: operands in chunks of this size, so a batched row sum over wider
+#: blocks would add in a different order than one call per block.
+_EINSUM_CHUNK = 8192
+
 
 def _sqnorm(matrix: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", matrix, matrix))
@@ -28,3 +33,35 @@ def relative_residuals(primal: np.ndarray, aux: np.ndarray,
     r = _sqnorm(primal - aux) / max(_sqnorm(primal), _TINY)
     s = _sqnorm(primal - primal_prev) / max(_sqnorm(dual), _TINY)
     return r, s
+
+
+def _block_sqnorms(stacked: np.ndarray, block_rows: int) -> np.ndarray:
+    """``_sqnorm`` of every *block_rows*-row block of *stacked*, bit for bit.
+
+    *stacked* is C-contiguous; only its last block may be short.
+    """
+    rank = stacked.shape[1]
+    n_full = stacked.shape[0] // block_rows
+    split = n_full * block_rows
+    if block_rows * rank <= _EINSUM_CHUNK:
+        flat = stacked[:split].reshape(n_full, block_rows * rank)
+        sums = np.einsum("ij,ij->i", flat, flat)
+    else:
+        sums = np.array([_sqnorm(stacked[i:i + block_rows])
+                         for i in range(0, split, block_rows)])
+    if split < stacked.shape[0]:
+        sums = np.append(sums, _sqnorm(stacked[split:]))
+    return sums
+
+
+def block_relative_residual(numerator: np.ndarray, denominator: np.ndarray,
+                            block_rows: int) -> np.ndarray:
+    """Per-block ``||numerator_b||_F^2 / ||denominator_b||_F^2``.
+
+    Blocks are consecutive groups of *block_rows* rows (the last may be
+    short).  Each entry equals the matching half of
+    :func:`relative_residuals` evaluated on that block alone, bit for bit,
+    with the same denominator floor.
+    """
+    return (_block_sqnorms(numerator, block_rows)
+            / np.maximum(_block_sqnorms(denominator, block_rows), _TINY))

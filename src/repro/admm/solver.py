@@ -82,7 +82,7 @@ def admm_update(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
             iterations += 1
             # Line 6: solve (G + rho I) H_tilde^T = (K + rho (H + U))^T.
             aux = chol.solve_t(mttkrp + rho * (primal + dual))
-            primal_prev = primal.copy()
+            primal_prev = primal
             # Line 8: proximity operator with step 1/rho.
             primal = constraint.prox(aux - dual, 1.0 / rho)
             # Line 9: dual ascent.

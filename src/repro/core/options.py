@@ -53,9 +53,10 @@ class AOADMMOptions:
         Magnitude at or below which a factor entry counts as zero for
         sparsity analysis and compression.
     threads:
-        Thread count for the real pool used by blocked ADMM and by the
-        slab-tiled MTTKRP kernels (results are bit-identical for any
-        value; scalability is studied on the machine model).
+        Thread count for the real pool used by the slab-tiled MTTKRP
+        kernels (results are bit-identical for any value; scalability is
+        studied on the machine model).  Blocked ADMM ignores it: its
+        blocks advance together in one batched solve.
     executor:
         Execution backend for the slab-tiled MTTKRP kernels:
         ``"serial"``, ``"thread"``, ``"process"``, or an

@@ -64,14 +64,18 @@ class CholeskyFactor:
         """
         return scipy.linalg.cho_solve(self._cho, rhs, check_finite=False)
 
-    def solve_t(self, rhs_rows: np.ndarray) -> np.ndarray:
+    def solve_t(self, rhs_rows: np.ndarray,
+                overwrite: bool = False) -> np.ndarray:
         """Solve ``x G = rhs_rows`` for row-major tall-skinny operands.
 
         Equivalent to ``solve(rhs_rows.T).T`` but keeps the tall dimension
-        leading, which is how the ADMM update consumes it.
+        leading, which is how the ADMM update consumes it.  With
+        *overwrite* a C-contiguous ``float64`` *rhs_rows* is solved in
+        place and returned (same values, no copy).
         """
         return scipy.linalg.cho_solve(
-            self._cho, rhs_rows.T, check_finite=False).T
+            self._cho, rhs_rows.T, overwrite_b=overwrite,
+            check_finite=False).T
 
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -110,7 +110,7 @@ class ShmArena:
 
     One arena per :class:`~repro.kernels.dispatch.MTTKRPEngine`; closing
     the arena releases every segment it created.  Thread-safe: the
-    engine may be driven from worker threads (blocked ADMM).
+    engine may be driven from worker threads.
     """
 
     def __init__(self, tag: str = "arena") -> None:

@@ -4,9 +4,10 @@ When threads help — and when they don't
 ---------------------------------------
 CPython threads share the GIL, so a thread pool only overlaps work that
 *releases* it.  NumPy releases the GIL inside individual kernels, which
-is enough for coarse-grained work dominated by large BLAS calls (the
-blocked-ADMM row blocks: one big Cholesky/GEMM per block).  It is **not**
-enough for the slab MTTKRP kernels: each slab is a chain of many small
+is enough for coarse-grained work dominated by large BLAS calls or by
+one compiled kernel call per item (the C root-mode MTTKRP kernel of
+``repro.kernels.native`` releases it for a whole slab).  It is **not**
+enough for the NumPy slab MTTKRP kernels: each slab is a chain of many small
 ``take`` / ``multiply`` / ``reduceat`` calls, and the interpreter
 re-acquires the GIL between every one of them, so threads serialize on
 dispatch and add contention on top.  ``BENCH_mttkrp_tiled.json`` measures

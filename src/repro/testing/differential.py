@@ -14,8 +14,9 @@ instead of piecemeal hand-written assertions:
   families (different summation orders);
 * :func:`run_admm_sweep` solves one mode subproblem blocked and
   unblocked from identical warm starts, asserts thread-bitwise identity
-  within the blocked family, tolerance agreement across the two
-  formulations, and certifies both solutions with the KKT oracle;
+  within the blocked family and bitwise identity with the per-block
+  reference loop, tolerance agreement across the two formulations, and
+  certifies both solutions with the KKT oracle;
 * :func:`run_prox_sweep` checks every registered proximity operator
   against its variational definition;
 * :func:`compare_factor_sets` / :func:`compare_fits` diff whole
@@ -55,7 +56,12 @@ from ..kernels.mttkrp_coo import mttkrp_coo
 from ..linalg.grams import hadamard_gram_excluding
 from ..tensor.coo import COOTensor
 from ..validation import require
-from .oracles import check_prox, kkt_certificate, mttkrp_oracle
+from .oracles import (
+    check_prox,
+    kkt_certificate,
+    mttkrp_oracle,
+    per_block_admm_reference,
+)
 from .strategies import (
     TensorCase,
     case_from_spec,
@@ -446,6 +452,9 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
 
     * bitwise identity across thread counts for a fixed block size (the
       blocked solver's contract);
+    * bitwise identity of primal, dual and report with
+      :func:`repro.testing.oracles.per_block_admm_reference` (the batched
+      active set must do exactly what the one-block-at-a-time loop does);
     * tolerance-bounded agreement between the blocked and unblocked
       primal solutions (unique optimum of the convex subproblem).  The
       documented tolerance follows from the stopping rule: each solve
@@ -496,6 +505,11 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                     replay=replay_command(case.spec, 0)))
 
         for block_size in block_sizes:
+            reference = AdmmState.from_factor(init)
+            ref_report = per_block_admm_reference(
+                reference, kmat, gram, constraint,
+                tolerance=inner_tolerance, max_iterations=max_iterations,
+                block_size=block_size)
             anchor: np.ndarray | None = None
             for t in threads:
                 state = AdmmState.from_factor(init)
@@ -505,6 +519,20 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                     max_iterations=max_iterations,
                     block_size=block_size, threads=t)
                 label = f"blocked[{name},b={block_size},t={t}]"
+                report.comparisons += 1
+                if (state.primal.tobytes() != reference.primal.tobytes()
+                        or state.dual.tobytes() != reference.dual.tobytes()
+                        or blk_report != ref_report):
+                    report.disagreements.append(Disagreement(
+                        kind="bitwise", case=case.spec, backend=label,
+                        reference=f"per-block[{name},b={block_size}]",
+                        mode=0,
+                        detail="blocked ADMM must be bit-identical to the "
+                               "per-block reference loop, report included; "
+                               "max |diff| = "
+                               f"{_diff(state.primal, reference.primal):.3e}",
+                        max_abs_diff=_diff(state.primal, reference.primal),
+                        replay=replay_command(case.spec, 0)))
                 report.comparisons += 1
                 if anchor is None:
                     anchor = state.primal.copy()

@@ -14,8 +14,14 @@ from repro.admm import (
     make_rho_policy,
     relative_residuals,
 )
+from repro.admm.residuals import block_relative_residual
 from repro.constraints import L1, NonNegative, Unconstrained
 from repro.constraints.base import Constraint
+from repro.constraints.registry import available_constraints, make_constraint
+from repro.testing.oracles import per_block_admm_reference
+
+ROW_SEPARABLE = [name for name in available_constraints()
+                 if make_constraint(name).row_separable]
 
 
 def make_problem(rng, rows=40, rank=5, cols=30):
@@ -64,6 +70,24 @@ class TestResiduals:
         z = np.zeros((3, 2))
         r, s = relative_residuals(z, z + 1.0, z, z)
         assert np.isfinite(r) and np.isfinite(s)
+
+    @pytest.mark.parametrize("rank, block_rows", [
+        (3, 1), (7, 10), (32, 256), (32, 257), (16, 600)])
+    def test_block_residuals_match_per_block(self, rng, rank, block_rows):
+        """Bit for bit, on both sides of einsum's 8192-element pass."""
+        rows = 3 * block_rows + max(block_rows // 2, 1)
+        h, aux, h_prev, u = (rng.standard_normal((rows, rank))
+                             for _ in range(4))
+        u[:block_rows] = 0.0  # a floored denominator
+        r = block_relative_residual(h - aux, h, block_rows)
+        s = block_relative_residual(h - h_prev, u, block_rows)
+        want = np.array([
+            relative_residuals(h[i:i + block_rows], aux[i:i + block_rows],
+                               h_prev[i:i + block_rows],
+                               u[i:i + block_rows])
+            for i in range(0, rows, block_rows)])
+        assert r.tobytes() == want[:, 0].tobytes()
+        assert s.tobytes() == want[:, 1].tobytes()
 
 
 class TestFullAdmm:
@@ -194,6 +218,119 @@ class TestBlockedAdmm:
             r * i for r, i in zip(report.block_rows,
                                   report.block_iterations))
         assert report.iterations == max(report.block_iterations)
+
+
+def solve_both(mttkrp, gram, name, primal, dual=None, **kwargs):
+    """Blocked solve and per-block reference from one start; both states."""
+    batched = AdmmState(primal, dual)
+    reference = batched.copy()
+    got = blocked_admm_update(batched, mttkrp, gram, make_constraint(name),
+                              **kwargs)
+    want = per_block_admm_reference(reference, mttkrp, gram,
+                                    make_constraint(name), **kwargs)
+    return got, want, batched, reference
+
+
+def assert_bitwise(got, want, batched, reference):
+    assert batched.primal.tobytes() == reference.primal.tobytes()
+    assert batched.dual.tobytes() == reference.dual.tobytes()
+    assert got == want
+
+
+class TestBlockedMatchesPerBlockReference:
+    """The batched active-set solver against the one-block-at-a-time loop.
+
+    Equality is byte for byte on primal and dual, and the whole report
+    (per-block iterations included) must be equal.
+    """
+
+    @pytest.mark.parametrize("rank", [1, 7, 32])
+    @pytest.mark.parametrize("name", ROW_SEPARABLE)
+    def test_every_constraint_and_shape(self, rng, name, rank):
+        for rows, block_size in [(0, 10), (1, 10), (1, 1), (23, 10),
+                                 (23, 1), (23, 23), (23, 10**9), (60, 13)]:
+            mttkrp, gram, _, _ = make_problem(rng, rows=rows, rank=rank,
+                                              cols=rank + 6)
+            mttkrp[:rows // 3] *= 40.0
+            primal = np.abs(rng.standard_normal((rows, rank)))
+            dual = 0.1 * rng.standard_normal((rows, rank))
+            for cap in (3, 60):
+                result = solve_both(mttkrp, gram, name, primal, dual,
+                                    tolerance=1e-6, max_iterations=cap,
+                                    block_size=block_size)
+                assert_bitwise(*result)
+
+    @staticmethod
+    def solved(rng, rows, rank):
+        """A problem and its (tightly converged) unblocked solution."""
+        mttkrp, gram, _, _ = make_problem(rng, rows=rows, rank=rank)
+        start = AdmmState.from_factor(np.zeros_like(mttkrp))
+        admm_update(start, mttkrp, gram, NonNegative(), tolerance=1e-14,
+                    max_iterations=2000)
+        return mttkrp, gram, start.primal.copy(), start.dual.copy()
+
+    def test_cap_hit_by_some_blocks_only(self, rng):
+        mttkrp, gram, primal, dual = self.solved(rng, rows=95, rank=6)
+        primal[:20] += 5.0
+        got, want, *states = solve_both(
+            mttkrp, gram, "nonneg", primal, dual, tolerance=1e-8,
+            max_iterations=12, block_size=10)
+        assert_bitwise(got, want, *states)
+        assert got.block_iterations[:2] == (12, 12)
+        assert max(got.block_iterations[2:]) < 12
+        assert not got.converged
+
+    @pytest.mark.parametrize("tail_leaves", ["first", "last"])
+    def test_short_last_block_leaves_first_or_last(self, rng, tail_leaves):
+        """Blocks (10, 10, 10, 5), each started its own distance from the
+        solution: the short block exits before or after every full one,
+        and the full ones exit at different steps."""
+        mttkrp, gram, primal, dual = self.solved(rng, rows=35, rank=5)
+        shifts = ((5.0, 0.5, 2.0, 0.0) if tail_leaves == "first"
+                  else (0.01, 0.0, 0.1, 5.0))
+        for block, shift in enumerate(shifts):
+            primal[10 * block:10 * block + 10] += shift
+        got, want, *states = solve_both(
+            mttkrp, gram, "nonneg", primal, dual, tolerance=1e-8,
+            max_iterations=400, block_size=10)
+        assert_bitwise(got, want, *states)
+        tail, full = got.block_iterations[-1], got.block_iterations[:-1]
+        assert got.block_rows == (10, 10, 10, 5)
+        if tail_leaves == "first":
+            assert tail < min(full)
+        else:
+            assert tail > max(full)
+        assert len(set(full)) == 3
+        assert got.converged
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+    def test_mttkrp_layouts(self, rng, layout):
+        mttkrp, gram, _, _ = make_problem(rng, rows=47, rank=6)
+        mttkrp[:9] *= 30.0
+        if layout == "fortran":
+            mttkrp = np.asfortranarray(mttkrp)
+        elif layout == "strided":
+            wide = np.zeros((47, 12))
+            wide[:, ::2] = mttkrp
+            mttkrp = wide[:, ::2]
+        else:
+            mttkrp = mttkrp.astype(np.float32)
+        result = solve_both(mttkrp, gram, "nonneg",
+                            np.abs(rng.standard_normal((47, 6))),
+                            tolerance=1e-7, max_iterations=80, block_size=10)
+        assert_bitwise(*result)
+
+    @pytest.mark.parametrize("block_size", [256, 257, 300])
+    def test_blocks_wider_than_one_einsum_pass(self, rng, block_size):
+        """32 columns x 256 rows is 8192 elements, the most ``einsum``
+        sums in one pass; wider blocks take the per-block path."""
+        mttkrp, gram, _, _ = make_problem(rng, rows=700, rank=32, cols=40)
+        mttkrp[:100] *= 30.0
+        for name in ("nonneg", "l1"):
+            result = solve_both(mttkrp, gram, name, np.zeros_like(mttkrp),
+                                tolerance=1e-6, max_iterations=40,
+                                block_size=block_size)
+            assert_bitwise(*result)
 
 
 class TestAdmmState:
