@@ -11,8 +11,13 @@ use fixed seeds so artifacts are reproducible.
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -45,3 +50,23 @@ def save_artifact(results_dir: Path, name: str, text: str) -> None:
     path = results_dir / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]", file=sys.stderr)
+
+
+def save_bench_json(results_dir: Path, name: str, payload: dict) -> Path:
+    """Persist ``results/BENCH_<name>.json`` with a host header.
+
+    The header records what a wall-clock row depends on: core count,
+    Python and NumPy versions, and the SIMD extensions NumPy dispatches
+    to.
+    """
+    features = np._core._multiarray_umath.__cpu_features__
+    header = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_features": sorted(k for k, on in features.items() if on),
+    }
+    path = results_dir / f"BENCH_{name}.json"
+    path.write_text(json.dumps({"benchmark": name, "host": header,
+                                **payload}, indent=2) + "\n")
+    return path

@@ -652,8 +652,12 @@ class BackendAutotuner:
     # -- engine-level entry points --------------------------------------
     def tune_trees(self, trees, rank: int, threads: int | None = 1,
                    executor: "str | ExecutorBase | None" = None,
-                   fingerprint: str | None = None) -> TuningReport:
-        """Tune every mode of an :class:`~repro.tensor.csf.AllModeCSF`."""
+                   fingerprint: str | None = None,
+                   modes: Sequence[int] | None = None) -> TuningReport:
+        """Tune the trees of an :class:`~repro.tensor.csf.AllModeCSF`.
+
+        *modes* names the root modes to tune (default: every mode).
+        """
         if fingerprint is None and self.mode == "measure" \
                 and self.cache is not None:
             from ..robustness.checkpoint import tensor_fingerprint
@@ -661,7 +665,7 @@ class BackendAutotuner:
         decisions = tuple(
             self.decide_tree(trees.csf(mode), mode, rank, threads=threads,
                              executor=executor, fingerprint=fingerprint)
-            for mode in range(trees.nmodes))
+            for mode in (range(trees.nmodes) if modes is None else modes))
         return TuningReport(tune_mode=self.mode, rank=rank,
                             threads=effective_threads(threads),
                             executor=resolve_executor(executor).name,
@@ -673,8 +677,9 @@ class BackendAutotuner:
         Must run before the engine builds any tiling (the decompositions
         are static); :meth:`MTTKRPEngine.apply_tuning` enforces that.
         """
-        report = self.tune_trees(engine.trees, rank,
-                                 threads=engine.threads,
-                                 executor=engine._executor)
+        report = self.tune_trees(
+            engine.trees, rank, threads=engine.threads,
+            executor=engine._executor,
+            modes=(0,) if engine.csf_allocation == "one" else None)
         engine.apply_tuning(report)
         return report

@@ -715,7 +715,9 @@ def make_engine(tensor,
     * :class:`~repro.tensor.csf.CSFTensor` → expanded back to COO (the
       engine re-sorts per mode anyway) and handled below;
     * :class:`~repro.tensor.coo.COOTensor` → :class:`MTTKRPEngine` with
-      all trees built eagerly (the historical driver behaviour).
+      the trees it serves from built eagerly: every tree under
+      ``csf_allocation="all"``, only the mode-0 tree under ``"one"``
+      (which is also the only tree the autotuner then tunes).
 
     ``max_bytes_in_core`` only influences the out-of-core path; in-core
     tensors are already resident and the knob is ignored for them.
@@ -754,7 +756,11 @@ def make_engine(tensor,
                           threads=threads,
                           slab_nnz_target=slab_nnz_target,
                           executor=executor)
-    engine.trees.build_all()
+    if csf_allocation == "one":
+        # ONEMODE: MTTKRPEngine.mttkrp serves every mode from csf(0).
+        engine.trees.csf(0)
+    else:
+        engine.trees.build_all()
     if rank is not None and slab_nnz_target is None:
         tune_mode = resolve_tune_mode(tune)
         if tune_mode != "off":

@@ -18,11 +18,20 @@ root):
   ``nnodes(l) + 1`` delimiting each node's children at level ``l+1``.
 * ``vals`` — the non-zero values, one per leaf, in tree order.
 
-Construction sorts the COO tensor lexicographically by ``mode_order`` and
+Construction orders the non-zeros lexicographically by ``mode_order`` and
 finds the unique prefixes of every length — an ``O(nnz log nnz)`` one-time
 cost, amortized over the whole factorization (the tensor's sparsity pattern
 is static; see Section IV-C of the paper for the contrast with the dynamic
-factor sparsity).
+factor sparsity).  The order comes from one stable sort over packed keys
+(:func:`repro.tensor.coo.pack_lex_keys`: each non-zero's coordinates,
+root first, concatenated bit-wise into one ``int64`` word on every
+Table-I shape but full Amazon, which takes two), not from an ``N``-key
+lexsort.  Only the key words and the values are permuted; each level's
+ids are shifted and masked out of the sorted words.  A stable sort over
+keys that are equal exactly when the coordinates are equal yields the
+same permutation as ``np.lexsort`` over the coordinate rows, duplicates
+included, so the trees match the plain construction
+(:func:`repro.testing.oracles.lexsort_csf_reference`) byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 
 from ..types import INDEX_DTYPE, VALUE_DTYPE
 from ..validation import check_mode, require
-from .coo import COOTensor
+from .coo import COOTensor, pack_lex_keys
 
 
 def default_mode_order(nmodes: int, root: int) -> tuple[int, ...]:
@@ -87,46 +96,53 @@ class CSFTensor:
             require(sorted(mode_order) == list(range(nmodes)),
                     "mode_order must be a permutation of all modes")
 
-        sorted_coo = tensor.sort_lex(mode_order)
-        coords, vals = sorted_coo.coords, sorted_coo.vals
-        nnz = sorted_coo.nnz
-
+        # One stable sort over the packed keys; only the key words and
+        # the values are permuted, and each level's ids are unpacked from
+        # the sorted words.
+        words, fields = pack_lex_keys(tensor.coords, tensor.shape,
+                                      mode_order)
+        nnz = tensor.nnz
         if nnz == 0:
             fids = [np.empty(0, dtype=INDEX_DTYPE) for _ in range(nmodes)]
             fptr = [np.zeros(1, dtype=INDEX_DTYPE) for _ in range(nmodes - 1)]
             return cls(tensor.shape, mode_order, fids,
                        fptr, np.empty(0, dtype=VALUE_DTYPE))
+        perm = np.lexsort(words[::-1])
+        words = [word[perm] for word in words]
+        vals = tensor.vals[perm]
 
-        # `changed[l][p]` - True when the length-(l+1) prefix of non-zero p
+        # `changed[p]` - True when the length-(l+1) prefix of non-zero p
         # differs from non-zero p-1.  A change at a shorter prefix implies a
         # change at every longer prefix, so we accumulate with |=.
         fids: list[np.ndarray] = []
         starts_per_level: list[np.ndarray] = []
         changed = np.zeros(nnz, dtype=bool)
         changed[0] = True
-        for level in range(nmodes):
-            mode = mode_order[level]
+        for level, (word, shift, nbits) in enumerate(fields):
+            ids = (words[word] >> shift) & ((1 << nbits) - 1)
             if level < nmodes - 1:
-                changed = changed.copy()
-                changed[1:] |= coords[mode, 1:] != coords[mode, :-1]
-                starts = np.flatnonzero(changed)
-                starts_per_level.append(starts.astype(INDEX_DTYPE))
-                fids.append(coords[mode, starts].copy())
+                changed[1:] |= ids[1:] != ids[:-1]
+                starts = np.flatnonzero(changed).astype(INDEX_DTYPE,
+                                                        copy=False)
+                starts_per_level.append(starts)
+                fids.append(ids[starts])
             else:
                 # Leaves: one node per non-zero.
-                starts_per_level.append(
-                    np.arange(nnz, dtype=INDEX_DTYPE))
-                fids.append(coords[mode].copy())
+                fids.append(ids)
 
         fptr: list[np.ndarray] = []
         for level in range(nmodes - 1):
-            upper = starts_per_level[level]
-            lower = starts_per_level[level + 1]
-            bounds = np.concatenate(
-                [upper, np.array([nnz], dtype=INDEX_DTYPE)])
-            fptr.append(np.searchsorted(lower, bounds).astype(INDEX_DTYPE))
+            bounds = np.append(starts_per_level[level], nnz)
+            if level == nmodes - 2:
+                # The leaf starts are arange(nnz), against which
+                # searchsorted is the identity.
+                fptr.append(bounds)
+            else:
+                lower = starts_per_level[level + 1]
+                fptr.append(
+                    np.searchsorted(lower, bounds).astype(INDEX_DTYPE))
 
-        return cls(tensor.shape, mode_order, fids, fptr, vals.copy())
+        return cls(tensor.shape, mode_order, fids, fptr, vals)
 
     # ------------------------------------------------------------------
     # Properties

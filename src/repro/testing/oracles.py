@@ -21,7 +21,10 @@ Covered claims:
   unblocked inner solves (paper Section III-B: both must reach the same
   subproblem optimum);
 * blocked ADMM as the literal per-block loop of Algorithm 1 — the
-  bitwise reference for the batched active-set solver.
+  bitwise reference for the batched active-set solver;
+* CSF construction by an ``N``-key ``np.lexsort`` over the coordinate
+  rows and a per-mode prefix scan — the bitwise reference for the
+  packed-key construction of :meth:`repro.tensor.csf.CSFTensor.from_coo`.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from ..linalg.cholesky import CholeskyFactor
 from ..linalg.khatri_rao import khatri_rao_excluding
 from ..parallel.partition import row_blocks
 from ..tensor.coo import COOTensor
+from ..tensor.csf import CSFTensor
 from ..tensor.matricize import matricize_coo
-from ..types import FactorList
+from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
 from ..validation import check_mode, require
 
 #: Largest ``prod(other extents)`` the dense oracles will materialize.
@@ -341,3 +345,51 @@ def per_block_admm_reference(state: AdmmState, mttkrp: np.ndarray,
                              block_rows=tuple(rows), rho=rho,
                              converged=all_converged,
                              jitter_added=chol.jitter_added)
+
+
+# ----------------------------------------------------------------------
+# CSF construction by a lexsort over the coordinate rows
+# ----------------------------------------------------------------------
+
+def lexsort_csf_reference(tensor: COOTensor,
+                          mode_order: tuple[int, ...] | None = None
+                          ) -> CSFTensor:
+    """Build a CSF tree by sorting on every coordinate row (Figure 2).
+
+    Sorts with ``np.lexsort`` over the ``N`` coordinate rows, gathers
+    every row, and marks the start of each length-``l`` prefix with one
+    comparison per mode.  :meth:`CSFTensor.from_coo` sorts packed keys
+    instead and must match this byte for byte, duplicate coordinates
+    included.
+    """
+    nmodes = tensor.nmodes
+    order = tuple(range(nmodes)) if mode_order is None else tuple(mode_order)
+    require(sorted(order) == list(range(nmodes)),
+            "mode_order must be a permutation of all modes")
+    # np.lexsort sorts by the LAST key first, so feed keys reversed.
+    perm = np.lexsort(tuple(tensor.coords[m] for m in reversed(order)))
+    coords, vals = tensor.coords[:, perm], tensor.vals[perm]
+    nnz = vals.shape[0]
+    if nnz == 0:
+        return CSFTensor(
+            tensor.shape, order,
+            [np.empty(0, dtype=INDEX_DTYPE) for _ in range(nmodes)],
+            [np.zeros(1, dtype=INDEX_DTYPE) for _ in range(nmodes - 1)],
+            np.empty(0, dtype=VALUE_DTYPE))
+    fids: list[np.ndarray] = []
+    starts_per_level: list[np.ndarray] = []
+    changed = np.zeros(nnz, dtype=bool)
+    changed[0] = True
+    for level, mode in enumerate(order):
+        if level < nmodes - 1:
+            changed[1:] |= coords[mode, 1:] != coords[mode, :-1]
+            starts = np.flatnonzero(changed).astype(INDEX_DTYPE)
+        else:
+            starts = np.arange(nnz, dtype=INDEX_DTYPE)
+        starts_per_level.append(starts)
+        fids.append(coords[mode, starts])
+    fptr = [np.searchsorted(starts_per_level[level + 1],
+                            np.append(starts_per_level[level], nnz)
+                            ).astype(INDEX_DTYPE)
+            for level in range(nmodes - 1)]
+    return CSFTensor(tensor.shape, order, fids, fptr, vals)

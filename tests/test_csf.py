@@ -1,10 +1,41 @@
 """Unit tests for the CSF data structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
+from repro.datasets.registry import all_dataset_names
 from repro.tensor import COOTensor, CSFTensor, random_coo
+from repro.tensor.coo import pack_lex_keys
 from repro.tensor.csf import AllModeCSF, default_mode_order
+from repro.testing.oracles import lexsort_csf_reference
+
+
+def assert_same_tree_bytes(tensor, order):
+    """``from_coo`` matches the lexsort reference in bytes and dtypes."""
+    got = CSFTensor.from_coo(tensor, order)
+    ref = lexsort_csf_reference(tensor, order)
+    assert got.mode_order == ref.mode_order
+    assert len(got.fids) == len(ref.fids) == tensor.nmodes
+    assert len(got.fptr) == len(ref.fptr) == tensor.nmodes - 1
+    for a, b in zip(got.fids + got.fptr + [got.vals],
+                    ref.fids + ref.fptr + [ref.vals]):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def random_tensor(shape, nnz, seed, duplicates=False):
+    """Uniform coordinates over *shape* (any extent up to 2**62)."""
+    rng = np.random.default_rng(seed)
+    coords = np.vstack([rng.integers(0, extent, nnz) for extent in shape])
+    if duplicates and nnz > 1:
+        # Every coordinate of the second half repeats one of the first.
+        half = nnz // 2
+        coords[:, half:] = coords[:, :nnz - half]
+    return COOTensor(coords, rng.standard_normal(nnz), shape)
 
 
 class TestConstruction:
@@ -43,6 +74,86 @@ class TestConstruction:
         np.testing.assert_array_equal(csf.fids[0], [0, 2])
         np.testing.assert_array_equal(csf.fptr[0], [0, 2, 3])
         np.testing.assert_array_equal(csf.fids[1], [1, 3, 0])
+
+
+class TestBitwiseAgainstLexsortReference:
+    @pytest.mark.parametrize("name", all_dataset_names())
+    def test_every_mode_order_of_tiny_presets(self, name):
+        tensor, _ = load_dataset(name, "tiny", seed=3)
+        for order in itertools.permutations(range(tensor.nmodes)):
+            assert_same_tree_bytes(tensor, order)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_duplicates_are_kept_in_stable_order(self, order):
+        tensor = random_tensor((5, 4, 6), 300, seed=1, duplicates=True)
+        assert tensor.deduplicate().nnz < tensor.nnz
+        assert_same_tree_bytes(tensor, order)
+
+    @pytest.mark.parametrize("shape", [(17,), (6, 5, 7, 4), (4, 3, 5, 2, 3),
+                                       (1, 9, 1), (1,), (1, 1, 1)])
+    def test_one_four_and_five_modes_and_unit_extents(self, shape):
+        tensor = random_tensor(shape, 200, seed=2, duplicates=True)
+        for order in itertools.permutations(range(len(shape))):
+            assert_same_tree_bytes(tensor, order)
+
+    @pytest.mark.parametrize("shape", [(2**31, 2**31, 7),
+                                       (2**32, 2**31, 2),
+                                       (2**40, 3, 2**40),
+                                       (2**40, 2**40, 2**40, 2**40),
+                                       (2**62, 2**62)])
+    def test_multi_word_keys(self, shape):
+        tensor = random_tensor(shape, 400, seed=3, duplicates=True)
+        words, _ = pack_lex_keys(tensor.coords, tensor.shape,
+                                 range(len(shape)))
+        assert len(words) > 1
+        for order in itertools.permutations(range(len(shape))):
+            assert_same_tree_bytes(tensor, order)
+
+    @pytest.mark.parametrize("nmodes", [1, 3])
+    def test_empty_tensor(self, nmodes):
+        tensor = COOTensor(np.empty((nmodes, 0), dtype=np.int64),
+                           np.empty(0), (4, 5, 6)[:nmodes])
+        assert_same_tree_bytes(tensor, tuple(range(nmodes)))
+
+    def test_coordinate_mutated_out_of_range_raises(self, small_tensor):
+        small_tensor.coords[1, 5] = small_tensor.shape[1]
+        for order in [(0, 1, 2), (1, 2, 0)]:
+            with pytest.raises(ValueError, match="out of range"):
+                CSFTensor.from_coo(small_tensor, order)
+        small_tensor.coords[1, 5] = -1
+        with pytest.raises(ValueError, match="negative index"):
+            CSFTensor.from_coo(small_tensor)
+
+
+class TestPackedKeys:
+    def test_field_layout(self):
+        # 46 -> 6 bits, 2200 -> 12 bits, 1 -> 0 bits: one word,
+        # most significant field first.
+        coords = np.array([[45, 3], [2199, 0], [0, 0]])
+        words, fields = pack_lex_keys(coords, (46, 2200, 1), (0, 1, 2))
+        assert fields == [(0, 12, 6), (0, 0, 12), (0, 0, 0)]
+        assert words[0].tolist() == [(45 << 12) | 2199, 3 << 12]
+
+    def test_new_word_before_passing_63_bits(self):
+        # 40 + 40 and 32 + 32 bits do not fit one word (the sign bit
+        # stays clear); 31 + 31 + 1 bits do.
+        _, fields = pack_lex_keys(np.zeros((2, 1), dtype=np.int64),
+                                  (2**40, 2**40), (1, 0))
+        assert fields == [(0, 0, 40), (1, 0, 40)]
+        _, fields = pack_lex_keys(np.zeros((2, 1), dtype=np.int64),
+                                  (2**32, 2**32), (0, 1))
+        assert fields == [(0, 0, 32), (1, 0, 32)]
+        _, fields = pack_lex_keys(np.zeros((3, 1), dtype=np.int64),
+                                  (2**31, 2**31, 2), (0, 1, 2))
+        assert fields == [(0, 32, 31), (0, 1, 31), (0, 0, 1)]
+
+    def test_unpacked_fields_recover_coordinates(self):
+        tensor = random_tensor((2**40, 9, 2**30, 1), 100, seed=4)
+        order = (2, 0, 3, 1)
+        words, fields = pack_lex_keys(tensor.coords, tensor.shape, order)
+        for level, (word, shift, nbits) in enumerate(fields):
+            ids = (words[word] >> shift) & ((1 << nbits) - 1)
+            np.testing.assert_array_equal(ids, tensor.coords[order[level]])
 
 
 class TestStructure:

@@ -64,6 +64,18 @@ def test_sort_preserves_multiset(tensor):
     np.testing.assert_allclose(s.to_dense(), tensor.to_dense(), atol=1e-9)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(coo_tensors(),
+                 coo_tensors(max_modes=5, max_extent=2**40)),
+       st.randoms(use_true_random=False))
+def test_permutation_lex_equals_lexsort_of_rows(tensor, pyrandom):
+    """Packed keys sort exactly like the coordinate rows, ties included."""
+    order = list(range(tensor.nmodes))
+    pyrandom.shuffle(order)
+    expected = np.lexsort(tuple(tensor.coords[m] for m in reversed(order)))
+    np.testing.assert_array_equal(tensor.permutation_lex(order), expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(coo_tensors(max_modes=3, max_extent=6, max_nnz=25),
        st.integers(0, 2), st.integers(1, 4), st.integers(0, 2**31 - 1))

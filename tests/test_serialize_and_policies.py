@@ -8,7 +8,8 @@ from repro import AOADMMOptions, CPModel, fit_aoadmm, init_factors
 from repro.constraints import L1, NonNegative
 from repro.core import load_model, penalized_objective, save_model
 from repro.kernels import mttkrp_coo_reference
-from repro.kernels.dispatch import MTTKRPEngine
+from repro.kernels.autotune import BackendAutotuner
+from repro.kernels.dispatch import MTTKRPEngine, make_engine
 from repro.tensor.random import random_factors
 
 
@@ -132,6 +133,29 @@ class TestOneModeCSFPolicy:
             engine=ref_engine)
         np.testing.assert_allclose(res.trace.errors(), ref.trace.errors(),
                                    rtol=1e-10)
+
+    @pytest.mark.parametrize("tune", ["off", "model"])
+    def test_make_engine_builds_and_tunes_one_tree(self, small_tensor,
+                                                   tune):
+        options = AOADMMOptions(rank=3, constraints="nonneg", seed=2,
+                                max_outer_iterations=4,
+                                outer_tolerance=0.0)
+        engine = make_engine(small_tensor, csf_allocation="one", rank=3,
+                             tune=tune)
+        assert set(engine.trees._trees) == {0}
+        if tune != "off":
+            assert [d.mode for d in engine.tuning.decisions] == [0]
+        # Reference: the same policy with every tree built and tuned.
+        every = MTTKRPEngine(small_tensor, csf_allocation="one")
+        every.trees.build_all()
+        if tune != "off":
+            every.apply_tuning(BackendAutotuner(mode=tune).tune_trees(
+                every.trees, 3))
+        res = fit_aoadmm(small_tensor, options, engine=engine)
+        ref = fit_aoadmm(small_tensor, options, engine=every)
+        assert set(engine.trees._trees) == {0}
+        for a, b in zip(res.model.factors, ref.model.factors):
+            assert a.tobytes() == b.tobytes()
 
     def test_unknown_allocation_rejected(self, small_tensor):
         with pytest.raises(ValueError):

@@ -36,6 +36,54 @@ def store(tmp_path, small_tensor):
                                      slab_nnz_target=32)
 
 
+#: Slab ``(length, crc32 digest)`` of a fixed Reddit-``tiny``-shaped
+#: random tensor sharded at ``slab_nnz_target=4096``, per mode, recorded
+#: when the CSF trees were still built by an N-key lexsort.  A change to
+#: the tree construction order or the slab layout changes these bytes.
+#: (``random_coo`` draws its values without vectorized float math, so its
+#: bytes do not depend on the SIMD level NumPy dispatches to; the
+#: synthetic datasets' values do, in the last ulp.)
+PINNED_TENSOR_SHA1 = "e06c10477bf2f3a9fa447a072aa4f3b1a79e4f50"
+PINNED_SLAB_CHECKSUMS = {
+    0: [(105664, 3830891077), (105952, 120907459), (105176, 854022592),
+        (105688, 1240875309)],
+    1: [(106360, 3363322090), (103272, 2531280882), (102760, 348352050),
+        (100744, 4159974144)],
+    2: [(115984, 1608464744), (115552, 3609709056), (115696, 126337426),
+        (115584, 2814342548)],
+}
+
+
+class TestPinnedOnDiskBytes:
+    @pytest.fixture
+    def pinned_store(self, tmp_path):
+        tensor = random_coo((620, 60, 1020), 14000, seed=3)
+        # The input is pinned first, so a failure below is about the
+        # store's bytes, not its input.
+        assert tensor_fingerprint(tensor)["sha1"] == PINNED_TENSOR_SHA1
+        return ShardedTensorStore.create(tensor, tmp_path / "pinned",
+                                         slab_nnz_target=4096,
+                                         durable=False)
+
+    @staticmethod
+    def checksums(store):
+        return {mode: [(store.slab_checksum(mode, i).length,
+                        store.slab_checksum(mode, i).digest)
+                       for i in range(store.slab_count(mode))]
+                for mode in range(store.nmodes)}
+
+    def test_slab_checksums_are_pinned(self, pinned_store):
+        assert self.checksums(pinned_store) == PINNED_SLAB_CHECKSUMS
+
+    def test_rebuilt_slabs_match_the_pinned_checksums(self, pinned_store):
+        for mode, slabs in PINNED_SLAB_CHECKSUMS.items():
+            for index in range(len(slabs)):
+                pinned_store.slab_path(mode, index).unlink()
+                pinned_store.rebuild_slab(mode, index)
+                assert pinned_store.slab_problem(mode, index) is None
+        assert self.checksums(pinned_store) == PINNED_SLAB_CHECKSUMS
+
+
 class TestStoreRoundTrip:
     def test_create_then_to_coo_bitwise(self, store, small_tensor):
         assert _bitwise_equal(store.to_coo(), small_tensor)
