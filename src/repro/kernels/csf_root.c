@@ -21,6 +21,23 @@
  * a multiple of 8.  Build with -ffp-contract=off (no fused multiply-add)
  * and without fast-math so the compiler keeps this exact order.
  *
+ * Sparse leaf stage (paper Section IV-C, the modified line 9 of
+ * Algorithm 3).  When the deep factor is CSR or CSR-H (`leaf` below), a
+ * fiber's row (a level nmodes-2 node) is instead the sequential sum,
+ * starting at +0.0 and in tree order, of a * (row k of the deep factor)
+ * over the fiber's non-zeros, where runs of equal leaf ids k are first
+ * folded into one value a = v0 + v1 + ... in order.  Row k is read as
+ * its dense-prefix columns, then its CSR-tail entries, each placed at
+ * output column perm[j].  That is exactly SciPy's path through the leaf
+ * aggregator S (COO->CSR duplicate summing, then csr_matvecs for the
+ * dense prefix and csr_matmat for the tail, both accumulating from zero
+ * in S's row order), so only stored entries are touched and no
+ * nnz x rank or fibers x rank temporary is written.  It relies on
+ * S's rows being in tree order: SciPy sorts them by leaf id, which is
+ * the tree order of every CSF tree built from COO, so a fiber whose ids
+ * decrease returns CSF_UNSORTED instead.  The levels above reuse the
+ * dense code unchanged.
+ *
  * Every index is bounds-checked in the loop: a malformed tree returns an
  * error code instead of reading out of bounds.  All scratch is allocated
  * per call, so concurrent calls share no state.
@@ -31,7 +48,19 @@
 
 #define PW_BLOCK 128
 
-enum { CSF_OK = 0, CSF_BAD_FID = 1, CSF_BAD_FPTR = 2, CSF_NO_MEMORY = 3 };
+enum { CSF_OK = 0, CSF_BAD_FID = 1, CSF_BAD_FPTR = 2, CSF_NO_MEMORY = 3,
+       CSF_UNSORTED = 4, CSF_BAD_LEAF = 5 };
+
+/* A CSR (ndense = 0) or CSR-H deep factor with rows = dims[nmodes-1]. */
+typedef struct {
+    int64_t ndense;                 /* dense-prefix columns */
+    int64_t ntail;                  /* stored CSR-tail entries */
+    const double *dense;            /* rows x ndense */
+    const int64_t *indptr;          /* rows + 1 tail row pointers */
+    const int64_t *indices;         /* tail columns in [0, rank - ndense) */
+    const double *data;             /* tail values */
+    const int64_t *perm;            /* output column of each column j */
+} leaf_rep_t;
 
 typedef struct {
     int64_t nmodes, rank;
@@ -44,6 +73,7 @@ typedef struct {
     double *acc8;                   /* 8 x rank pairwise accumulators */
     double *split;                  /* one row per pairwise split depth */
     double init;
+    const leaf_rep_t *leaf;         /* sparse deep factor, or NULL */
 } sweep_t;
 
 /* dst = NumPy pairwise sum of the n rows at a (row stride = rank). */
@@ -82,6 +112,35 @@ static void pairwise(const sweep_t *t, const double *a, int64_t n,
     }
 }
 
+/* dst = row of fiber `node` (level nmodes-2) through the sparse leaf. */
+static int fiber_row(const sweep_t *t, int64_t node, double *dst)
+{
+    const leaf_rep_t *L = t->leaf;
+    const int64_t F = t->rank, nd = L->ndense, level = t->nmodes - 2;
+    const int64_t hi = t->fptr[level][node + 1], rows = t->dims[level + 1];
+    const int64_t *ids = t->fids[level + 1], *perm = L->perm;
+    int64_t c = t->fptr[level][node], e, f;
+    for (f = 0; f < F; f++)
+        dst[f] = 0.0;
+    while (c < hi) {
+        const int64_t k = ids[c];
+        const double *drow;
+        double a = t->vals[c];
+        if (k < 0 || k >= rows)
+            return CSF_BAD_FID;
+        for (c++; c < hi && ids[c] == k; c++)
+            a += t->vals[c];
+        if (c < hi && ids[c] < k)
+            return ids[c] < 0 ? CSF_BAD_FID : CSF_UNSORTED;
+        drow = L->dense + k * nd;
+        for (f = 0; f < nd; f++)
+            dst[perm[f]] += a * drow[f];
+        for (e = L->indptr[k]; e < L->indptr[k + 1]; e++)
+            dst[perm[nd + L->indices[e]]] += a * L->data[e];
+    }
+    return CSF_OK;
+}
+
 /* dst = row of `node` at `level`: the reduceat of its children's rows,
  * excluding the factor of `level` itself. */
 static int node_row(const sweep_t *t, int64_t level, int64_t node,
@@ -93,6 +152,8 @@ static int node_row(const sweep_t *t, int64_t level, int64_t node,
     const double *factor = t->factors[child];
     double *rows = t->children[child];
     int64_t c, f;
+    if (t->leaf != NULL && child == t->nmodes - 1)
+        return fiber_row(t, node, dst);
     for (c = lo; c < hi; c++) {
         const int64_t id = ids[c];
         double *row = rows + (c - lo) * F;
@@ -134,18 +195,52 @@ static int64_t split_rows(int64_t n)
     return depth;
 }
 
+/* CSF_OK when the sparse leaf's pointers, columns and perm are sound:
+ * indptr starts at 0, never decreases and ends at ntail, every tail
+ * column lies in [0, rank - ndense), and perm is a permutation. */
+static int check_leaf(const leaf_rep_t *L, int64_t rows, int64_t rank)
+{
+    int64_t i;
+    char *seen;
+    if (L->ndense < 0 || L->ndense > rank || L->ntail < 0
+            || L->indptr[0] != 0 || L->indptr[rows] != L->ntail)
+        return CSF_BAD_LEAF;
+    for (i = 0; i < rows; i++)
+        if (L->indptr[i + 1] < L->indptr[i])
+            return CSF_BAD_LEAF;
+    for (i = 0; i < L->ntail; i++)
+        if (L->indices[i] < 0 || L->indices[i] >= rank - L->ndense)
+            return CSF_BAD_LEAF;
+    seen = (char *)calloc((size_t)rank, 1);
+    if (seen == NULL)
+        return CSF_NO_MEMORY;
+    for (i = 0; i < rank; i++) {
+        const int64_t j = L->perm[i];
+        if (j < 0 || j >= rank || seen[j]) {
+            free(seen);
+            return CSF_BAD_LEAF;
+        }
+        seen[j] = 1;
+    }
+    free(seen);
+    return CSF_OK;
+}
+
 /*
  * out[fids[0][r], :] = row of root r, for every root r.
  *
  * nnodes[l] is the node count of level l (nnodes[nmodes-1] = nnz);
  * dims[l] bounds the ids at level l (dims[0] = rows of out); factors[l]
  * is the C-contiguous dims[l] x rank factor of level l's mode
- * (factors[0] is unused).  Returns a CSF_* code.
+ * (factors[0] is unused).  With a non-NULL `leaf`, the deep factor is
+ * read from it instead of factors[nmodes-1] (unused then).  Returns a
+ * CSF_* code.
  */
 int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
                    const int64_t *dims, const int64_t *const *fptr,
                    const int64_t *const *fids, const double *vals,
-                   const double *const *factors, double *out, double init)
+                   const double *const *factors, double *out, double init,
+                   const leaf_rep_t *leaf)
 {
     sweep_t t;
     double *children[64];
@@ -177,6 +272,11 @@ int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
         if (fan > maxfan)
             maxfan = fan;
     }
+    if (leaf != NULL) {
+        err = check_leaf(leaf, dims[nmodes - 1], rank);
+        if (err)
+            return err;
+    }
     pool = (double *)malloc((size_t)(total + (8 + split_rows(maxfan))
                                       * rank) * sizeof(double));
     if (pool == NULL)
@@ -195,6 +295,7 @@ int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
     t.acc8 = pool + total;
     t.split = t.acc8 + 8 * rank;
     t.init = init;
+    t.leaf = leaf;
 
     for (node = 0; node < nnodes[0] && !err; node++) {
         const int64_t id = fids[0][node];

@@ -45,13 +45,14 @@ from ..types import FactorList
 from ..validation import check_mode, require
 from .autotune import BackendAutotuner, resolve_tune_mode
 from .mttkrp_coo import mttkrp_coo
-from .mttkrp_csf import _upward_to_level, mttkrp_csf
+from .mttkrp_csf import _upward_to_level, mttkrp_csf, sweep_kernel
 from .mttkrp_sparse import (
     FactorRepresentation,
+    counted_nnz,
     leaf_aggregator,
+    leaf_counts,
     mttkrp_csf_root_repr,
     representation_name,
-    representation_nnz,
 )
 from .native import root_kernel
 from .workspace import KernelWorkspace
@@ -176,8 +177,9 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
     if method == "auto" and resolve_tune_mode() != "off":
         rank = int(np.asarray(factors[0]).shape[1])
         tree, tiling, ws = _auto_plan(tensor, mode, rank)
+        kernel = sweep_kernel(tree, mode, tiling, ws)
         start = time.perf_counter()
-        with span("mttkrp", mode=mode, method="auto"):
+        with span("mttkrp", mode=mode, method="auto", kernel=kernel):
             out = mttkrp_csf(tree, factors, mode, tiling=tiling,
                              workspace=ws)
         if is_enabled():
@@ -189,6 +191,7 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
                 slab_count=tiling.slab_count,
                 seconds=time.perf_counter() - start,
                 executor="serial",
+                kernel=kernel,
             ), rank=rank)
         # The workspace buffer is pooled (valid until the next call for
         # this plan); the stateless contract hands back an owned array.
@@ -196,7 +199,7 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
     if method in ("auto", "csf"):
         tree = _csf_for_method(tensor, mode)
         start = time.perf_counter()
-        with span("mttkrp", mode=mode, method="csf"):
+        with span("mttkrp", mode=mode, method="csf", kernel="numpy"):
             out = mttkrp_csf(tree, factors, mode)
         if is_enabled():
             record_mttkrp_call(MTTKRPCallStats(
@@ -232,6 +235,9 @@ class MTTKRPCallStats:
     executor: str = "thread"
     #: Worker/thread count the call was allowed to use.
     workers: int = 1
+    #: Sweep that computed the call: ``native`` (the compiled kernel of
+    #: :mod:`repro.kernels.native`) or ``numpy`` (its fallback).
+    kernel: str = "numpy"
 
 
 class MTTKRPEngine:
@@ -324,7 +330,11 @@ class MTTKRPEngine:
         self.executor_events: list = []
         self._reps: dict[int, FactorRepresentation] = {}
         self._rep_names: dict[int, str] = {}
+        #: Per-tree SpGEMM leaf aggregators, built only when the NumPy
+        #: sparse path serves (no compiled kernel in this process).
         self._aggregators: dict[int, object] = {}
+        #: Per-tree leaf-id counts behind ``gathered_nnz``.
+        self._leaf_counts: dict[int, np.ndarray] = {}
         #: Static per-tree decompositions, keyed by the tree's root mode.
         self._tilings: dict[int, CSFTiling] = {}
         self._workspaces: dict[int, KernelWorkspace] = {}
@@ -490,8 +500,10 @@ class MTTKRPEngine:
             csf = self.trees.csf(0)
             tiling = self.tiling(0)
             ws = self.workspace(0)
+            kernel = sweep_kernel(csf, mode, tiling, ws, self._executor)
             allocs0, bytes0 = ws.snapshot()
-            with span("mttkrp", mode=mode, representation="dense"):
+            with span("mttkrp", mode=mode, representation="dense",
+                      kernel=kernel):
                 out = self._run_tiled(csf, factors, mode, tiling, ws)
             _, bytes1 = ws.snapshot()
             stats = MTTKRPCallStats(
@@ -503,7 +515,8 @@ class MTTKRPEngine:
                 bytes_allocated=bytes1 - bytes0,
                 seconds=time.perf_counter() - start,
                 executor=self._executor.name,
-                workers=effective_threads(self.threads))
+                workers=effective_threads(self.threads),
+                kernel=kernel)
             self.call_log.append(stats)
             record_mttkrp_call(
                 stats, rank=int(np.asarray(factors[0]).shape[1]))
@@ -515,8 +528,10 @@ class MTTKRPEngine:
             # Dense path: slab-tiled Algorithm 3 through the workspace.
             tiling = self.tiling(mode)
             ws = self.workspace(mode)
+            kernel = sweep_kernel(csf, mode, tiling, ws, self._executor)
             _, bytes0 = ws.snapshot()
-            with span("mttkrp", mode=mode, representation="dense"):
+            with span("mttkrp", mode=mode, representation="dense",
+                      kernel=kernel):
                 out = self._run_tiled(csf, factors, mode, tiling, ws)
             _, bytes1 = ws.snapshot()
             rep_name = "dense"
@@ -525,15 +540,13 @@ class MTTKRPEngine:
             bytes_allocated = bytes1 - bytes0
             call_executor = self._executor.name
         else:
-            agg = self._aggregators.get(mode)
-            if agg is None:
-                # One-time per tree: the tensor pattern is static.
-                agg = leaf_aggregator(csf)
-                self._aggregators[mode] = agg
             rep_name = representation_name(rep)
-            with span("mttkrp", mode=mode, representation=rep_name):
-                out = mttkrp_csf_root_repr(csf, factors, rep, aggregator=agg)
-            touched = representation_nnz(rep, csf.fids[csf.nmodes - 1])
+            out, kernel = self._mttkrp_sparse(csf, factors, mode, rep,
+                                              rep_name)
+            counts = self._leaf_counts.get(mode)
+            if counts is None:
+                counts = self._leaf_counts[mode] = leaf_counts(csf)
+            touched = counted_nnz(rep, counts)
             slab_count = 1
             bytes_allocated = 0
             # Sparse-representation calls run inline in the parent.
@@ -544,10 +557,38 @@ class MTTKRPEngine:
             slab_count=slab_count, bytes_allocated=bytes_allocated,
             seconds=time.perf_counter() - start,
             executor=call_executor,
-            workers=effective_threads(self.threads))
+            workers=effective_threads(self.threads),
+            kernel=kernel)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=int(np.asarray(factors[0]).shape[1]))
         return out
+
+    def _mttkrp_sparse(self, csf: CSFTensor, factors: FactorList,
+                       mode: int, rep: FactorRepresentation,
+                       rep_name: str) -> tuple[np.ndarray, str]:
+        """Root-mode MTTKRP of *csf* through a CSR/CSR-H deep factor.
+
+        The compiled kernel's sparse leaf stage serves when it is
+        available; otherwise the SciPy path of
+        :func:`mttkrp_csf_root_repr`, byte-equal to it, runs against the
+        tree's cached leaf aggregator.  Returns the output and the name
+        of the kernel that served.
+        """
+        native = root_kernel()
+        kernel = "numpy" if native is None else "native"
+        with span("mttkrp", mode=mode, representation=rep_name,
+                  kernel=kernel):
+            if native is not None:
+                rank = int(np.asarray(factors[0]).shape[1])
+                out = np.zeros((csf.shape[mode], rank))
+                native.bind(csf.mode_order, factors, out, leaf=rep)(csf)
+                return out, kernel
+            agg = self._aggregators.get(mode)
+            if agg is None:
+                # One-time per tree: the tensor pattern is static.
+                agg = self._aggregators[mode] = leaf_aggregator(csf)
+            return mttkrp_csf_root_repr(csf, factors, rep,
+                                        aggregator=agg), kernel
 
 
 class StreamingMTTKRPEngine:
@@ -668,8 +709,9 @@ class StreamingMTTKRPEngine:
         kernel = root_kernel()
         run = (kernel.bind(self.store.mode_order(mode), factors, out)
                if kernel is not None else None)
+        kernel_name = "numpy" if run is None else "native"
         with span("mttkrp", mode=mode, representation="dense",
-                  streaming=True):
+                  streaming=True, kernel=kernel_name):
             for slab in self._streamer.iter_mode(mode):
                 tree = slab.tree
                 # The root kernel on one slab: fibers never straddle a
@@ -689,7 +731,8 @@ class StreamingMTTKRPEngine:
             bytes_allocated=allocated,
             seconds=time.perf_counter() - start,
             executor=self._executor.name,
-            workers=effective_threads(self.threads))
+            workers=effective_threads(self.threads),
+            kernel=kernel_name)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=rank)
         return out

@@ -198,6 +198,24 @@ def _workspace_for(tiling: CSFTiling,
     return KernelWorkspace(tiling)
 
 
+def sweep_kernel(csf: CSFTensor, mode: int,
+                 tiling: CSFTiling | None = None,
+                 workspace: KernelWorkspace | None = None,
+                 executor: ExecutorBase | None = None) -> str:
+    """``"native"`` when :func:`mttkrp_csf` with these arguments runs the
+    compiled root kernel, else ``"numpy"``.
+
+    The compiled kernel serves tiled root-mode calls in this process;
+    monolithic calls, leaf/internal modes, process-offloaded slabs and a
+    process without the kernel run the NumPy sweep.
+    """
+    if tiling is None or csf.mode_order[0] != mode \
+            or (workspace is not None and _offloads(executor, workspace)) \
+            or root_kernel() is None:
+        return "numpy"
+    return "native"
+
+
 # ----------------------------------------------------------------------
 # Process-executor offload (shared-memory slab batches)
 # ----------------------------------------------------------------------

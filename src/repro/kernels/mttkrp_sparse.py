@@ -8,6 +8,12 @@ mirrors that: the leaf gather is routed through a pluggable factor
 representation — dense ndarray, :class:`~repro.sparse.csr.CSRMatrix`, or
 :class:`~repro.sparse.hybrid.HybridFactor` — and the rest of the sweep is
 unchanged.
+
+The engine runs that leaf stage in the compiled kernel of
+:mod:`repro.kernels.native`, which touches only the factor's stored
+entries per non-zero.  :func:`mttkrp_csf_root_repr` below is its NumPy
+fallback and byte oracle: one SciPy product of the cached
+:func:`leaf_aggregator` with the factor, then the ``reduceat`` sweep.
 """
 
 from __future__ import annotations
@@ -39,11 +45,40 @@ def gather_scale(rep: FactorRepresentation, row_index: np.ndarray,
 
 def representation_nnz(rep: FactorRepresentation,
                        row_index: np.ndarray) -> int:
-    """Stored entries a leaf gather touches (drives the cost model)."""
+    """Stored entries a leaf gather touches, one lookup per leaf id.
+
+    The reference for :func:`counted_nnz`, which the engine uses.
+    """
     if isinstance(rep, (CSRMatrix, HybridFactor)):
         return rep.gathered_nnz(row_index)
     rep = np.asarray(rep)
     return int(row_index.shape[0]) * int(rep.shape[1])
+
+
+def leaf_counts(csf: CSFTensor) -> np.ndarray:
+    """How often a leaf gather reads each deep-factor row.
+
+    ``np.bincount`` of the tree's leaf ids, one entry per row of the
+    leaf mode.  The pattern is static, so the engine computes it once
+    per tree.
+    """
+    leaf_mode = csf.mode_order[csf.nmodes - 1]
+    return np.bincount(csf.fids[csf.nmodes - 1],
+                       minlength=csf.shape[leaf_mode])
+
+
+def counted_nnz(rep: FactorRepresentation, counts: np.ndarray) -> int:
+    """:func:`representation_nnz` from the tree's :func:`leaf_counts`.
+
+    ``counts · row_nnz``, plus ``nnz · n_dense_cols`` for CSR-H: the
+    same integer in ``O(rows)`` instead of a gather over every leaf id.
+    """
+    if isinstance(rep, HybridFactor):
+        return (int(counts.sum()) * rep.n_dense_cols
+                + counted_nnz(rep.csr_part, counts))
+    if isinstance(rep, CSRMatrix):
+        return int(counts @ rep.row_nnz())
+    return int(counts.sum()) * int(np.asarray(rep).shape[1])
 
 
 def representation_name(rep: FactorRepresentation) -> str:
@@ -107,7 +142,9 @@ def mttkrp_csf_root_repr(csf: CSFTensor, factors: FactorList,
     for any representation; with a CSR/hybrid deep factor the leaf stage
     runs as a sparse product against the (cached) :func:`leaf_aggregator`,
     so its work scales with the factor's stored entries instead of
-    ``nnz * F``.
+    ``nnz * F``.  The compiled kernel's sparse leaf stage
+    (``RootKernel.bind(..., leaf=rep)``) is byte-equal to this function,
+    which serves when that kernel is unavailable.
     """
     rank = int(np.asarray(factors[0]).shape[1])
     order = csf.mode_order

@@ -6,6 +6,21 @@ from its children's rows held in a small per-level scratch of
 max-fan-out x rank, so no nnz x rank temporary is ever written (paper
 Algorithm 3, the shape of SPLATT's C kernels).
 
+**Sparse deep factors** (paper Section IV-C).  ``bind(..., leaf=rep)``
+with a :class:`~repro.sparse.csr.CSRMatrix` or
+:class:`~repro.sparse.hybrid.HybridFactor` changes only the leaf stage:
+each fiber's row sums ``a * rep[k]`` over its non-zeros, touching the
+dense prefix and the stored CSR-tail entries of row ``k`` only.  It
+replays the SciPy path of
+:func:`~repro.kernels.mttkrp_sparse.mttkrp_csf_root_repr` (leaf
+aggregator duplicate summing, ``csr_matvecs`` and ``csr_matmat``, which
+all accumulate from ``+0.0`` in the aggregator's row order), so the
+result is byte-equal to it; that function stays the NumPy fallback and
+test oracle.  The aggregator sorts each fiber's leaf ids, so the kernel
+requires them ascending within a fiber, as every tree built by
+:meth:`~repro.tensor.csf.CSFTensor.from_coo` has them, and raises
+:class:`ValueError` for a tree whose leaf ids decrease inside a fiber.
+
 **Bit identity is the contract.**  The NumPy sweep sums every fiber with
 ``np.add.reduceat`` along axis 0, which computes a segment as
 ``x[lo] + pairwise_sum(x[lo+1:hi])`` with NumPy's own pairwise scheme
@@ -27,7 +42,8 @@ call, so slabs run truly in parallel on a thread pool.
 
 **Fallback.**  Before first use, the loaded kernel is checked for byte
 equality against the NumPy sweep on probe trees whose fan-outs reach
-every branch of the pairwise sum.  If there is no compiler, the compile
+every branch of the pairwise sum, and against the SciPy sparse path with
+CSR and CSR-H deep factors.  If there is no compiler, the compile
 or load fails, or the self-check finds a single differing bit,
 :func:`root_kernel` returns ``None`` for the rest of the process, one
 ``RuntimeWarning`` and one ``kernel_fallback`` observability record are
@@ -36,8 +52,11 @@ emitted, and callers use the NumPy sweep instead.
 **Input safety.**  The kernel never reads out of bounds: pointer arrays
 must start at 0, increase strictly and end at the child count, and every
 id must lie below the rows of its factor (or of the output at the root).
-Violations raise :class:`IndexError` — what the NumPy sweep raises for
-an out-of-range id — instead of crashing the process.
+A sparse deep factor's row pointers must start at 0, never decrease and
+end at its entry count, its columns must fit its CSR tail, and its
+column permutation must be a permutation.  Violations raise
+:class:`IndexError` — what the NumPy sweep raises for an out-of-range
+id — instead of crashing the process.
 """
 
 from __future__ import annotations
@@ -56,8 +75,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..observability import record_kernel_fallback
+from ..sparse.csr import CSRMatrix
+from ..sparse.hybrid import HybridFactor
 from ..tensor.csf import CSFTensor
 from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
+from .mttkrp_sparse import mttkrp_csf_root_repr
 
 SOURCE = Path(__file__).with_name("csf_root.c")
 #: Compilers tried in order, looked up on ``PATH``.
@@ -75,7 +97,11 @@ PROBE_FANOUTS = (1, 2, 7, 8, 9, 16, 17, 128, 129, 130, 137, 257, 300)
 
 _ERRORS = {1: "a fiber id is out of range of its factor",
            2: "malformed fptr (must start at 0, increase strictly and "
-              "end at the child count)"}
+              "end at the child count)",
+           5: "malformed sparse deep factor (row pointers, tail columns "
+              "or column permutation)"}
+#: ``csf_root.c`` code for a fiber whose leaf ids decrease.
+_UNSORTED = 4
 
 
 class NativeUnavailable(RuntimeError):
@@ -129,11 +155,20 @@ def compile_library(compiler: str, path: Path) -> None:
             os.unlink(tmp)
 
 
+class _LeafRep(ctypes.Structure):
+    """``leaf_rep_t`` of ``csf_root.c``: a CSR or CSR-H deep factor."""
+
+    _fields_ = [("ndense", ctypes.c_int64), ("ntail", ctypes.c_int64)] \
+        + [(name, ctypes.c_void_p)
+           for name in ("dense", "indptr", "indices", "data", "perm")]
+
+
 def _open(path: Path) -> Callable:
     fn = ctypes.CDLL(str(path)).repro_csf_root
     fn.restype = ctypes.c_int
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64] \
-        + [ctypes.c_void_p] * 7 + [ctypes.c_double]
+        + [ctypes.c_void_p] * 7 + [ctypes.c_double,
+                                   ctypes.POINTER(_LeafRep)]
     return fn
 
 
@@ -163,14 +198,17 @@ class RootKernel:
         self.init = float(init)
 
     def bind(self, mode_order: Sequence[int], factors: FactorList,
-             out: np.ndarray) -> Callable[[CSFTensor], None]:
+             out: np.ndarray, leaf: CSRMatrix | HybridFactor | None = None
+             ) -> Callable[[CSFTensor], None]:
         """A runner writing root rows of trees in *mode_order* into *out*.
 
         *out* must be a C-contiguous float64 ``(rows, rank)`` array; the
         runner overwrites the rows of the tree's root ids and leaves
         every other row alone, so slabs with disjoint roots may run
         concurrently into one *out*.  Factors are made C-contiguous
-        once here (Fortran-ordered or strided views are copied).
+        once here (Fortran-ordered or strided views are copied).  With
+        a CSR or CSR-H *leaf*, the deep factor is read from it and
+        ``factors[mode_order[-1]]`` is not used.
         """
         mode_order = tuple(mode_order)
         nmodes = len(mode_order)
@@ -182,16 +220,23 @@ class RootKernel:
             raise ValueError("out must be a writeable C-contiguous "
                              "float64 matrix")
         rank = int(out.shape[1])
+        dense_modes = mode_order[1:] if leaf is None else mode_order[1:-1]
         mats = [np.ascontiguousarray(factors[m], dtype=VALUE_DTYPE)
-                for m in mode_order[1:]]
+                for m in dense_modes]
         for mat in mats:
             if mat.ndim != 2 or mat.shape[1] != rank:
                 raise ValueError("every factor needs the output's "
                                  f"{rank} columns")
-        dims = np.array([out.shape[0]] + [m.shape[0] for m in mats],
-                        dtype=INDEX_DTYPE)
-        fac_ptrs = np.array([0] + [m.ctypes.data for m in mats],
-                            dtype=np.uintp)
+        rows = [out.shape[0]] + [m.shape[0] for m in mats]
+        fac_ptrs = [0] + [m.ctypes.data for m in mats]
+        leaf_ref = None
+        if leaf is not None:
+            leaf_ref, keep = _leaf_rep(leaf, rank)
+            mats += keep
+            rows.append(leaf.shape[0])
+            fac_ptrs.append(0)
+        dims = np.array(rows, dtype=INDEX_DTYPE)
+        fac_ptrs = np.array(fac_ptrs, dtype=np.uintp)
         fn, init = self._fn, self.init
 
         def run(tree: CSFTensor) -> None:
@@ -216,14 +261,46 @@ class RootKernel:
                       ptrs.ctypes.data,
                       ptrs.ctypes.data + ptrs.itemsize * (nmodes - 1),
                       vals.ctypes.data, fac_ptrs.ctypes.data,
-                      out.ctypes.data, init)
+                      out.ctypes.data, init, leaf_ref)
+            if code == _UNSORTED:
+                raise ValueError("a sparse deep factor needs each fiber's "
+                                 "leaf ids in ascending order, as "
+                                 "CSFTensor.from_coo builds them")
             if code == 3:
                 raise MemoryError("native CSF kernel scratch")
             if code:
                 raise IndexError(_ERRORS.get(code, f"native error {code}"))
 
-        run.factors = mats  # fac_ptrs points into these (maybe) copies
+        run.factors = mats  # fac_ptrs and leaf_ref point into these
         return run
+
+
+def _leaf_rep(leaf: CSRMatrix | HybridFactor, rank: int
+              ) -> tuple[object, list[np.ndarray]]:
+    """A pointer to the ``leaf_rep_t`` of a CSR/CSR-H deep factor, and
+    the arrays it points into."""
+    if isinstance(leaf, HybridFactor):
+        dense, csr, perm = leaf.dense_part, leaf.csr_part, leaf.perm
+    elif isinstance(leaf, CSRMatrix):
+        dense, csr = np.empty((leaf.shape[0], 0)), leaf
+        perm = np.arange(rank, dtype=INDEX_DTYPE)
+    else:
+        raise TypeError(f"unsupported deep-factor type {type(leaf)!r}")
+    if leaf.shape[1] != rank:
+        raise ValueError(f"the deep factor needs the output's {rank} "
+                         "columns")
+    dense = np.ascontiguousarray(dense, dtype=VALUE_DTYPE)
+    arrays = [dense, _index_array(csr.indptr), _index_array(csr.indices),
+              np.ascontiguousarray(csr.data, dtype=VALUE_DTYPE),
+              _index_array(perm)]
+    _, indptr, indices, data, perm = arrays
+    if dense.ndim != 2 or dense.shape[0] != leaf.shape[0] \
+            or indptr.shape != (leaf.shape[0] + 1,) \
+            or indices.shape != data.shape or perm.shape != (rank,):
+        raise IndexError(_ERRORS[5])
+    rep = _LeafRep(dense.shape[1], indices.shape[0],
+                   *(a.ctypes.data for a in arrays))
+    return ctypes.pointer(rep), arrays
 
 
 # ----------------------------------------------------------------------
@@ -271,12 +348,45 @@ def signed_values(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return vals
 
 
+def sorted_leaves(tree: CSFTensor) -> CSFTensor:
+    """*tree* with each fiber's leaf ids ascending, as ``from_coo`` builds.
+
+    Values stay where they are, so runs of equal ids in a fiber sum
+    whatever values land in them.
+    """
+    ids = tree.fids[-1]
+    fiber = np.repeat(np.arange(tree.fptr[-1].shape[0] - 1),
+                      np.diff(tree.fptr[-1]))
+    fids = list(tree.fids[:-1]) + [ids[np.lexsort((ids, fiber))]]
+    return CSFTensor(tree.shape, tree.mode_order, fids, tree.fptr,
+                     tree.vals)
+
+
+def sparse_values(rng: np.random.Generator, rows: int,
+                  rank: int) -> np.ndarray:
+    """:func:`signed_values` with column 0 kept and 2/3 of the rest zeroed.
+
+    Column 0 is then denser than the average column, so a
+    :class:`HybridFactor` of it has a dense prefix at any rank above 1.
+    """
+    mat = signed_values(rng, rows, rank)
+    drop = rng.random((rows, rank)) < 2 / 3
+    drop[:, 0] = False
+    mat[drop] = 0.0
+    return mat
+
+
 def self_check(kernel: RootKernel) -> None:
     """Raise :class:`NativeUnavailable` unless *kernel* is byte-equal.
 
     Compares against the monolithic NumPy sweep on a 3-mode probe with
     :data:`PROBE_FANOUTS` at both levels and a 4-mode probe, at ranks 1
-    and 3 (scalar and vector-plus-tail column loops).
+    and 3 (scalar and vector-plus-tail column loops); then against the
+    SciPy path of :func:`~repro.kernels.mttkrp_sparse.
+    mttkrp_csf_root_repr` with CSR and CSR-H deep factors, on a 3-mode
+    probe with :data:`PROBE_FANOUTS` at the leaf level and its leaf ids
+    sorted per fiber, as ``from_coo`` builds them (runs of equal ids
+    included).
     """
     from .mttkrp_csf import mttkrp_csf_root
 
@@ -294,6 +404,18 @@ def self_check(kernel: RootKernel) -> None:
                 raise NativeUnavailable(
                     f"self-check mismatch on a {tree.nmodes}-mode probe "
                     f"at rank {rank}")
+    tree = sorted_leaves(probe_tree([(1, 9, 130), fans], rng))
+    for rank in (1, 3):
+        factors = [signed_values(rng, n, rank) for n in tree.shape]
+        deep = sparse_values(rng, tree.shape[-1], rank)
+        for leaf in (CSRMatrix.from_dense(deep), HybridFactor(deep)):
+            want = mttkrp_csf_root_repr(tree, factors, leaf)
+            got = np.zeros_like(want)
+            kernel.bind(tree.mode_order, factors, got, leaf=leaf)(tree)
+            if got.tobytes() != want.tobytes():
+                raise NativeUnavailable(
+                    f"self-check mismatch with a {type(leaf).__name__} "
+                    f"deep factor at rank {rank}")
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,16 @@ import pytest
 from repro.kernels import FactorRepresentation, mttkrp_coo_reference
 from repro.kernels.dispatch import MTTKRPEngine
 from repro.kernels.mttkrp_sparse import (
+    counted_nnz,
     gather_scale,
+    leaf_counts,
     mttkrp_csf_root_repr,
     representation_name,
     representation_nnz,
 )
 from repro.sparse import CSRMatrix, HybridFactor
-from repro.tensor import random_coo
-from repro.tensor.csf import AllModeCSF
+from repro.tensor import COOTensor, random_coo
+from repro.tensor.csf import AllModeCSF, CSFTensor
 
 
 @pytest.fixture
@@ -74,6 +76,58 @@ class TestSparseKernel:
         assert representation_name(HybridFactor(mat)) == "csr-h"
         idx = np.arange(6)
         assert representation_nnz(mat, idx) == 18
+
+
+class TestGatheredNnz:
+    """``counted_nnz`` over cached leaf counts equals the leaf gather's."""
+
+    @staticmethod
+    def reps(mat):
+        full = HybridFactor(mat)
+        full.perm = np.arange(mat.shape[1])
+        full.n_dense_cols = mat.shape[1]
+        full.dense_part = mat
+        full.csr_part = CSRMatrix.from_dense(mat[:, :0])
+        return [mat, CSRMatrix.from_dense(mat), HybridFactor(mat), full,
+                CSRMatrix.from_dense(np.zeros_like(mat))]
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_equals_representation_nnz_on_every_root(self, sparse_setup,
+                                                     duplicates):
+        tensor, factors = sparse_setup
+        if duplicates:
+            tensor = COOTensor(np.hstack([tensor.coords] * 2),
+                               np.tile(tensor.vals, 2), tensor.shape)
+        trees = AllModeCSF(tensor)
+        for root in range(3):
+            csf = trees.csf(root)
+            ids = csf.fids[csf.nmodes - 1]
+            counts = leaf_counts(csf)
+            for rep in self.reps(factors[csf.mode_order[-1]]):
+                assert counted_nnz(rep, counts) == representation_nnz(
+                    rep, ids)
+
+    def test_empty_tree(self):
+        tensor = COOTensor(np.empty((3, 0), dtype=np.int64), np.empty(0),
+                           (4, 5, 6))
+        csf = CSFTensor.from_coo(tensor)
+        mat = np.eye(6, 3)
+        for rep in self.reps(mat):
+            assert counted_nnz(rep, leaf_counts(csf)) == 0 \
+                == representation_nnz(rep, csf.fids[2])
+
+    def test_engine_call_log(self, sparse_setup):
+        tensor, factors = sparse_setup
+        engine = MTTKRPEngine(tensor, repr_policy="hybrid",
+                              sparsity_threshold=0.9)
+        for m in range(3):
+            engine.update_factor(m, factors[m])
+        for mode in (0, 1, 2, 0):
+            engine.mttkrp(factors, mode)
+            csf = engine.trees.csf(mode)
+            rep = engine._reps[csf.mode_order[-1]]
+            assert engine.call_log[-1].gathered_nnz == representation_nnz(
+                rep, csf.fids[csf.nmodes - 1])
 
 
 class TestEngine:

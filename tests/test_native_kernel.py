@@ -4,8 +4,10 @@ The contract is byte equality (``tobytes()``) with the NumPy sweep
 :func:`repro.kernels.mttkrp_csf._upward_to_level` — not closeness — on
 every fan-out branch of NumPy's pairwise summation, every rank shape,
 signed zeros, strided factor views, memmapped store slabs and concurrent
-calls.  When the kernel cannot be built or fails its self-check, the
-NumPy sweep serves with one warning and unchanged factors.
+calls; and, with a CSR or CSR-H deep factor, byte equality with the
+SciPy path :func:`repro.kernels.mttkrp_sparse.mttkrp_csf_root_repr`.
+When the kernel cannot be built or fails its self-check, the NumPy
+sweep serves with one warning and unchanged factors.
 """
 
 import json
@@ -17,9 +19,17 @@ import numpy as np
 import pytest
 
 import repro
-from repro.kernels import native
-from repro.kernels.dispatch import MTTKRPEngine, StreamingMTTKRPEngine
+from repro.core.aoadmm import fit_aoadmm
+from repro.core.options import AOADMMOptions
+from repro.datasets import load_dataset
+from repro.datasets.registry import all_dataset_names
+from repro.kernels import dispatch, native
+from repro.kernels.dispatch import (MTTKRPEngine, StreamingMTTKRPEngine,
+                                    make_engine)
 from repro.kernels.mttkrp_csf import _upward_to_level, mttkrp_csf_root
+from repro.kernels.mttkrp_sparse import mttkrp_csf_root_repr
+from repro.sparse import CSRMatrix, HybridFactor
+from repro.sparse import hybrid as hybrid_module
 from repro.tensor import COOTensor, CSFTensor, ShardedTensorStore, random_coo
 from repro.tensor.tiling import _make_slab
 
@@ -274,6 +284,271 @@ class TestInputSafety:
             numpy_root(slab.tree, factors)
 
 
+# ----------------------------------------------------------------------
+# Sparse deep factors (CSR and CSR-H leaf stage)
+# ----------------------------------------------------------------------
+def rooted(tensor, root):
+    order = (root,) + tuple(m for m in range(tensor.nmodes) if m != root)
+    return CSFTensor.from_coo(tensor, mode_order=order)
+
+
+def sparse_root(kernel, tree, factors, leaf):
+    rank = factors[0].shape[1]
+    out = np.zeros((tree.shape[tree.mode_order[0]], rank))
+    kernel.bind(tree.mode_order, factors, out, leaf=leaf)(tree)
+    return out
+
+
+def leaf_reps(deep, tol=0.0):
+    return [CSRMatrix.from_dense(deep, tol=tol),
+            HybridFactor(deep, tol=tol)]
+
+
+def assert_sparse_matches(kernel, tree, factors, leaf):
+    assert_bytes_equal(sparse_root(kernel, tree, factors, leaf),
+                       mttkrp_csf_root_repr(tree, factors, leaf))
+
+
+class TestSparseLeaf:
+    """Byte equality with the SciPy path for CSR and CSR-H deep factors."""
+
+    @pytest.mark.parametrize("name", all_dataset_names())
+    def test_every_rooting_of_tiny_presets(self, kernel, name):
+        tensor, _ = load_dataset(name, "tiny", seed=3)
+        rng = np.random.default_rng(list(name.encode()))
+        for root in range(tensor.nmodes):
+            tree = rooted(tensor, root)
+            factors = signed_factors(rng, tensor.shape, 16)
+            deep = native.sparse_values(rng, tree.shape[tree.mode_order[-1]],
+                                        16)
+            for leaf in leaf_reps(deep):
+                assert_sparse_matches(kernel, tree, factors, leaf)
+
+    @pytest.mark.parametrize("shape", [(30, 40), (12, 9, 15), (6, 5, 7, 4),
+                                       (5, 4, 6, 3, 4)])
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_random_trees_every_root(self, kernel, shape, rank):
+        tensor = random_coo(shape, 400, seed=len(shape),
+                            value_dist="normal")
+        rng = np.random.default_rng([len(shape), rank])
+        for root in range(len(shape)):
+            tree = rooted(tensor, root)
+            factors = signed_factors(rng, shape, rank)
+            deep = native.sparse_values(rng, shape[tree.mode_order[-1]],
+                                        rank)
+            for leaf in leaf_reps(deep):
+                assert_sparse_matches(kernel, tree, factors, leaf)
+
+    def test_repeated_leaf_ids_in_non_deduplicated_trees(self, kernel):
+        rng = np.random.default_rng(11)
+        base = random_coo((10, 8, 6), 200, seed=12, value_dist="normal")
+        # Every coordinate appears three times with different values.
+        coords = np.hstack([base.coords] * 3)
+        vals = native.signed_values(rng, coords.shape[1])
+        tensor = COOTensor(coords, vals, base.shape)
+        for root in range(3):
+            tree = rooted(tensor, root)
+            leaf_ids = tree.fids[-1]
+            assert (leaf_ids[1:] == leaf_ids[:-1]).any()
+            factors = signed_factors(rng, tensor.shape, 7)
+            deep = native.sparse_values(rng, tree.shape[tree.mode_order[-1]],
+                                        7)
+            for leaf in leaf_reps(deep):
+                assert_sparse_matches(kernel, tree, factors, leaf)
+
+    def test_every_fanout_with_long_runs_of_equal_leaf_ids(self, kernel):
+        rng = np.random.default_rng(13)
+        tree = native.sorted_leaves(
+            native.probe_tree([FANOUTS, FANOUTS], rng, dim=20))
+        for rank in RANKS:
+            factors = signed_factors(rng, tree.shape, rank)
+            deep = native.sparse_values(rng, 20, rank)
+            for leaf in leaf_reps(deep):
+                assert_sparse_matches(kernel, tree, factors, leaf)
+
+    def test_empty_csr_rows(self, kernel, small_tensor, small_factors):
+        rng = np.random.default_rng(14)
+        deep = native.sparse_values(rng, 15, 5)
+        deep[::2] = 0.0
+        tree = CSFTensor.from_coo(small_tensor)
+        for leaf in leaf_reps(deep):
+            csr = leaf.csr_part if isinstance(leaf, HybridFactor) else leaf
+            assert (csr.row_nnz() == 0).any()
+            assert_sparse_matches(kernel, tree, small_factors, leaf)
+        zero = CSRMatrix.from_dense(np.zeros((15, 5)))
+        assert zero.nnz == 0
+        assert_sparse_matches(kernel, tree, small_factors, zero)
+
+    @pytest.mark.parametrize("columns", ["none", "all"])
+    def test_hybrid_with_no_or_all_dense_columns(self, kernel, monkeypatch,
+                                                 small_tensor, small_factors,
+                                                 columns):
+        rng = np.random.default_rng(15)
+        deep = native.sparse_values(rng, 15, 5)
+        if columns == "all":
+            monkeypatch.setattr(hybrid_module, "dense_column_mask",
+                                lambda m, tol: np.ones(m.shape[1], bool))
+        else:
+            deep[:, 0] = deep[:, 1]  # equal densities: none above average
+            deep[:, 2:] = deep[:, 1:2]
+        leaf = HybridFactor(deep)
+        assert leaf.n_dense_cols == (5 if columns == "all" else 0)
+        assert_sparse_matches(kernel, CSFTensor.from_coo(small_tensor),
+                              small_factors, leaf)
+
+    def test_positive_tolerance(self, kernel, small_tensor, small_factors):
+        rng = np.random.default_rng(16)
+        deep = rng.standard_normal((15, 5))
+        tree = CSFTensor.from_coo(small_tensor)
+        for leaf in leaf_reps(deep, tol=0.5):
+            assert_sparse_matches(kernel, tree, small_factors, leaf)
+
+    def test_signed_zeros(self, kernel):
+        rng = np.random.default_rng(17)
+        tree = native.sorted_leaves(
+            native.probe_tree([(1, 2, 9), (1, 2, 3, 9)], rng, dim=6))
+        vals = np.where(np.arange(tree.nnz) % 2, -0.0, -1.5)
+        vals[::5] = 0.0
+        tree = CSFTensor(tree.shape, tree.mode_order, tree.fids,
+                         tree.fptr, vals)
+        factors = [np.full((n, 3), -0.0) for n in tree.shape]
+        factors[1][::2] = -2.0
+        deep = np.where(rng.random((6, 3)) < 0.5, -1.0, 0.0)
+        for leaf in leaf_reps(deep):
+            got = sparse_root(kernel, tree, factors, leaf)
+            assert_bytes_equal(got, mttkrp_csf_root_repr(tree, factors,
+                                                         leaf))
+            assert np.signbit(got).any()
+
+    def test_factor_of_the_leaf_mode_is_not_read(self, kernel, small_tensor,
+                                                 small_factors):
+        tree = CSFTensor.from_coo(small_tensor)
+        leaf = CSRMatrix.from_dense(small_factors[2])
+        factors = small_factors[:2] + [None]
+        assert_bytes_equal(sparse_root(kernel, tree, factors, leaf),
+                           mttkrp_csf_root_repr(tree, small_factors, leaf))
+
+
+def damaged(leaf, damage):
+    if damage.startswith("perm"):
+        perm = leaf.perm
+        if damage == "perm-repeat":
+            perm[1] = perm[0]
+        else:
+            perm[0] = perm.shape[0]
+        return leaf
+    csr = leaf.csr_part if isinstance(leaf, HybridFactor) else leaf
+    if damage == "indptr-start":
+        csr.indptr[0] = 1
+    elif damage == "indptr-decreasing":
+        row = int(np.flatnonzero(np.diff(csr.indptr))[0])
+        csr.indptr[row + 1] = csr.indptr[row] - 1
+    elif damage == "indptr-end":
+        csr.indptr[-1] -= 1
+    elif damage == "column":
+        csr.indices[3] = csr.shape[1]
+    else:
+        csr.indices[3] = -1
+    return leaf
+
+
+class TestSparseInputSafety:
+    @pytest.mark.parametrize("damage", ["perm-repeat", "perm-range"])
+    def test_malformed_perm_raises(self, kernel, small_tensor,
+                                   small_factors, damage):
+        rng = np.random.default_rng(18)
+        leaf = damaged(HybridFactor(native.sparse_values(rng, 15, 5)),
+                       damage)
+        with pytest.raises(IndexError):
+            sparse_root(kernel, CSFTensor.from_coo(small_tensor),
+                        small_factors, leaf)
+
+    @pytest.mark.parametrize("damage", ["indptr-start", "indptr-decreasing",
+                                        "indptr-end", "column",
+                                        "negative-column"])
+    @pytest.mark.parametrize("kind", [CSRMatrix.from_dense, HybridFactor])
+    def test_malformed_csr_raises(self, kernel, small_tensor,
+                                  small_factors, damage, kind):
+        rng = np.random.default_rng(19)
+        leaf = damaged(kind(native.sparse_values(rng, 15, 5)), damage)
+        with pytest.raises(IndexError):
+            sparse_root(kernel, CSFTensor.from_coo(small_tensor),
+                        small_factors, leaf)
+
+    @pytest.mark.parametrize("value", [15, 10**6, -1])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_out_of_range_leaf_id_raises(self, kernel, value, position):
+        rng = np.random.default_rng(20)
+        tree = native.sorted_leaves(
+            native.probe_tree([(1, 9, 30), (1, 8, 20)], rng, dim=15))
+        index = 0 if position == "first" else tree.nnz - 1
+        bad = with_leaf_id(tree, 2, index, value)
+        factors = signed_factors(rng, tree.shape, 5)
+        leaf = CSRMatrix.from_dense(native.sparse_values(rng, 15, 5))
+        with pytest.raises(IndexError):
+            sparse_root(kernel, bad, factors, leaf)
+
+    def test_descending_leaf_ids_rejected(self, kernel, small_factors):
+        """The SciPy path sorts them; the kernel refuses, never differs."""
+        rng = np.random.default_rng(21)
+        tree = native.probe_tree([(1, 9, 30), (1, 8, 20)], rng, dim=15)
+        leaf = CSRMatrix.from_dense(native.sparse_values(rng, 15, 5))
+        factors = signed_factors(rng, tree.shape, 5)
+        with pytest.raises(ValueError, match="ascending"):
+            sparse_root(kernel, tree, factors, leaf)
+
+
+def sparse_fit(tensor, policy):
+    """A short L1 fit whose deep factors turn sparse; returns the engine too."""
+    options = AOADMMOptions(rank=8, constraints="nonneg_l1",
+                            repr_policy=policy, seed=5,
+                            max_outer_iterations=3)
+    engine = make_engine(tensor, repr_policy=policy,
+                         sparsity_threshold=options.sparsity_threshold,
+                         tol=options.factor_zero_tol, rank=8)
+    result = fit_aoadmm(tensor, options, engine=engine)
+    return result, engine
+
+
+class TestSparseEngine:
+    """Engine-level: the compiled leaf stage and its NumPy fallback."""
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return load_dataset("reddit", "tiny", seed=3)[0]
+
+    @pytest.mark.parametrize("policy", ["csr", "hybrid", "auto"])
+    def test_fit_factors_identical_with_and_without_kernel(
+            self, tensor, monkeypatch, policy):
+        served = "numpy" if native.root_kernel() is None else "native"
+        first, engine = sparse_fit(tensor, policy)
+        sparse_calls = [c for c in engine.call_log
+                        if c.representation != "dense"]
+        assert sparse_calls
+        assert {c.kernel for c in engine.call_log} == {served}
+        assert not engine._aggregators or served == "numpy"
+        monkeypatch.setattr(dispatch, "root_kernel", lambda: None)
+        monkeypatch.setattr(sys.modules["repro.kernels.mttkrp_csf"],
+                            "root_kernel", lambda: None)
+        second, fallback = sparse_fit(tensor, policy)
+        assert {c.kernel for c in fallback.call_log} == {"numpy"}
+        assert [(c.representation, c.gathered_nnz)
+                for c in fallback.call_log] == [
+            (c.representation, c.gathered_nnz) for c in engine.call_log]
+        for got, want in zip(first.model.factors, second.model.factors):
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_tag_on_spans(self, tensor):
+        result = repro.fit(tensor, rank=8, constraints="nonneg_l1",
+                           repr_policy="csr", max_outer_iterations=3,
+                           seed=5, observe=True)
+        served = "numpy" if native.root_kernel() is None else "native"
+        keys = [k for k in result.metrics["histograms"]
+                if k.startswith("span_seconds") and "mttkrp" in k]
+        assert keys and all(f"kernel={served}" in k for k in keys)
+        assert any("representation=csr" in k for k in keys)
+
+
 @pytest.fixture(scope="module")
 def private_cache(tmp_path_factory):
     return tmp_path_factory.mktemp("xdg-cache")
@@ -317,8 +592,25 @@ class TestFallback:
 
         monkeypatch.setattr(native, "RootKernel", OffByOneUlp)
 
+    @staticmethod
+    def break_sparse_self_check(monkeypatch, tmp_path):
+        """Only the sparse leaf stage is off: one verdict still covers all."""
+        class SparseOffByOneUlp(native.RootKernel):
+            def bind(self, mode_order, factors, out, leaf=None):
+                run = super().bind(mode_order, factors, out, leaf=leaf)
+                if leaf is None:
+                    return run
+
+                def nudged(tree):
+                    run(tree)
+                    out.flat[0] = np.nextafter(out.flat[0], np.inf)
+                return nudged
+
+        monkeypatch.setattr(native, "RootKernel", SparseOffByOneUlp)
+
     @pytest.mark.parametrize("failure", ["break_compiler", "break_compile",
-                                         "break_self_check"])
+                                         "break_self_check",
+                                         "break_sparse_self_check"])
     def test_one_warning_and_identical_factors(self, fresh, monkeypatch,
                                                tmp_path, failure):
         tensor = random_coo((20, 18, 16), 400, seed=12)
