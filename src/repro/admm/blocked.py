@@ -12,7 +12,7 @@ and low-signal blocks stop early instead of being dragged along
 (non-uniform convergence).
 
 The blocks are solved together as one *active set*.  Each inner step
-runs the line-6 substitution, the prox and the dual update once over the
+runs the line-6 solve, the prox and the dual update once over the
 stacked rows of every block still running, and takes the per-block
 residuals from one batched row reduction.  Blocks that converge or reach
 the iteration cap leave the stack.  The Python cost of a step is
@@ -20,14 +20,16 @@ therefore a fixed handful of vectorised calls whatever the block count,
 while the arithmetic done still shrinks as blocks stop.
 
 Each row sees exactly the operations the one-block-at-a-time loop
-applies to it: the stacked ``potrs`` solves every right-hand side as it
-would solve it alone (OpenBLAS, threaded or not), the prox is row
-separable, and the block sums keep ``einsum``'s summation order.
+applies to it: the line-6 solve
+(:meth:`~repro.linalg.cholesky.CholeskyFactor.solve_rows`) computes
+every row in one fixed order whatever rows share the call, the prox is
+row separable, and the block sums keep ``einsum``'s summation order.
 Factors, duals and the report are bitwise identical to
 :func:`repro.testing.oracles.per_block_admm_reference`.
 
-The Cholesky factor of ``G + rho I`` is mode-global (every block shares G
-and hence rho), computed once and reused by all blocks.
+The Cholesky factor of ``G + rho I`` and its inverse are mode-global
+(every block shares G and hence rho), computed once and reused by all
+blocks.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     iterations = np.zeros(len(blocks), dtype=np.intp)
     converged = np.zeros(len(blocks), dtype=bool)
 
-    with span("admm.solve", rows=state.rows, blocks=len(blocks)):
+    with span("admm.solve", rows=state.rows, blocks=len(blocks),
+              solve=chol.rows_backend):
         if blocks and max_iterations > 0:
             _solve_active_set(state, mttkrp, chol, rho, constraint,
                               tolerance, max_iterations, int(lengths[0]),
@@ -163,7 +166,7 @@ def _solve_active_set(state: AdmmState, mttkrp: np.ndarray,
             scratch *= rho
             np.take(mttkrp, order[:m], axis=0, out=rhs, mode="clip")
             rhs += scratch
-        aux = chol.solve_t(rhs, overwrite=True)
+        aux = chol.solve_rows(rhs, out=rhs)
         h_prev = h
         h = constraint.prox(np.subtract(aux, u, out=scratch), 1.0 / rho)
         held = spare if h is scratch else None

@@ -17,8 +17,8 @@ def _sqnorm(matrix: np.ndarray) -> float:
 
 
 def relative_residuals(primal: np.ndarray, aux: np.ndarray,
-                       primal_prev: np.ndarray,
-                       dual: np.ndarray) -> tuple[float, float]:
+                       primal_prev: np.ndarray, dual: np.ndarray,
+                       out: np.ndarray | None = None) -> tuple[float, float]:
     """Return ``(r, s)``:
 
     ``r = ||H - H_tilde||_F^2 / ||H||_F^2`` — primal residual (constraint
@@ -28,10 +28,14 @@ def relative_residuals(primal: np.ndarray, aux: np.ndarray,
 
     Denominators are floored so the first iterations (H or U all zero)
     never divide by zero; in that regime the residuals are intentionally
-    huge and the loop continues.
+    huge and the loop continues.  The differences are written to *out*
+    when given (a C-contiguous buffer of the operands' shape, which may
+    be *aux*), else to temporaries.
     """
-    r = _sqnorm(primal - aux) / max(_sqnorm(primal), _TINY)
-    s = _sqnorm(primal - primal_prev) / max(_sqnorm(dual), _TINY)
+    r = _sqnorm(np.subtract(primal, aux, out=out)) \
+        / max(_sqnorm(primal), _TINY)
+    s = _sqnorm(np.subtract(primal, primal_prev, out=out)) \
+        / max(_sqnorm(dual), _TINY)
     return r, s
 
 

@@ -5,10 +5,12 @@ Solves
 ``min_H  1/2 ||X_(m) - H (KR of others)^T||_F^2 + r(H)``
 
 given the precomputed MTTKRP ``K`` and Gram ``G``.  The Cholesky factor of
-``G + rho I`` is computed once; every inner iteration then costs one
-``O(F^2 I)`` substitution pass (line 6) plus the prox and residuals — all
-linear passes over the tall matrices, which is exactly the memory-bound
-behaviour the blocked variant attacks.
+``G + rho I`` and its inverse are computed once; every inner iteration
+then costs one ``O(F^2 I)`` row-independent solve pass (line 6, see
+:meth:`~repro.linalg.cholesky.CholeskyFactor.solve_rows`) plus the prox
+and residuals — all linear passes over the tall matrices, which is
+exactly the memory-bound behaviour the blocked variant attacks.  The
+loop reuses two factor-sized work buffers allocated once per call.
 """
 
 from __future__ import annotations
@@ -73,28 +75,46 @@ def admm_update(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
 
+    # U is updated in place in the dual; H alternates between the primal
+    # and one spare buffer (the prox writes into whichever does not hold
+    # the current H); ``work`` holds K + rho (H + U), then H_tilde (solved
+    # in place), then the residual differences.
     primal, dual = state.primal, state.dual
+    buffers = (primal, np.empty_like(primal))
+    work = np.empty_like(primal)
+    h, held = primal, 0  # ``held``: which buffer holds H (None: neither)
     iterations = 0
     r = s = float("inf")
     converged = False
-    with span("admm.solve", rows=state.rows):
+    with span("admm.solve", rows=state.rows, solve=chol.rows_backend):
         while iterations < max_iterations:
             iterations += 1
             # Line 6: solve (G + rho I) H_tilde^T = (K + rho (H + U))^T.
-            aux = chol.solve_t(mttkrp + rho * (primal + dual))
-            primal_prev = primal
+            np.add(h, dual, out=work)
+            work *= rho
+            work += mttkrp
+            aux = chol.solve_rows(work, out=work)
+            h_prev = h
+            spare = 1 if held == 0 else 0
             # Line 8: proximity operator with step 1/rho.
-            primal = constraint.prox(aux - dual, 1.0 / rho)
+            h = constraint.prox(np.subtract(aux, dual, out=buffers[spare]),
+                                1.0 / rho)
+            held = spare if h is buffers[spare] else None
             # Line 9: dual ascent.
-            dual = dual + primal - aux
-            # Lines 10-11.
-            r, s = relative_residuals(primal, aux, primal_prev, dual)
+            dual += h
+            dual -= aux
+            # Lines 10-11.  A prox that returns a Fortran-ordered H
+            # (``smooth``) keeps its temporaries: einsum sums an F-ordered
+            # difference in another order than a C-ordered one.
+            r, s = relative_residuals(
+                h, aux, h_prev, dual,
+                out=work if h.flags.c_contiguous else None)
             if r < tolerance and s < tolerance:
                 converged = True
                 break
 
-    state.primal = primal
-    state.dual = dual
+    if h is not primal:
+        primal[...] = h
     return AdmmReport(iterations=iterations, rho=rho, primal_residual=r,
                       dual_residual=s, converged=converged,
                       jitter_added=chol.jitter_added)

@@ -31,14 +31,16 @@ and so returns byte-equal results to the NumPy sweep.  The starting
 value of NumPy's short sums (``-0.0`` or ``0.0``, which differs across
 NumPy versions) is probed at load time and handed to the kernel.
 
-**Build and cache.**  At first use the source is compiled with ``cc``
-(else ``gcc``) from ``PATH`` into
+**Build and cache.**  At first use the sources are compiled with ``cc``
+(else ``gcc``) from ``PATH`` into one library,
 ``$XDG_CACHE_HOME/repro/native/<hash>.so`` (``~/.cache`` when unset),
-keyed by a hash of the source, the compiler and its version, and the
-flags.  The library is written under a temporary name and published with
-an atomic rename, so concurrent processes never load a half-written
-file.  It is loaded with :mod:`ctypes`, which releases the GIL for the
-call, so slabs run truly in parallel on a thread pool.
+keyed by a hash of both sources (``csf_root.c`` and the ADMM row solve
+``row_solve.c``, see :mod:`repro.kernels.row_solve`), the compiler and
+its version, and the flags.  The library is written under a temporary
+name and published with an atomic rename, so concurrent processes never
+load a half-written file.  It is loaded with :mod:`ctypes`, which
+releases the GIL for the call, so slabs run truly in parallel on a
+thread pool.
 
 **Fallback.**  Before first use, the loaded kernel is checked for byte
 equality against the NumPy sweep on probe trees whose fan-outs reach
@@ -81,7 +83,10 @@ from ..tensor.csf import CSFTensor
 from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
 from .mttkrp_sparse import mttkrp_csf_root_repr
 
-SOURCE = Path(__file__).with_name("csf_root.c")
+#: C sources of the one shared library: this module's kernel and the
+#: ADMM row solve of :mod:`repro.kernels.row_solve`.
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("csf_root.c", "row_solve.c"))
 #: Compilers tried in order, looked up on ``PATH``.
 COMPILERS = ("cc", "gcc")
 #: Portable flags: no ``-march=native``, no fast-math, no FMA contraction.
@@ -125,25 +130,26 @@ def find_compiler() -> str:
 
 
 def library_path(compiler: str) -> Path:
-    """Cache path of the library built from the current source."""
+    """Cache path of the library built from the current sources."""
     version = subprocess.run([compiler, "--version"], capture_output=True,
                              text=True, timeout=60, check=True).stdout
     digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), compiler.encode(), version.encode(),
-                 " ".join(CFLAGS).encode()):
+    for part in (*(src.read_bytes() for src in SOURCES), compiler.encode(),
+                 version.encode(), " ".join(CFLAGS).encode()):
         digest.update(part)
         digest.update(b"\0")
     return cache_dir() / f"{digest.hexdigest()[:24]}.so"
 
 
 def compile_library(compiler: str, path: Path) -> None:
-    """Compile the kernel to *path*, published by an atomic rename."""
+    """Compile the library to *path*, published by an atomic rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so",
                                dir=path.parent)
     os.close(fd)
     try:
-        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE)],
+        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp,
+                               *map(str, SOURCES)],
                               capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             raise NativeUnavailable(
@@ -163,26 +169,27 @@ class _LeafRep(ctypes.Structure):
            for name in ("dense", "indptr", "indices", "data", "perm")]
 
 
-def _open(path: Path) -> Callable:
-    fn = ctypes.CDLL(str(path)).repro_csf_root
+def load_library() -> ctypes.CDLL:
+    """The shared library of both kernels, compiling it if not cached."""
+    compiler = find_compiler()
+    path = library_path(compiler)
+    if path.exists():
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            pass  # a damaged cache entry: rebuild it below
+    compile_library(compiler, path)
+    return ctypes.CDLL(str(path))
+
+
+def load_function() -> Callable:
+    """The ``repro_csf_root`` entry point, compiling it if not cached."""
+    fn = load_library().repro_csf_root
     fn.restype = ctypes.c_int
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64] \
         + [ctypes.c_void_p] * 7 + [ctypes.c_double,
                                    ctypes.POINTER(_LeafRep)]
     return fn
-
-
-def load_function() -> Callable:
-    """The ``repro_csf_root`` entry point, compiling it if not cached."""
-    compiler = find_compiler()
-    path = library_path(compiler)
-    if path.exists():
-        try:
-            return _open(path)
-        except OSError:
-            pass  # a damaged cache entry: rebuild it below
-    compile_library(compiler, path)
-    return _open(path)
 
 
 def _index_array(arr: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Cholesky factorization and SPD solves.
 
 Plays the role of MKL's ``potrf`` + ``trsm`` in the paper's Algorithm 1:
-``L = Cholesky(G + rho * I)`` is computed once per mode update and reused
-by every inner ADMM iteration's forward/backward substitution (line 6).
+``L = Cholesky(G + rho * I)`` is computed once per mode update.  The
+inner ADMM iterations (line 6) multiply every row by the inverse formed
+once from it (:meth:`CholeskyFactor.solve_rows`, the row-independent
+solve of :mod:`repro.kernels.row_solve`); ALS, which has no ``rho``
+shift, keeps the LAPACK substitution (:meth:`CholeskyFactor.solve_t`).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class CholeskyFactor:
         self.jitter_added = added
         #: Factorization attempts (1 = clean; >1 = jitter escalation ran).
         self.attempts = attempts
+        self._inverse: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(G) x = rhs`` via forward/backward substitution.
@@ -76,6 +80,41 @@ class CholeskyFactor:
         return scipy.linalg.cho_solve(
             self._cho, rhs_rows.T, overwrite_b=overwrite,
             check_finite=False).T
+
+    def inverse(self) -> np.ndarray:
+        """The factored (possibly jittered) matrix's inverse, C-contiguous.
+
+        Formed once by ``cho_solve(cho, I)`` and cached.
+        """
+        if self._inverse is None:
+            self._inverse = np.ascontiguousarray(scipy.linalg.cho_solve(
+                self._cho, np.eye(self.size), check_finite=False))
+        return self._inverse
+
+    def solve_rows(self, rhs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Solve ``x G = rhs`` row by row; each row as if solved alone.
+
+        Every row of *rhs* is multiplied by :meth:`inverse` in one fixed
+        order (:mod:`repro.kernels.row_solve`), so a row's bits never
+        depend on the other rows.  The result is written to *out* (a
+        writeable C-contiguous float64 matrix of *rhs*'s shape, which may
+        be *rhs* itself for an in-place solve) or to a new array.
+        """
+        from ..kernels.row_solve import solve_rows
+
+        if out is None:
+            out = np.array(rhs, dtype=VALUE_DTYPE, order="C")
+        elif out is not rhs:
+            np.copyto(out, rhs)
+        return solve_rows(out, self.inverse())
+
+    @property
+    def rows_backend(self) -> str:
+        """``"native"`` or ``"numpy"``: what serves :meth:`solve_rows`."""
+        from ..kernels.row_solve import backend
+
+        return backend()
 
 
 def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -287,7 +287,7 @@ def kkt_certificate(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
     if rho is None:
         rho = TraceRho().rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
-    aux = chol.solve_t(mttkrp + rho * (primal + dual))
+    aux = chol.solve_rows(mttkrp + rho * (primal + dual))
     reproxed = np.asarray(constraint.prox((primal - dual).copy(), 1.0 / rho))
     return KKTCertificate(
         primal_feasibility=_rel(primal - aux, primal),
@@ -328,7 +328,7 @@ def per_block_admm_reference(state: AdmmState, mttkrp: np.ndarray,
         converged = False
         while count < max_iterations:
             count += 1
-            aux = chol.solve_t(k + rho * (h + u))
+            aux = chol.solve_rows(k + rho * (h + u))
             h_prev = h
             h = constraint.prox(aux - u, 1.0 / rho)
             u = u + h - aux
