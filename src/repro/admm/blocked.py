@@ -11,21 +11,27 @@ iterations they need instead of being stopped by the aggregate criterion,
 and low-signal blocks stop early instead of being dragged along
 (non-uniform convergence).
 
-The blocks are solved together as one *active set*.  Each inner step
-runs the line-6 solve, the prox and the dual update once over the
-stacked rows of every block still running, and takes the per-block
-residuals from one batched row reduction.  Blocks that converge or reach
-the iteration cap leave the stack.  The Python cost of a step is
-therefore a fixed handful of vectorised calls whatever the block count,
-while the arithmetic done still shrinks as blocks stop.
+For the proxes the workloads use (``nonneg`` and ``nonneg_l1``;
+see :meth:`~repro.constraints.base.Constraint.native_prox`) one
+compiled call runs every block in turn to its own convergence with its
+rows resident in cache (:meth:`repro.kernels.row_solve.RowSolver.
+admm_blocks`), which is the paper's temporal-locality argument.  Every
+other constraint, and every constraint when no compiler is present,
+runs :func:`numpy_block_loop`: the blocks are solved together as one
+*active set*.  Each inner step runs the line-6 solve, the prox and the
+dual update once over the stacked rows of every block still running,
+and takes the per-block residuals from one batched row reduction.
+Blocks that converge or reach the iteration cap leave the stack.
 
 Each row sees exactly the operations the one-block-at-a-time loop
 applies to it: the line-6 solve
 (:meth:`~repro.linalg.cholesky.CholeskyFactor.solve_rows`) computes
 every row in one fixed order whatever rows share the call, the prox is
-row separable, and the block sums keep ``einsum``'s summation order.
-Factors, duals and the report are bitwise identical to
-:func:`repro.testing.oracles.per_block_admm_reference`.
+row separable, and the block sums keep the summation order of
+:mod:`repro.admm.residuals`.  The compiled loop replays the same
+operations in the same order.  Factors, duals and the report are
+bitwise identical to :func:`repro.testing.oracles.
+per_block_admm_reference` on both paths.
 
 The Cholesky factor of ``G + rho I`` and its inverse are mode-global
 (every block shares G and hence rho), computed once and reused by all
@@ -35,14 +41,17 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..config import ADMM_TOLERANCE, DEFAULT_BLOCK_SIZE, MAX_ADMM_ITERATIONS
 from ..constraints.base import Constraint
+from ..kernels import row_solve
 from ..linalg.cholesky import CholeskyFactor
 from ..observability import span
 from ..parallel.partition import row_blocks
+from ..types import VALUE_DTYPE
 from ..validation import require
 from .residuals import block_relative_residual
 from .rho import RhoPolicy, TraceRho
@@ -80,8 +89,8 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
                         rho_policy: RhoPolicy | None = None,
                         tolerance: float = ADMM_TOLERANCE,
                         max_iterations: int = MAX_ADMM_ITERATIONS,
-                        block_size: int = DEFAULT_BLOCK_SIZE,
-                        threads: int | None = 1) -> BlockedAdmmReport:
+                        block_size: int = DEFAULT_BLOCK_SIZE
+                        ) -> BlockedAdmmReport:
     """Run blockwise ADMM, updating *state* in place.
 
     Parameters mirror :func:`repro.admm.solver.admm_update` plus:
@@ -89,9 +98,6 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     block_size:
         Rows per block; the paper's default is 50.  ``block_size >= rows``
         degenerates to the unblocked algorithm (one block).
-    threads:
-        Accepted for call compatibility and ignored: all blocks advance
-        together in one batched solve, so nothing is scheduled.
     """
     require(constraint.row_separable,
             f"constraint {constraint.name!r} is not row separable; "
@@ -104,47 +110,89 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
     blocks = row_blocks(state.rows, block_size)
-    lengths = np.array([b.stop - b.start for b in blocks], dtype=np.intp)
-    iterations = np.zeros(len(blocks), dtype=np.intp)
-    converged = np.zeros(len(blocks), dtype=bool)
+    fused = native_loop(state, constraint, rho)
 
     with span("admm.solve", rows=state.rows, blocks=len(blocks),
-              solve=chol.rows_backend):
-        if blocks and max_iterations > 0:
-            _solve_active_set(state, mttkrp, chol, rho, constraint,
-                              tolerance, max_iterations, int(lengths[0]),
-                              lengths, iterations, converged)
+              solve=chol.rows_backend,
+              loop="numpy" if fused is None else "native"):
+        if fused is None:
+            iterations, converged, _ = numpy_block_loop(
+                state.primal, state.dual, mttkrp,
+                lambda x: chol.solve_rows(x, out=x), rho, constraint,
+                tolerance, max_iterations, block_size)
+        else:
+            solver, prox = fused
+            iterations, converged, _ = solver.admm_blocks(
+                state.primal, state.dual,
+                np.ascontiguousarray(mttkrp, dtype=VALUE_DTYPE),
+                chol.inverse(), rho, prox, tolerance, max_iterations,
+                block_size)
 
     return BlockedAdmmReport(block_iterations=tuple(iterations.tolist()),
-                             block_rows=tuple(lengths.tolist()), rho=rho,
-                             converged=bool(converged.all()),
+                             block_rows=tuple(b.stop - b.start
+                                              for b in blocks),
+                             rho=rho, converged=bool(converged.all()),
                              jitter_added=chol.jitter_added)
 
 
-def _solve_active_set(state: AdmmState, mttkrp: np.ndarray,
-                      chol: CholeskyFactor, rho: float,
-                      constraint: Constraint, tolerance: float,
-                      max_iterations: int, size: int, lengths: np.ndarray,
-                      iterations: np.ndarray,
-                      converged: np.ndarray) -> None:
-    """Algorithm 1 over the stacked rows of every running block.
+def native_loop(state: AdmmState, constraint: Constraint, rho: float
+                ) -> tuple[row_solve.RowSolver, tuple[str, float]] | None:
+    """The compiled ADMM kernel and *constraint*'s prox for its fused
+    block loop, or ``None`` when the NumPy loop must serve (no kernel, a
+    prox it does not implement, or an empty or non-C-ordered state)."""
+    prox = constraint.native_prox(1.0 / rho)
+    if prox is None or not state.rows or not state.rank:
+        return None
+    for mat in (state.primal, state.dual):
+        if mat.dtype != VALUE_DTYPE or not mat.flags.c_contiguous \
+                or not mat.flags.writeable:
+            return None
+    solver = row_solve.row_solver()
+    return None if solver is None else (solver, prox)
 
-    The stack is the leading ``m`` rows of the state itself: U is updated
-    in place in the dual, and H alternates between the primal and one
-    spare buffer (the prox writes into whichever does not hold the
-    current H).  When blocks leave, the stack is reordered so that the
-    staying rows come first, in order, and the leaving rows rest behind
-    them; ``order`` maps stack rows back to state rows, and the state is
-    put back in row order at the end.  The scratch is two factor-sized
+
+def numpy_block_loop(primal: np.ndarray, dual: np.ndarray,
+                     mttkrp: np.ndarray,
+                     solve: Callable[[np.ndarray], np.ndarray], rho: float,
+                     constraint: Constraint, tolerance: float,
+                     max_iterations: int, block_size: int | None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 1 on every *block_size*-row block, in NumPy, in place.
+
+    *solve* multiplies every row of its C-ordered argument by
+    ``(G + rho I)^-1`` in place (line 6).  Returns per block the
+    iterations run, whether it converged and its last ``(r, s)``
+    residuals (``inf`` when it ran none), as
+    :meth:`~repro.kernels.row_solve.RowSolver.admm_blocks` does.
+    *block_size* ``None`` gives one block of every row, even of none:
+    the unblocked solve, for any constraint.
+
+    The blocks run together as one active set: the stack of running
+    rows is the leading ``m`` rows of the state itself.  U is updated in
+    place in the dual, and H alternates between the primal and one spare
+    buffer (the prox writes into whichever does not hold the current H).
+    When blocks leave, the stack is reordered so that the staying rows
+    come first, in order, and the leaving rows rest behind them;
+    ``order`` maps stack rows back to state rows, and the state is put
+    back in row order at the end.  The scratch is two factor-sized
     buffers, as much as the per-block loop's collected results.
-    ``iterations`` and ``converged`` are filled per block.
     """
-    primal, dual = state.primal, state.dual
+    lengths = np.array([primal.shape[0]] if block_size is None else
+                       [b.stop - b.start
+                        for b in row_blocks(primal.shape[0], block_size)],
+                       dtype=np.intp)
+    iterations = np.zeros(len(lengths), dtype=np.intp)
+    converged = np.zeros(len(lengths), dtype=bool)
+    residuals = np.full((len(lengths), 2), np.inf)
+    if not len(lengths) or max_iterations <= 0:
+        return iterations, converged, residuals
+    size = int(lengths[0])
     mttkrp = np.asarray(mttkrp, dtype=primal.dtype)
     buffers = (primal, np.empty_like(primal))
     # K + rho (H + U), then H_tilde (solved in place), then the residual
-    # differences; also the staging area for reordering.
-    work = np.empty_like(primal)
+    # differences and squares (C-ordered); also the staging area for
+    # reordering.
+    work = np.empty(primal.shape)
     active = np.arange(len(lengths))
     order = None  # stack row -> state row; None while that is the identity
     finished = []  # (start, stop, array holding the final H of those rows)
@@ -166,21 +214,23 @@ def _solve_active_set(state: AdmmState, mttkrp: np.ndarray,
             scratch *= rho
             np.take(mttkrp, order[:m], axis=0, out=rhs, mode="clip")
             rhs += scratch
-        aux = chol.solve_rows(rhs, out=rhs)
+        aux = solve(rhs)
         h_prev = h
         h = constraint.prox(np.subtract(aux, u, out=scratch), 1.0 / rho)
         held = spare if h is scratch else None
         u += h
         u -= aux
-        r = block_relative_residual(np.subtract(h, aux, out=rhs), h, size)
+        r = block_relative_residual(np.subtract(h, aux, out=rhs), h, size,
+                                    rhs)
         s = block_relative_residual(np.subtract(h, h_prev, out=rhs), u,
-                                    size)
+                                    size, rhs)
         done = (r < tolerance) & (s < tolerance)
         leaving = done if step < max_iterations else np.ones_like(done)
         if not leaving.any():
             continue
         iterations[active[leaving]] = step
         converged[active[done]] = True
+        residuals[active[leaving]] = np.stack((r[leaving], s[leaving]), 1)
         if leaving.all():
             break
         leaving_rows = np.repeat(leaving, lengths[active])
@@ -211,3 +261,4 @@ def _solve_active_set(state: AdmmState, mttkrp: np.ndarray,
         primal[...] = work
         work[order] = dual
         dual[...] = work
+    return iterations, converged, residuals

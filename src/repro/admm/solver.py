@@ -10,7 +10,11 @@ then costs one ``O(F^2 I)`` row-independent solve pass (line 6, see
 :meth:`~repro.linalg.cholesky.CholeskyFactor.solve_rows`) plus the prox
 and residuals — all linear passes over the tall matrices, which is
 exactly the memory-bound behaviour the blocked variant attacks.  The
-loop reuses two factor-sized work buffers allocated once per call.
+whole solve is the block loop with one block of every row: compiled
+(:meth:`repro.kernels.row_solve.RowSolver.admm_blocks`) for the proxes
+it implements, :func:`repro.admm.blocked.numpy_block_loop` for every
+other constraint, which reuses two factor-sized work buffers allocated
+once per call.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from ..config import ADMM_TOLERANCE, MAX_ADMM_ITERATIONS
 from ..constraints.base import Constraint
 from ..linalg.cholesky import CholeskyFactor
 from ..observability import span
+from ..types import VALUE_DTYPE
 from ..validation import require
-from .residuals import relative_residuals
+from .blocked import native_loop, numpy_block_loop
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
 
@@ -74,47 +79,23 @@ def admm_update(state: AdmmState, mttkrp: np.ndarray, gram: np.ndarray,
 
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(rank))
-
-    # U is updated in place in the dual; H alternates between the primal
-    # and one spare buffer (the prox writes into whichever does not hold
-    # the current H); ``work`` holds K + rho (H + U), then H_tilde (solved
-    # in place), then the residual differences.
-    primal, dual = state.primal, state.dual
-    buffers = (primal, np.empty_like(primal))
-    work = np.empty_like(primal)
-    h, held = primal, 0  # ``held``: which buffer holds H (None: neither)
-    iterations = 0
-    r = s = float("inf")
-    converged = False
-    with span("admm.solve", rows=state.rows, solve=chol.rows_backend):
-        while iterations < max_iterations:
-            iterations += 1
-            # Line 6: solve (G + rho I) H_tilde^T = (K + rho (H + U))^T.
-            np.add(h, dual, out=work)
-            work *= rho
-            work += mttkrp
-            aux = chol.solve_rows(work, out=work)
-            h_prev = h
-            spare = 1 if held == 0 else 0
-            # Line 8: proximity operator with step 1/rho.
-            h = constraint.prox(np.subtract(aux, dual, out=buffers[spare]),
-                                1.0 / rho)
-            held = spare if h is buffers[spare] else None
-            # Line 9: dual ascent.
-            dual += h
-            dual -= aux
-            # Lines 10-11.  A prox that returns a Fortran-ordered H
-            # (``smooth``) keeps its temporaries: einsum sums an F-ordered
-            # difference in another order than a C-ordered one.
-            r, s = relative_residuals(
-                h, aux, h_prev, dual,
-                out=work if h.flags.c_contiguous else None)
-            if r < tolerance and s < tolerance:
-                converged = True
-                break
-
-    if h is not primal:
-        primal[...] = h
-    return AdmmReport(iterations=iterations, rho=rho, primal_residual=r,
-                      dual_residual=s, converged=converged,
-                      jitter_added=chol.jitter_added)
+    fused = native_loop(state, constraint, rho)
+    # Algorithm 1 is the block loop with one block of every row.
+    with span("admm.solve", rows=state.rows, solve=chol.rows_backend,
+              loop="numpy" if fused is None else "native"):
+        if fused is None:
+            its, done, res = numpy_block_loop(
+                state.primal, state.dual, mttkrp,
+                lambda x: chol.solve_rows(x, out=x), rho, constraint,
+                tolerance, max_iterations, None)
+        else:
+            solver, prox = fused
+            its, done, res = solver.admm_blocks(
+                state.primal, state.dual,
+                np.ascontiguousarray(mttkrp, dtype=VALUE_DTYPE),
+                chol.inverse(), rho, prox, tolerance, max_iterations,
+                state.rows)
+    return AdmmReport(iterations=int(its[0]), rho=rho,
+                      primal_residual=float(res[0, 0]),
+                      dual_residual=float(res[0, 1]),
+                      converged=bool(done[0]), jitter_added=chol.jitter_added)

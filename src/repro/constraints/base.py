@@ -38,6 +38,13 @@ class Constraint(abc.ABC):
         reference.
         """
 
+    def native_prox(self, step: float) -> tuple[str, float] | None:
+        """``(kind, threshold)`` when the compiled ADMM block loop
+        implements ``prox(., step)``, else ``None`` (the NumPy loop then
+        serves).  Kinds are those of :data:`repro.kernels.row_solve.
+        PROX_KINDS`; the kernel replays :meth:`prox` bit for bit."""
+        return None
+
     @abc.abstractmethod
     def penalty(self, matrix: np.ndarray) -> float:
         """Evaluate ``r(matrix)``.

@@ -54,6 +54,9 @@ class NonNegativeL1(Constraint):
         matrix -= self.weight * step
         return np.maximum(matrix, 0.0, out=matrix)
 
+    def native_prox(self, step: float) -> tuple[str, float]:
+        return "nonneg_l1", self.weight * step
+
     def penalty(self, matrix: np.ndarray) -> float:
         if (matrix < 0).any():
             return float("inf")

@@ -19,6 +19,9 @@ class NonNegative(Constraint):
     def prox(self, matrix: np.ndarray, step: float) -> np.ndarray:
         return np.maximum(matrix, 0.0, out=matrix)
 
+    def native_prox(self, step: float) -> tuple[str, float]:
+        return "nonneg", 0.0
+
     def penalty(self, matrix: np.ndarray) -> float:
         return 0.0 if self.is_feasible(matrix) else float("inf")
 

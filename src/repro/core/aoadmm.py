@@ -294,8 +294,7 @@ def fit_aoadmm(tensor: TensorSource,
                                 rho_policy=rho_policy,
                                 tolerance=options.inner_tolerance,
                                 max_iterations=options.max_inner_iterations,
-                                block_size=options.block_size,
-                                threads=options.threads)
+                                block_size=options.block_size)
                         else:
                             report = admm_update(
                                 states[mode], kmat, gram, constraints[mode],

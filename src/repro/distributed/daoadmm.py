@@ -256,8 +256,7 @@ def fit_aoadmm_distributed(tensor: COOTensor,
                                 rho_policy=rho_policy,
                                 tolerance=options.inner_tolerance,
                                 max_iterations=options.max_inner_iterations,
-                                block_size=options.block_size,
-                                threads=1)
+                                block_size=options.block_size)
                             max_inner = max(max_inner, report.iterations)
                             mode_jitter = max(mode_jitter,
                                               report.jitter_added)

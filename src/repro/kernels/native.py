@@ -35,8 +35,8 @@ NumPy versions) is probed at load time and handed to the kernel.
 (else ``gcc``) from ``PATH`` into one library,
 ``$XDG_CACHE_HOME/repro/native/<hash>.so`` (``~/.cache`` when unset),
 keyed by a hash of both sources (``csf_root.c`` and the ADMM row solve
-``row_solve.c``, see :mod:`repro.kernels.row_solve`), the compiler and
-its version, and the flags.  The library is written under a temporary
+and block loop ``row_solve.c``, see :mod:`repro.kernels.row_solve`), the
+compiler and its version, and the flags.  The library is written under a temporary
 name and published with an atomic rename, so concurrent processes never
 load a half-written file.  It is loaded with :mod:`ctypes`, which
 releases the GIL for the call, so slabs run truly in parallel on a
@@ -84,7 +84,7 @@ from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
 from .mttkrp_sparse import mttkrp_csf_root_repr
 
 #: C sources of the one shared library: this module's kernel and the
-#: ADMM row solve of :mod:`repro.kernels.row_solve`.
+#: ADMM kernels of :mod:`repro.kernels.row_solve`.
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("csf_root.c", "row_solve.c"))
 #: Compilers tried in order, looked up on ``PATH``.

@@ -13,10 +13,10 @@ instead of piecemeal hand-written assertions:
   slab/thread decomposition) and oracle-tolerance agreement across
   families (different summation orders);
 * :func:`run_admm_sweep` solves one mode subproblem blocked and
-  unblocked from identical warm starts, asserts thread-bitwise identity
-  within the blocked family and bitwise identity with the per-block
-  reference loop, tolerance agreement across the two formulations, and
-  certifies both solutions with the KKT oracle;
+  unblocked from identical warm starts, asserts bitwise identity of the
+  blocked solve with the per-block reference loop, tolerance agreement
+  across the two formulations, and certifies both solutions with the
+  KKT oracle;
 * :func:`run_prox_sweep` checks every registered proximity operator
   against its variational definition;
 * :func:`compare_factor_sets` / :func:`compare_fits` diff whole
@@ -437,7 +437,6 @@ def run_mttkrp_sweep(cases: Sequence[TensorCase], rank: int = 4,
 def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                    constraints: Sequence[str] = ADMM_SWEEP_CONSTRAINTS,
                    block_sizes: Sequence[int] = (3,),
-                   threads: Sequence[int] = (1, 2),
                    inner_tolerance: float = 1e-12,
                    max_iterations: int = 3000,
                    agreement_rtol: float = 1e-3,
@@ -447,14 +446,14 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
 
     For each case: build the mode-0 subproblem data ``(K, G)`` through
     the **oracle** MTTKRP and the Gram definition, solve it unblocked and
-    blocked (every block size × thread count) from identical warm starts
-    run to a tight inner tolerance, then assert
+    blocked (every block size) from identical warm starts run to a tight
+    inner tolerance, then assert
 
-    * bitwise identity across thread counts for a fixed block size (the
-      blocked solver's contract);
     * bitwise identity of primal, dual and report with
-      :func:`repro.testing.oracles.per_block_admm_reference` (the batched
-      active set must do exactly what the one-block-at-a-time loop does);
+      :func:`repro.testing.oracles.per_block_admm_reference` (the fused
+      compiled loop, or the batched NumPy active set without a compiler
+      or for other constraints, must do exactly what the
+      one-block-at-a-time loop does);
     * tolerance-bounded agreement between the blocked and unblocked
       primal solutions (unique optimum of the convex subproblem).  The
       documented tolerance follows from the stopping rule: each solve
@@ -510,70 +509,54 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                 reference, kmat, gram, constraint,
                 tolerance=inner_tolerance, max_iterations=max_iterations,
                 block_size=block_size)
-            anchor: np.ndarray | None = None
-            for t in threads:
-                state = AdmmState.from_factor(init)
-                blk_report = blocked_admm_update(
-                    state, kmat, gram, constraint,
-                    tolerance=inner_tolerance,
-                    max_iterations=max_iterations,
-                    block_size=block_size, threads=t)
-                label = f"blocked[{name},b={block_size},t={t}]"
+            state = AdmmState.from_factor(init)
+            blk_report = blocked_admm_update(
+                state, kmat, gram, constraint,
+                tolerance=inner_tolerance,
+                max_iterations=max_iterations,
+                block_size=block_size)
+            label = f"blocked[{name},b={block_size}]"
+            report.comparisons += 1
+            if (state.primal.tobytes() != reference.primal.tobytes()
+                    or state.dual.tobytes() != reference.dual.tobytes()
+                    or blk_report != ref_report):
+                report.disagreements.append(Disagreement(
+                    kind="bitwise", case=case.spec, backend=label,
+                    reference=f"per-block[{name},b={block_size}]",
+                    mode=0,
+                    detail="blocked ADMM must be bit-identical to the "
+                           "per-block reference loop, report included; "
+                           "max |diff| = "
+                           f"{_diff(state.primal, reference.primal):.3e}",
+                    max_abs_diff=_diff(state.primal, reference.primal),
+                    replay=replay_command(case.spec, 0)))
+            if blk_report.converged and base_report.converged:
                 report.comparisons += 1
-                if (state.primal.tobytes() != reference.primal.tobytes()
-                        or state.dual.tobytes() != reference.dual.tobytes()
-                        or blk_report != ref_report):
+                if not _agrees(state.primal, base_state.primal,
+                               agreement_rtol, agreement_atol):
                     report.disagreements.append(Disagreement(
-                        kind="bitwise", case=case.spec, backend=label,
-                        reference=f"per-block[{name},b={block_size}]",
-                        mode=0,
-                        detail="blocked ADMM must be bit-identical to the "
-                               "per-block reference loop, report included; "
-                               "max |diff| = "
-                               f"{_diff(state.primal, reference.primal):.3e}",
-                        max_abs_diff=_diff(state.primal, reference.primal),
+                        kind="cross", case=case.spec, backend=label,
+                        reference=f"unblocked[{name}]", mode=0,
+                        detail="blocked and unblocked solutions differ "
+                               "by max |diff| = "
+                               f"{_diff(state.primal, base_state.primal):.3e}"
+                               f" (rtol={agreement_rtol}, "
+                               f"atol={agreement_atol})",
+                        max_abs_diff=_diff(state.primal,
+                                           base_state.primal),
                         replay=replay_command(case.spec, 0)))
+            if blk_report.converged:
+                cert = kkt_certificate(state, kmat, gram, constraint,
+                                       rho=blk_report.rho)
                 report.comparisons += 1
-                if anchor is None:
-                    anchor = state.primal.copy()
-                elif not np.array_equal(state.primal, anchor):
+                if not cert.satisfied(kkt_tol):
                     report.disagreements.append(Disagreement(
-                        kind="bitwise", case=case.spec, backend=label,
-                        reference=f"blocked[{name},b={block_size},t="
-                                  f"{threads[0]}]",
-                        mode=0,
-                        detail="blocked ADMM must be bit-identical across "
-                               "thread counts; max |diff| = "
-                               f"{_diff(state.primal, anchor):.3e}",
-                        max_abs_diff=_diff(state.primal, anchor),
+                        kind="kkt", case=case.spec, backend=label,
+                        reference="kkt-oracle", mode=0,
+                        detail=f"max KKT residual "
+                               f"{cert.max_residual:.3e} > {kkt_tol}",
+                        max_abs_diff=cert.max_residual,
                         replay=replay_command(case.spec, 0)))
-                if blk_report.converged and base_report.converged:
-                    report.comparisons += 1
-                    if not _agrees(state.primal, base_state.primal,
-                                   agreement_rtol, agreement_atol):
-                        report.disagreements.append(Disagreement(
-                            kind="cross", case=case.spec, backend=label,
-                            reference=f"unblocked[{name}]", mode=0,
-                            detail="blocked and unblocked solutions differ "
-                                   "by max |diff| = "
-                                   f"{_diff(state.primal, base_state.primal):.3e}"
-                                   f" (rtol={agreement_rtol}, "
-                                   f"atol={agreement_atol})",
-                            max_abs_diff=_diff(state.primal,
-                                               base_state.primal),
-                            replay=replay_command(case.spec, 0)))
-                if blk_report.converged:
-                    cert = kkt_certificate(state, kmat, gram, constraint,
-                                           rho=blk_report.rho)
-                    report.comparisons += 1
-                    if not cert.satisfied(kkt_tol):
-                        report.disagreements.append(Disagreement(
-                            kind="kkt", case=case.spec, backend=label,
-                            reference="kkt-oracle", mode=0,
-                            detail=f"max KKT residual "
-                                   f"{cert.max_residual:.3e} > {kkt_tol}",
-                            max_abs_diff=cert.max_residual,
-                            replay=replay_command(case.spec, 0)))
     return report
 
 

@@ -21,7 +21,8 @@ Covered claims:
   unblocked inner solves (paper Section III-B: both must reach the same
   subproblem optimum);
 * blocked ADMM as the literal per-block loop of Algorithm 1 — the
-  bitwise reference for the batched active-set solver;
+  bitwise reference for the fused compiled block loop and the batched
+  NumPy active set;
 * CSF construction by an ``N``-key ``np.lexsort`` over the coordinate
   rows and a per-mode prefix scan — the bitwise reference for the
   packed-key construction of :meth:`repro.tensor.csf.CSFTensor.from_coo`.
@@ -311,9 +312,10 @@ def per_block_admm_reference(state: AdmmState, mttkrp: np.ndarray,
 
     Runs Algorithm 1 on each block in turn until that block's own
     residuals meet *tolerance*, updating *state* in place.
-    :func:`repro.admm.blocked.blocked_admm_update` batches the same
-    per-row operations over all running blocks and must match this
-    byte for byte, report included.
+    :func:`repro.admm.blocked.blocked_admm_update` (the fused compiled
+    loop, or the NumPy active set that batches the same per-row
+    operations over all running blocks) must match this byte for byte,
+    report included.
     """
     rho = (rho_policy or TraceRho()).rho(gram)
     chol = CholeskyFactor(gram + rho * np.eye(state.rank))

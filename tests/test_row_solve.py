@@ -351,7 +351,7 @@ class TestFallback:
                             x.flat[x.size // 2], np.inf)
                     return x
 
-            broken = OffByOneUlp(solver._fn, name)
+            broken = OffByOneUlp(solver._fn, solver._blocks, name)
             with pytest.raises(native.NativeUnavailable, match=name):
                 row_solve.self_check(broken)
             row_solve.self_check(solver)
