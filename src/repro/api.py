@@ -141,10 +141,9 @@ def fit(tensor: "TensorSource | str | Path",
         Run under the resilient
         :class:`~repro.robustness.supervisor.FitSupervisor` (AO-ADMM
         only): a heartbeat watchdog interrupts stalled runs, transient
-        faults (broken worker pools, shared-memory exhaustion,
-        checkpoint I/O errors) are retried with backoff from the newest
-        valid checkpoint, execution degrades
-        ``process -> thread -> serial`` under repeated pressure, and
+        faults (memory exhaustion, checkpoint I/O errors) are retried
+        with backoff from the newest valid checkpoint, execution
+        degrades ``thread -> serial`` under repeated pressure, and
         SIGTERM/SIGINT preempt gracefully (checkpoint + resumable
         ``stop_reason="preempted"``).  ``True`` uses default
         :class:`~repro.robustness.supervisor.SupervisorOptions`; pass an
@@ -152,11 +151,9 @@ def fit(tensor: "TensorSource | str | Path",
         ``FitResult.supervisor`` and the run's ``trace.guard_log``.
     **option_kwargs:
         Any other :class:`AOADMMOptions` field (or legacy alias), e.g.
-        ``blocked=False, seed=0, max_outer_iterations=50``.  Notably
-        ``executor="process"`` (or ``REPRO_EXECUTOR=process`` in the
-        environment) runs the MTTKRP slab kernels in a shared-memory
-        worker pool instead of threads — bit-identical results, no GIL
-        (see ``docs/parallelism.md``).
+        ``blocked=False, seed=0, max_outer_iterations=50``, or
+        ``executor="serial"`` (``"thread"`` is the default; results are
+        bit-identical either way, see ``docs/parallelism.md``).
     """
     require(method in METHODS,
             f"unknown method {method!r}; choose from {METHODS}")

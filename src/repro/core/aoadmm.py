@@ -260,10 +260,10 @@ def fit_aoadmm(tensor: TensorSource,
     while not stop_reason:
         iteration = len(trace) + 1
         if injector is not None:
-            # Environment faults (stall / shm_oom) fire here, before any
+            # Environment faults (stall / oom) fire here, before any
             # kernel work, so the supervisor's watchdog and retry paths
-            # see them exactly as a wedged pool or mmap failure would
-            # present.
+            # see them exactly as a wedged loop or allocation failure
+            # would present.
             injector.pre_iteration(iteration)
         clock.reset()
         inner_iterations: list[int] = []
@@ -388,14 +388,9 @@ def fit_aoadmm(tensor: TensorSource,
             break
 
     model = CPModel([s.primal.copy() for s in states])
-    if engine.executor_events:
-        # Pool-failure fallbacks are guard events of the run, not just
-        # of the engine: persist them with the numerical-guard log.
-        trace.guard_log.extend(engine.executor_events)
-        engine.executor_events.clear()
     if owned_engine:
-        # Release the engine's shared-memory segments (no-op for
-        # in-process executors); a caller-supplied engine stays open.
+        # Drop the engine's resident slabs; a caller-supplied engine
+        # stays open.
         engine.close()
     return FactorizationResult(model=model, trace=trace, converged=converged,
                                stop_reason=stop_reason, options=options)

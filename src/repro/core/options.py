@@ -58,14 +58,13 @@ class AOADMMOptions:
         studied on the machine model).  Blocked ADMM ignores it: its
         blocks advance together in one batched solve.
     executor:
-        Execution backend for the slab-tiled MTTKRP kernels:
-        ``"serial"``, ``"thread"``, ``"process"``, or an
+        Execution backend, which runs the out-of-core slab prefetch:
+        ``"serial"``, ``"thread"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` (the default) resolves the ``REPRO_EXECUTOR``
-        environment variable, falling back to ``"thread"``.  The process
-        executor runs slab batches in a persistent shared-memory worker
-        pool, sidestepping the GIL; results are bit-identical across all
-        executors (see ``docs/parallelism.md``).
+        environment variable, falling back to ``"thread"``.  Results
+        are bit-identical across executors (see
+        ``docs/parallelism.md``).
     slab_nnz_target:
         Non-zeros per MTTKRP slab for the engine's CSF tilings
         (Section IV-A slice parallelism).  ``None`` (the default) lets

@@ -67,8 +67,6 @@ from ..observability import (
     span,
 )
 from ..parallel.executor import ExecutorBase, resolve_executor
-from ..parallel.procpool import ProcessPoolBroken
-from ..parallel.shm import ShmArena
 from ..parallel.threadpool import effective_threads
 from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFTiling, nnz_per_root_slice, root_prefix_tree
@@ -526,12 +524,10 @@ class BackendAutotuner:
 
     def probe_seconds(self, tree: CSFTensor, candidates:
                       Sequence[BackendCandidate], mode: int, rank: int,
-                      threads: int | None = 1,
-                      executor: "str | ExecutorBase | None" = None
+                      threads: int | None = 1
                       ) -> tuple[dict[str, float], int]:
         """Best-of-N timed prefix runs per candidate, scaled to full-tree
         seconds.  Returns ``(seconds per candidate, probed nnz)``."""
-        executor = resolve_executor(executor)
         prefix = root_prefix_tree(tree, self.probe_nnz)
         factors = self._probe_factors(tree, mode, rank)
         scale = tree.nnz / max(prefix.nnz, 1)
@@ -539,33 +535,18 @@ class BackendAutotuner:
         for cand in candidates:
             tiling = CSFTiling(prefix,
                                slab_nnz_target=cand.slab_nnz_target)
-            arena = ShmArena(tag="tune") if executor.offloads_slabs \
-                else None
-            try:
-                ws = KernelWorkspace(tiling, shared_arena=arena)
+            ws = KernelWorkspace(tiling)
 
-                def run() -> None:
-                    mttkrp_csf(prefix, factors, mode, tiling=tiling,
-                               workspace=ws, threads=threads,
-                               executor=executor)
+            def run() -> None:
+                mttkrp_csf(prefix, factors, mode, tiling=tiling,
+                           workspace=ws, threads=threads)
 
-                try:
-                    run()  # warm-up: build pooled buffers untimed
-                    best = float("inf")
-                    for _ in range(self.probe_repeats):
-                        tick = self.clock()
-                        run()
-                        best = min(best, self.clock() - tick)
-                except ProcessPoolBroken:
-                    # The probe must not kill the fit: degrade this
-                    # tuner to the thread executor and re-probe.
-                    executor = resolve_executor("thread")
-                    return self.probe_seconds(tree, candidates, mode,
-                                              rank, threads=threads,
-                                              executor=executor)
-            finally:
-                if arena is not None:
-                    arena.close()
+            run()  # warm-up: build pooled buffers untimed
+            best = float("inf")
+            for _ in range(self.probe_repeats):
+                tick = self.clock()
+                run()
+                best = min(best, self.clock() - tick)
             seconds = max(best, 0.0) * scale
             results[cand.name] = seconds
             record_tune_probe(mode=mode, backend=cand.name,
@@ -632,8 +613,7 @@ class BackendAutotuner:
                     probe_seconds=dict(entry["probe_seconds"]),
                     probe_nnz=int(entry.get("probe_nnz", 0)))
         probes, probe_nnz = self.probe_seconds(
-            tree, candidates, mode, rank, threads=threads,
-            executor=executor)
+            tree, candidates, mode, rank, threads=threads)
         best = self._select(candidates, probes)
         decision = ModeDecision(
             mode=mode, backend=best.name,

@@ -25,15 +25,12 @@ from ..config import SPARSITY_THRESHOLD
 from ..observability import (
     is_enabled,
     record_cache_event,
-    record_executor_fallback,
     record_mttkrp_call,
     record_representation,
     record_tiling,
     span,
 )
-from ..parallel.executor import ExecutorBase, get_executor, resolve_executor
-from ..parallel.procpool import ProcessPoolBroken
-from ..parallel.shm import ShmArena
+from ..parallel.executor import ExecutorBase, resolve_executor
 from ..parallel.threadpool import effective_threads
 from ..sparse.analysis import choose_representation, density
 from ..sparse.csr import CSRMatrix
@@ -177,7 +174,7 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
     if method == "auto" and resolve_tune_mode() != "off":
         rank = int(np.asarray(factors[0]).shape[1])
         tree, tiling, ws = _auto_plan(tensor, mode, rank)
-        kernel = sweep_kernel(tree, mode, tiling, ws)
+        kernel = sweep_kernel(tree, mode, tiling)
         start = time.perf_counter()
         with span("mttkrp", mode=mode, method="auto", kernel=kernel):
             out = mttkrp_csf(tree, factors, mode, tiling=tiling,
@@ -229,9 +226,8 @@ class MTTKRPCallStats:
     bytes_allocated: int = 0
     #: Wall-clock seconds of the kernel call.
     seconds: float = 0.0
-    #: Execution backend that ran the slabs (``serial``/``thread``/
-    #: ``process``; monolithic and sparse-representation calls run
-    #: inline regardless).
+    #: The engine's executor (``serial``/``thread``); sparse-
+    #: representation calls record ``serial`` (they run inline).
     executor: str = "thread"
     #: Worker/thread count the call was allowed to use.
     workers: int = 1
@@ -269,17 +265,11 @@ class MTTKRPEngine:
         Non-zeros per slab for the tilings (``None`` =
         :data:`repro.config.DEFAULT_SLAB_NNZ`).
     executor:
-        Execution backend for the tiled kernels: ``"serial"``,
-        ``"thread"``, ``"process"``, or an
+        Execution backend: ``"serial"``, ``"thread"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
-        ``None`` resolves ``REPRO_EXECUTOR`` (default ``thread``).  The
-        process executor maps the CSF arrays and factors into shared
-        memory and runs slab batches GIL-free in a persistent worker
-        pool; results stay bit-identical across all executors.  If the
-        pool breaks beyond its respawn budget mid-call, the engine
-        records a :class:`~repro.robustness.guards.GuardEvent` in
-        :attr:`executor_events`, falls back to the thread executor for
-        the rest of its lifetime, and recomputes the call.
+        ``None`` resolves ``REPRO_EXECUTOR`` (default ``thread``).
+        It is recorded in :attr:`call_log`; slab fan-out follows
+        *threads*.  Results are bit-identical across executors.
 
     Notes
     -----
@@ -287,11 +277,6 @@ class MTTKRPEngine:
     the returned array is valid until the **next** call for the same
     mode.  Every driver in this repository consumes the output before
     then; copy it if you need it to survive.
-
-    A process-executor engine owns shared-memory segments; call
-    :meth:`close` (or use the engine as a context manager) to release
-    them deterministically — garbage collection and an ``atexit`` sweep
-    cover engines that are simply dropped.
     """
 
     def __init__(self, tensor: COOTensor,
@@ -320,14 +305,6 @@ class MTTKRPEngine:
         #: (``None`` until :meth:`apply_tuning` runs).
         self.tuning = None
         self._executor = resolve_executor(executor)
-        #: Shared-memory plane for the process executor (one arena per
-        #: engine; ``None`` for in-process executors).
-        self._arena: ShmArena | None = (
-            ShmArena(tag="engine") if self._executor.offloads_slabs
-            else None)
-        #: Guard events from executor failures (pool broken → thread
-        #: fallback), in order.
-        self.executor_events: list = []
         self._reps: dict[int, FactorRepresentation] = {}
         self._rep_names: dict[int, str] = {}
         #: Per-tree SpGEMM leaf aggregators, built only when the NumPy
@@ -351,51 +328,16 @@ class MTTKRPEngine:
         return self._executor.name
 
     # ------------------------------------------------------------------
-    # Executor lifecycle
+    # Lifecycle (same surface as the streaming engine)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the engine's shared-memory segments (idempotent).
-
-        The worker pool itself is the executor's (usually the
-        process-wide singleton's) and stays warm for other engines.
-        """
-        if self._arena is not None:
-            self._arena.close()
+        """Nothing to release: every buffer is an ordinary array."""
 
     def __enter__(self) -> "MTTKRPEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _fallback_to_threads(self, exc: Exception, mode: int) -> None:
-        """Pool broke beyond repair: record the event, demote to threads."""
-        from ..robustness.guards import GuardEvent
-        event = GuardEvent(iteration=0, kind="worker_lost", site="mttkrp",
-                           action="executor_fallback", mode=mode,
-                           detail=f"{self._executor.name} -> thread: "
-                                  f"{exc}")
-        self.executor_events.append(event)
-        record_executor_fallback(self._executor.name, "thread",
-                                 detail=str(exc))
-        self._executor = get_executor("thread")
-
-    def _run_tiled(self, csf, factors, mode: int, tiling, ws) -> np.ndarray:
-        """One tiled MTTKRP, with pool-failure fallback + single retry.
-
-        Slab batches are idempotent (disjoint fully-overwritten output
-        ranges), so recomputing the whole call after a fallback is safe
-        and bit-identical.
-        """
-        try:
-            return mttkrp_csf(csf, factors, mode, tiling=tiling,
-                              workspace=ws, threads=self.threads,
-                              executor=self._executor)
-        except ProcessPoolBroken as exc:
-            self._fallback_to_threads(exc, mode)
-            return mttkrp_csf(csf, factors, mode, tiling=tiling,
-                              workspace=ws, threads=self.threads,
-                              executor=self._executor)
 
     # ------------------------------------------------------------------
     # Tiling / workspace management (static: one per tree, built lazily)
@@ -433,8 +375,7 @@ class MTTKRPEngine:
         """The kernel workspace of the tree rooted at *root_mode*."""
         ws = self._workspaces.get(root_mode)
         if ws is None:
-            ws = KernelWorkspace(self.tiling(root_mode),
-                                 shared_arena=self._arena)
+            ws = KernelWorkspace(self.tiling(root_mode))
             self._workspaces[root_mode] = ws
         return ws
 
@@ -500,11 +441,12 @@ class MTTKRPEngine:
             csf = self.trees.csf(0)
             tiling = self.tiling(0)
             ws = self.workspace(0)
-            kernel = sweep_kernel(csf, mode, tiling, ws, self._executor)
+            kernel = sweep_kernel(csf, mode, tiling)
             allocs0, bytes0 = ws.snapshot()
             with span("mttkrp", mode=mode, representation="dense",
                       kernel=kernel):
-                out = self._run_tiled(csf, factors, mode, tiling, ws)
+                out = mttkrp_csf(csf, factors, mode, tiling=tiling,
+                                 workspace=ws, threads=self.threads)
             _, bytes1 = ws.snapshot()
             stats = MTTKRPCallStats(
                 mode=mode, leaf_mode=csf.mode_order[-1],
@@ -528,11 +470,12 @@ class MTTKRPEngine:
             # Dense path: slab-tiled Algorithm 3 through the workspace.
             tiling = self.tiling(mode)
             ws = self.workspace(mode)
-            kernel = sweep_kernel(csf, mode, tiling, ws, self._executor)
+            kernel = sweep_kernel(csf, mode, tiling)
             _, bytes0 = ws.snapshot()
             with span("mttkrp", mode=mode, representation="dense",
                       kernel=kernel):
-                out = self._run_tiled(csf, factors, mode, tiling, ws)
+                out = mttkrp_csf(csf, factors, mode, tiling=tiling,
+                                 workspace=ws, threads=self.threads)
             _, bytes1 = ws.snapshot()
             rep_name = "dense"
             touched = csf.nnz * int(np.asarray(factors[0]).shape[1])
@@ -596,7 +539,7 @@ class StreamingMTTKRPEngine:
 
     Drop-in replacement for :class:`MTTKRPEngine` on the driver side
     (same ``update_factor`` / ``mttkrp`` / ``representation`` / ``close``
-    / ``call_log`` / ``executor_events`` surface), but instead of owning
+    / ``call_log`` surface), but instead of owning
     in-core CSF trees it streams each mode's pre-sharded slabs from disk
     through an LRU :class:`~repro.tensor.ooc.SlabCache` bounded by
     ``max_bytes_in_core``, prefetching one slab ahead through the
@@ -652,7 +595,6 @@ class StreamingMTTKRPEngine:
         #: warm-up, matching the in-core workspace contract: the result
         #: is valid until the next call for the same mode).
         self._out: dict[int, np.ndarray] = {}
-        self.executor_events: list = []
         self.call_log: list[MTTKRPCallStats] = []
 
     @property

@@ -45,18 +45,15 @@ at first use with the system C compiler into
 ``$XDG_CACHE_HOME/repro/native/``; without a compiler, on a build
 failure, or if its self-check against the NumPy sweep finds one
 differing bit, the NumPy slab sweep below serves instead (one
-``RuntimeWarning`` per process).  The monolithic path, the
-process-executor workers and the leaf/internal kernels always run
-NumPy.
+``RuntimeWarning`` per process).  The monolithic path and the
+leaf/internal kernels always run NumPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..observability import record_executor_batches
-from ..parallel.executor import ExecutorBase, resolve_executor
-from ..parallel.threadpool import effective_threads, parallel_for
+from ..parallel.threadpool import parallel_for
 from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFSlab, CSFTiling
 from ..types import VALUE_DTYPE, FactorList
@@ -64,11 +61,6 @@ from ..validation import check_mode, require
 from .native import root_kernel
 from .scatter import scatter_add_rows, segment_sums
 from .workspace import KernelWorkspace
-
-#: Worker entry point for offloaded slab batches (resolved by name
-#: inside the pool workers; see :mod:`repro.parallel.shm_worker`).
-_SLAB_TASK = "repro.parallel.shm_worker:run_slab_batch"
-
 
 def _rank_of(factors: FactorList) -> int:
     return int(np.asarray(factors[0]).shape[1])
@@ -199,70 +191,18 @@ def _workspace_for(tiling: CSFTiling,
 
 
 def sweep_kernel(csf: CSFTensor, mode: int,
-                 tiling: CSFTiling | None = None,
-                 workspace: KernelWorkspace | None = None,
-                 executor: ExecutorBase | None = None) -> str:
+                 tiling: CSFTiling | None = None) -> str:
     """``"native"`` when :func:`mttkrp_csf` with these arguments runs the
     compiled root kernel, else ``"numpy"``.
 
     The compiled kernel serves tiled root-mode calls in this process;
-    monolithic calls, leaf/internal modes, process-offloaded slabs and a
-    process without the kernel run the NumPy sweep.
+    monolithic calls, leaf/internal modes and a process without the
+    kernel run the NumPy sweep.
     """
     if tiling is None or csf.mode_order[0] != mode \
-            or (workspace is not None and _offloads(executor, workspace)) \
             or root_kernel() is None:
         return "numpy"
     return "native"
-
-
-# ----------------------------------------------------------------------
-# Process-executor offload (shared-memory slab batches)
-# ----------------------------------------------------------------------
-def _offloads(executor: ExecutorBase | None,
-              ws: KernelWorkspace) -> bool:
-    """True when slabs should run in pool workers instead of threads."""
-    return (executor is not None and executor.offloads_slabs
-            and ws.arena is not None)
-
-
-def _run_shared_slabs(executor: ExecutorBase, ws: KernelWorkspace,
-                      csf: CSFTensor, factors: FactorList, kind: str,
-                      level: int, target_key: object, rank: int,
-                      threads: int | None) -> None:
-    """Dispatch one tiled sweep as shm slab batches on the process pool.
-
-    The task payloads carry only :class:`~repro.parallel.shm.
-    ShmArrayHandle` records and slab descriptors — no arrays.  The tree
-    registration and the batch split are cached (static pattern); the
-    per-call work is one factor refresh (``memcpy`` into the shared
-    factor blocks) plus ``n_batches`` small pickles.  Workers execute
-    the identical sweep code on identical bytes and write disjoint,
-    fully-overwritten ranges of the shared target — see
-    :mod:`repro.parallel.shm_worker` for the bit-identity argument.
-    """
-    arena = ws.arena
-    tree_handles = ws.shared_tree_handles()
-    factor_handles = [
-        arena.update(("factor", m),
-                     np.asarray(factors[m], dtype=VALUE_DTYPE))
-        for m in range(csf.nmodes)]
-    target_handle = ws.shared_handle(target_key)
-    batches = ws.shared_batches(effective_threads(threads))
-    common = {
-        "kind": kind,
-        "level": level,
-        "rank": rank,
-        "shape": tuple(csf.shape),
-        "mode_order": tuple(csf.mode_order),
-        "tree": tree_handles,
-        "factors": factor_handles,
-        "target": target_handle,
-    }
-    payloads = [dict(common, slabs=batch) for batch in batches]
-    stats = executor.submit_slab_batches(_SLAB_TASK, payloads,
-                                         workers=len(payloads))
-    record_executor_batches(executor.name, kind, stats)
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +211,12 @@ def _run_shared_slabs(executor: ExecutorBase, ws: KernelWorkspace,
 def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
-                    threads: int | None = None,
-                    executor: ExecutorBase | None = None) -> np.ndarray:
+                    threads: int | None = None) -> np.ndarray:
     """MTTKRP for the CSF's root mode (paper Algorithm 3).
 
     With a *tiling*, slabs run in parallel and write disjoint output rows
     (root ids are unique and ascending across slabs), so no reduction is
-    needed and the result is bit-identical for any slab/thread count —
-    and for any *executor* (thread pool or shared-memory process pool).
+    needed and the result is bit-identical for any slab/thread count.
     The returned array is owned by *workspace* when one is given — valid
     until the next root-mode call on the same workspace.
     """
@@ -300,11 +238,6 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
         return out
     require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
 
-    if _offloads(executor, ws):
-        _run_shared_slabs(executor, ws, csf, factors, "root", 0,
-                          ("out", root_mode), rank, threads)
-        return out
-
     kernel = root_kernel()
     if kernel is not None:
         run = kernel.bind(csf.mode_order, factors, out)
@@ -323,8 +256,7 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
 def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
-                    threads: int | None = None,
-                    executor: ExecutorBase | None = None) -> np.ndarray:
+                    threads: int | None = None) -> np.ndarray:
     """MTTKRP for the CSF's deepest mode.
 
     With a *tiling*, each slab propagates its ancestor products downward
@@ -332,7 +264,7 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
     range of one shared product buffer; a single deterministic scatter
     (static plan, stable order, always in the calling process) then
     reduces — bit-identical to the monolithic kernel for any
-    slab/thread count and any executor.
+    slab/thread count.
     """
     rank = _rank_of(factors)
     leaf_level = csf.nmodes - 1
@@ -354,16 +286,12 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
     require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
     prod = ws.buf(("prod", leaf_level), (csf.nnz, rank))
 
-    if _offloads(executor, ws):
-        _run_shared_slabs(executor, ws, csf, factors, "leaf", leaf_level,
-                          ("prod", leaf_level), rank, threads)
-    else:
-        def run_slab(slab: CSFSlab) -> None:
-            rows = _slab_downward(slab, factors, leaf_level, ws, rank)
-            lo, hi = slab.leaf_range
-            np.multiply(rows, slab.tree.vals[:, None], out=prod[lo:hi])
+    def run_slab(slab: CSFSlab) -> None:
+        rows = _slab_downward(slab, factors, leaf_level, ws, rank)
+        lo, hi = slab.leaf_range
+        np.multiply(rows, slab.tree.vals[:, None], out=prod[lo:hi])
 
-        parallel_for(run_slab, tiling.slabs, threads=threads)
+    parallel_for(run_slab, tiling.slabs, threads=threads)
     plan = ws.scatter_plan(("scatter", leaf_level), csf.fids[leaf_level])
     return _scatter_add_static(out, prod, plan, ws, ("sct", leaf_level))
 
@@ -371,16 +299,14 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
 def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
                         tiling: CSFTiling | None = None,
                         workspace: KernelWorkspace | None = None,
-                        threads: int | None = None,
-                        executor: ExecutorBase | None = None
-                        ) -> np.ndarray:
+                        threads: int | None = None) -> np.ndarray:
     """MTTKRP for the mode at an internal CSF *level* (0 < level < N-1).
 
     The tiled path runs each slab's meeting upward/downward sweeps in
     parallel (per-node products land in disjoint ranges of a shared
     buffer, since node ranges at every level tile the tree) and finishes
     with one deterministic scatter — bit-identical for any slab/thread
-    count and any executor.
+    count.
     """
     require(0 < level < csf.nmodes - 1,
             f"level {level} is not internal for {csf.nmodes} modes")
@@ -401,17 +327,13 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
         return out
     nodeprod = ws.buf(("nodeprod", level), (csf.nnodes(level), rank))
 
-    if _offloads(executor, ws):
-        _run_shared_slabs(executor, ws, csf, factors, "internal", level,
-                          ("nodeprod", level), rank, threads)
-    else:
-        def run_slab(slab: CSFSlab) -> None:
-            upward = _slab_upward(slab, factors, level, ws, rank)
-            downward = _slab_downward(slab, factors, level, ws, rank)
-            lo, hi = slab.node_ranges[level]
-            np.multiply(upward, downward, out=nodeprod[lo:hi])
+    def run_slab(slab: CSFSlab) -> None:
+        upward = _slab_upward(slab, factors, level, ws, rank)
+        downward = _slab_downward(slab, factors, level, ws, rank)
+        lo, hi = slab.node_ranges[level]
+        np.multiply(upward, downward, out=nodeprod[lo:hi])
 
-        parallel_for(run_slab, tiling.slabs, threads=threads)
+    parallel_for(run_slab, tiling.slabs, threads=threads)
     plan = ws.scatter_plan(("scatter", level), csf.fids[level])
     return _scatter_add_static(out, nodeprod, plan, ws, ("sct", level))
 
@@ -419,19 +341,15 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
 def mttkrp_csf(csf: CSFTensor, factors: FactorList, mode: int,
                tiling: CSFTiling | None = None,
                workspace: KernelWorkspace | None = None,
-               threads: int | None = None,
-               executor: ExecutorBase | None = None) -> np.ndarray:
+               threads: int | None = None) -> np.ndarray:
     """MTTKRP for any *mode*, picking the kernel by the mode's CSF level."""
     mode = check_mode(mode, csf.nmodes)
     level = csf.mode_order.index(mode)
     if level == 0:
         return mttkrp_csf_root(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
+                               workspace=workspace, threads=threads)
     if level == csf.nmodes - 1:
         return mttkrp_csf_leaf(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
+                               workspace=workspace, threads=threads)
     return mttkrp_csf_internal(csf, factors, level, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
+                               workspace=workspace, threads=threads)

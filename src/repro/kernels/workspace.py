@@ -27,11 +27,9 @@ warm-up is safe.
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 import numpy as np
 
-from ..parallel.partition import balanced_chunks
 from ..tensor.tiling import CSFTiling
 from ..types import INDEX_DTYPE, VALUE_DTYPE
 
@@ -43,17 +41,10 @@ class BufferPool:
     shape/dtype still match (a *hit*) and allocates a replacement
     otherwise.  Buffer contents are unspecified on return — callers
     overwrite them with ``out=`` writes (or ``fill``).
-
-    An optional *allocator* ``(key, shape, dtype) -> ndarray | None``
-    intercepts cache misses; returning ``None`` falls back to
-    ``np.empty``.  The shm-backed workspaces use this to place the
-    buffers worker processes must see into shared segments without the
-    kernels knowing the difference.
     """
 
-    def __init__(self, allocator: Callable | None = None) -> None:
+    def __init__(self) -> None:
         self._buffers: dict[object, np.ndarray] = {}
-        self._allocator = allocator
         self._lock = threading.Lock()
         self.allocations = 0
         self.hits = 0
@@ -71,11 +62,7 @@ class BufferPool:
                     and buf.dtype == dtype:
                 self.hits += 1
                 return buf
-            buf = None
-            if self._allocator is not None:
-                buf = self._allocator(key, shape, dtype)
-            if buf is None:
-                buf = np.empty(shape, dtype=dtype)
+            buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
             self.allocations += 1
             self.bytes_allocated += buf.nbytes
@@ -91,78 +78,16 @@ class KernelWorkspace:
     ``ALLMODE`` holds one per tree.
     """
 
-    #: First elements of buffer keys that worker processes must be able
-    #: to see: MTTKRP outputs and the shared per-node product buffers.
-    SHARED_KEY_HEADS = ("out", "prod", "nodeprod")
-
-    def __init__(self, tiling: CSFTiling, shared_arena=None) -> None:
+    def __init__(self, tiling: CSFTiling) -> None:
         self.tiling = tiling
-        #: :class:`repro.parallel.shm.ShmArena` when this workspace
-        #: serves the process executor; ``None`` for in-process
-        #: execution.  Shared buffers and the tree's level arrays are
-        #: registered there so slab batches can reference them by
-        #: handle.
-        self.arena = shared_arena
-        #: Namespace that keeps this workspace's shared keys from
-        #: colliding with sibling trees in the same engine arena.
-        self.arena_ns = tiling.csf.mode_order[0] if tiling.csf.nmodes \
-            else 0
-        self.pool = BufferPool(
-            allocator=self._shared_alloc if shared_arena is not None
-            else None)
+        self.pool = BufferPool()
         self._child_counts: dict[tuple[int, int], np.ndarray] = {}
         self._expand_indices: dict[tuple[int, int], np.ndarray] = {}
         self._scatter_plans: dict[object, tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]] = {}
-        self._shared_batches: dict[int, list[list]] = {}
         # RLock: expand_indices() takes the lock and may call
         # child_counts(), which locks again on a cold cache.
         self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # Shared-memory plane (process executor only)
-    # ------------------------------------------------------------------
-    def _shared_alloc(self, key: object, shape: tuple[int, ...],
-                      dtype: np.dtype):
-        """Pool allocator routing worker-visible buffers into the arena."""
-        if isinstance(key, tuple) and key \
-                and key[0] in self.SHARED_KEY_HEADS:
-            return self.arena.allocate(("buf", self.arena_ns, key),
-                                       tuple(shape), dtype)
-        return None
-
-    def shared_handle(self, key: object):
-        """The shm handle of a worker-visible pooled buffer."""
-        return self.arena.handle(("buf", self.arena_ns, key))
-
-    def shared_tree_handles(self) -> dict:
-        """Register (once) and return the tree's level-array handles."""
-        return self.arena.put_group(("tree", self.arena_ns),
-                                    self.tiling.csf.buffers())
-
-    def shared_batches(self, n_batches: int) -> list[list]:
-        """Slab descriptors grouped into *n_batches* nnz-balanced batches.
-
-        Each descriptor is ``(slab_index, node_ranges)`` — everything a
-        worker needs (beyond the shared arrays) to rebuild the slab.
-        Cached per batch count: the tiling is static.
-        """
-        n_batches = max(1, min(int(n_batches), self.tiling.slab_count))
-        cached = self._shared_batches.get(n_batches)
-        if cached is None:
-            with self._lock:
-                cached = self._shared_batches.get(n_batches)
-                if cached is None:
-                    chunks = balanced_chunks(self.tiling.slab_nnz,
-                                             n_batches)
-                    slabs = self.tiling.slabs
-                    cached = [
-                        [(s.index, s.node_ranges)
-                         for s in slabs[chunk.start:chunk.stop]]
-                        for chunk in chunks]
-                    cached = [batch for batch in cached if batch]
-                    self._shared_batches[n_batches] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Static-pattern precomputations (cached forever — the pattern never

@@ -33,8 +33,6 @@ from .hooks import (
     mttkrp_flops_bytes,
     record_admm_report,
     record_cache_event,
-    record_executor_batches,
-    record_executor_fallback,
     record_integrity_event,
     record_iteration,
     record_kernel_fallback,
@@ -159,8 +157,6 @@ __all__ = [
     "remove_hook",
     "record_mttkrp_call",
     "record_cache_event",
-    "record_executor_batches",
-    "record_executor_fallback",
     "record_integrity_event",
     "record_tiling",
     "record_representation",

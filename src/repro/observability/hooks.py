@@ -100,51 +100,6 @@ def record_mttkrp_call(stats, rank: int | None = None) -> None:
     _emit("mttkrp", {"stats": stats, "rank": rank})
 
 
-def record_executor_batches(executor: str, kind: str,
-                            batch_stats: list) -> None:
-    """Per-worker batch stats of one offloaded MTTKRP call.
-
-    Workers cannot write into the parent's registry (separate
-    processes), so they measure locally — slab count, non-zeros,
-    wall-clock seconds, pid — and return the numbers with the batch
-    result; the parent merges them here, next to the call-level
-    ``mttkrp`` stats.  The imbalance gauge (slowest batch over mean) is
-    the measured analogue of the machine model's slab-imbalance
-    estimate.
-    """
-    if not is_enabled() or not batch_stats:
-        return
-    reg = active_registry()
-    seconds = [float(s["seconds"]) for s in batch_stats]
-    for s in batch_stats:
-        reg.histogram("mttkrp_worker_seconds",
-                      executor=executor).observe(float(s["seconds"]))
-        reg.counter("mttkrp_worker_slabs",
-                    executor=executor).inc(int(s["slabs"]))
-        reg.counter("mttkrp_worker_nnz",
-                    executor=executor).inc(int(s["nnz"]))
-    reg.counter("mttkrp_offloaded_batches", executor=executor,
-                kind=kind).inc(len(batch_stats))
-    mean = sum(seconds) / len(seconds)
-    if mean > 0.0:
-        reg.gauge("mttkrp_worker_imbalance",
-                  executor=executor).set(max(seconds) / mean)
-    _emit("executor_batches", {"executor": executor, "kind": kind,
-                               "stats": batch_stats})
-
-
-def record_executor_fallback(from_executor: str, to_executor: str,
-                             detail: str = "") -> None:
-    """A broken process pool forced a fall-back to another executor."""
-    if not is_enabled():
-        return
-    active_registry().counter("executor_fallbacks",
-                              source=from_executor,
-                              target=to_executor).inc()
-    _emit("executor_fallback", {"from": from_executor,
-                                "to": to_executor, "detail": detail})
-
-
 def record_kernel_fallback(kernel: str, detail: str = "") -> None:
     """A compiled kernel is unavailable; its NumPy twin serves instead."""
     if not is_enabled():

@@ -5,10 +5,7 @@ both by the real executors and by the simulated machine, so the machine
 model schedules exactly the work distribution the real runtime would.
 
 Execution backends live in :mod:`repro.parallel.executor` (``serial`` /
-``thread`` / ``process``, selected via ``REPRO_EXECUTOR``); the process
-backend is built on :mod:`repro.parallel.shm` (shared-memory array
-plane), :mod:`repro.parallel.procpool` (persistent crash-tolerant worker
-pool), and :mod:`repro.parallel.shm_worker` (slab task execution).
+``thread``, selected via ``REPRO_EXECUTOR``).
 """
 
 from .executor import (
@@ -16,7 +13,6 @@ from .executor import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_NAMES,
     ExecutorBase,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
@@ -24,21 +20,12 @@ from .executor import (
     shutdown_executors,
 )
 from .partition import row_blocks, balanced_chunks, block_of_row
-from .procpool import ProcessPool, ProcessPoolBroken, WorkerTaskError
 from .schedule import (
     StaticSchedule,
     DynamicSchedule,
     GuidedSchedule,
     ScheduleOutcome,
     run_schedule,
-)
-from .shm import (
-    ShmAllocationError,
-    ShmArena,
-    ShmArrayHandle,
-    active_segment_names,
-    stale_segment_names,
-    sweep_stale_segments,
 )
 from .threadpool import parallel_for, effective_threads
 
@@ -59,16 +46,6 @@ __all__ = [
     "ExecutorBase",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "ProcessPool",
-    "ProcessPoolBroken",
-    "WorkerTaskError",
-    "ShmAllocationError",
-    "ShmArena",
-    "ShmArrayHandle",
-    "active_segment_names",
-    "stale_segment_names",
-    "sweep_stale_segments",
     "get_executor",
     "resolve_executor",
     "shutdown_executors",

@@ -1,32 +1,20 @@
 """Execution backends behind the ``parallel_for`` / ``threads`` interface.
 
-Three executors, selected with ``REPRO_EXECUTOR`` (or the ``executor=``
+Two executors, selected with ``REPRO_EXECUTOR`` (or the ``executor=``
 knob on :class:`~repro.kernels.dispatch.MTTKRPEngine` /
 :class:`~repro.core.options.AOADMMOptions` / ``repro.fit``):
 
 ``serial``
-    Inline loops, no pool of any kind.  The baseline every other
+    Inline loops, no pool of any kind.  The baseline the thread
     executor must match bit-for-bit.
 ``thread``
-    The historical :class:`ThreadPoolExecutor` path.  Helps when the
-    work releases the GIL (large BLAS calls); does **not** help the
-    slab MTTKRP kernels, whose many small NumPy ops re-take the GIL
-    between calls (see ``BENCH_mttkrp_tiled.json`` and
-    :mod:`repro.parallel.threadpool`).
-``process``
-    The GIL-free path: a persistent :class:`~repro.parallel.procpool.
-    ProcessPool` executing nnz-balanced slab batches against
-    shared-memory tensors (:mod:`repro.parallel.shm`).  Closure-based
-    ``parallel_for`` calls cannot cross a process boundary, so for
-    those this executor degrades to the thread pool; the MTTKRP kernels
-    instead detect ``offloads_slabs`` and submit picklable slab-task
-    descriptors (:mod:`repro.parallel.shm_worker`).
+    The :class:`ThreadPoolExecutor` path (:mod:`repro.parallel.
+    threadpool`); its ``submit_one`` runs the out-of-core slab
+    prefetch on a background thread, since file I/O releases the GIL.
 
-Executors resolved by *name* are process-wide singletons, so one warm
-worker pool serves every engine in the process; pass an instance for an
-isolated pool (the fault-injection tests do).  Results are bit-identical
-across all three executors and every worker count — that contract is
-enforced by the differential harness's family anchors.
+Executors resolved by *name* are process-wide singletons.  Results are
+bit-identical across both executors and every worker count — that
+contract is enforced by the differential harness's family anchors.
 """
 
 from __future__ import annotations
@@ -37,9 +25,7 @@ import warnings
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..validation import require
-from .procpool import ProcessPool, ProcessPoolBroken
-from .shm import sweep_stale_segments
-from .threadpool import effective_threads, parallel_for as _thread_for
+from .threadpool import parallel_for as _thread_for
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -50,7 +36,7 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 #: Executor used when neither knob nor environment chooses one.
 DEFAULT_EXECUTOR = "thread"
 
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "thread")
 
 
 class _ImmediateResult:
@@ -80,9 +66,6 @@ class ExecutorBase:
     """Common interface: a named ``parallel_for`` implementation."""
 
     name: str = "?"
-    #: True when the executor can run pickled slab-task batches in
-    #: worker processes (the MTTKRP offload protocol).
-    offloads_slabs: bool = False
 
     def parallel_for(self, func: Callable[[T], R], items: Sequence[T],
                      threads: int | None = None) -> list[R]:
@@ -107,18 +90,32 @@ class ExecutorBase:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class _AsyncSubmitMixin:
-    """``submit_one`` on a small lazy thread pool.
+class SerialExecutor(ExecutorBase):
+    """Inline execution regardless of the requested thread count."""
 
-    Slab prefetch is file I/O — ``np.memmap`` open plus page-in — which
-    releases the GIL, so even for the ``process`` executor a *thread* is
-    the right vehicle (array data cannot cheaply cross a process
-    boundary anyway).  The pool is created on first use and torn down in
-    :meth:`close`.
+    name = "serial"
+
+    def parallel_for(self, func, items, threads=None):
+        return [func(item) for item in list(items)]
+
+
+class ThreadExecutor(ExecutorBase):
+    """The GIL-sharing thread pool (see :mod:`repro.parallel.threadpool`).
+
+    ``submit_one`` runs on a small lazy thread pool of its own: slab
+    prefetch is file I/O — ``np.memmap`` open plus page-in — which
+    releases the GIL.  The pool is created on first use and torn down
+    in :meth:`close`.
     """
 
-    _io_pool = None
-    _io_pool_lock: threading.Lock
+    name = "thread"
+
+    def __init__(self) -> None:
+        self._io_pool = None
+        self._io_pool_lock = threading.Lock()
+
+    def parallel_for(self, func, items, threads=None):
+        return _thread_for(func, items, threads=threads)
 
     def submit_one(self, func, *args):
         pool = self._io_pool
@@ -138,104 +135,11 @@ class _AsyncSubmitMixin:
             # degrade to inline execution.
             return ExecutorBase.submit_one(self, func, *args)
 
-    def _close_io_pool(self) -> None:
+    def close(self) -> None:
         with self._io_pool_lock:
             pool, self._io_pool = self._io_pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-class SerialExecutor(ExecutorBase):
-    """Inline execution regardless of the requested thread count."""
-
-    name = "serial"
-
-    def parallel_for(self, func, items, threads=None):
-        return [func(item) for item in list(items)]
-
-
-class ThreadExecutor(_AsyncSubmitMixin, ExecutorBase):
-    """The GIL-sharing thread pool (see :mod:`repro.parallel.threadpool`)."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._io_pool_lock = threading.Lock()
-
-    def parallel_for(self, func, items, threads=None):
-        return _thread_for(func, items, threads=threads)
-
-    def close(self) -> None:
-        self._close_io_pool()
-
-
-class ProcessExecutor(_AsyncSubmitMixin, ExecutorBase):
-    """Persistent process pool + shared-memory slab offload.
-
-    The pool is spawned lazily on first use and kept warm for the
-    executor's lifetime — fork/spawn cost never recurs on the MTTKRP
-    hot path.  ``parallel_for`` (closures) falls back to the thread
-    pool; the kernels use :meth:`submit_slab_batches`.
-    """
-
-    name = "process"
-    offloads_slabs = True
-
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None,
-                 respawn_budget: int | None = None,
-                 fault_plan: object | None = None) -> None:
-        self._max_workers = max_workers
-        self._start_method = start_method
-        self._respawn_budget = respawn_budget
-        self.fault_plan = fault_plan
-        self._pool: ProcessPool | None = None
-        self._lock = threading.Lock()
-        self._io_pool_lock = threading.Lock()
-
-    def pool(self, workers: int | None = None) -> ProcessPool:
-        """The warm pool, grown to at least *workers* processes."""
-        want = workers or self._max_workers or effective_threads(None)
-        with self._lock:
-            if self._pool is None or self._pool.closed:
-                # Housekeeping before mapping new segments: reclaim
-                # /dev/shm space leaked by killed interpreters, so a
-                # previous crash cannot starve this pool of shared
-                # memory (warns once per sweep when it finds any).
-                sweep_stale_segments()
-                kwargs = {}
-                if self._respawn_budget is not None:
-                    kwargs["respawn_budget"] = self._respawn_budget
-                self._pool = ProcessPool(want,
-                                         start_method=self._start_method,
-                                         fault_plan=self.fault_plan,
-                                         **kwargs)
-            else:
-                self._pool.ensure_workers(want)
-            self._pool.fault_plan = self.fault_plan
-            return self._pool
-
-    @property
-    def spawned(self) -> bool:
-        return self._pool is not None and not self._pool.closed
-
-    def submit_slab_batches(self, fn_name: str, payloads: list[object],
-                            workers: int | None = None) -> list[dict]:
-        """Run the batch payloads on the pool; per-batch stats back."""
-        return self.pool(workers or len(payloads)).submit_batch(
-            fn_name, payloads)
-
-    def parallel_for(self, func, items, threads=None):
-        # Arbitrary closures cannot cross the process boundary; keep
-        # the call semantics and degrade to the thread pool.
-        return _thread_for(func, items, threads=threads)
-
-    def close(self) -> None:
-        self._close_io_pool()
-        with self._lock:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
 
 
 _SINGLETONS: dict[str, ExecutorBase] = {}
@@ -250,9 +154,7 @@ def get_executor(name: str) -> ExecutorBase:
     with _SINGLETON_LOCK:
         ex = _SINGLETONS.get(name)
         if ex is None:
-            ex = {"serial": SerialExecutor,
-                  "thread": ThreadExecutor,
-                  "process": ProcessExecutor}[name]()
+            ex = {"serial": SerialExecutor, "thread": ThreadExecutor}[name]()
             _SINGLETONS[name] = ex
         return ex
 
@@ -315,8 +217,6 @@ __all__ = [
     "ExecutorBase",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "ProcessPoolBroken",
     "get_executor",
     "resolve_executor",
     "parallel_for",

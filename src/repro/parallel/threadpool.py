@@ -12,10 +12,8 @@ enough for the NumPy slab MTTKRP kernels: each slab is a chain of many small
 re-acquires the GIL between every one of them, so threads serialize on
 dispatch and add contention on top.  ``BENCH_mttkrp_tiled.json`` measures
 exactly that — the 139-slab sweep runs 94.7 ms on 1 thread and 133.6 ms
-on 4.  For genuinely parallel slab execution use the process executor
-(``REPRO_EXECUTOR=process``; see :mod:`repro.parallel.executor` and
-``docs/parallelism.md``), which sidesteps the GIL with a shared-memory
-worker pool and stays bit-identical to this path.
+on 4.  Whenever the compiled kernel is available it serves the root mode
+instead, and then slab threads do overlap (see ``docs/parallelism.md``).
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ must not cost the whole run.  This package supplies five layers:
 * :mod:`repro.robustness.supervisor` — :class:`FitSupervisor`, which
   composes all of the above (plus a degradation ladder and graceful
   SIGTERM/SIGINT preemption) so a fit completes without caller
-  intervention under worker-kill storms, stalls, corrupted checkpoints,
-  and shared-memory exhaustion — surfaced as
+  intervention under stalls, corrupted checkpoints and memory
+  exhaustion — surfaced as
   ``repro.fit(..., supervise=True)``;
 * :mod:`repro.robustness.faults` — a deterministic fault-injection
   harness used by ``tests/test_robustness.py`` and
@@ -66,7 +66,6 @@ from .faults import (
     SlabFaultSpec,
     WorkerFault,
     WorkerFaultPlan,
-    WorkerKillPlan,
     inject_slab_fault,
 )
 
@@ -102,6 +101,5 @@ __all__ = [
     "SlabFaultSpec",
     "WorkerFault",
     "WorkerFaultPlan",
-    "WorkerKillPlan",
     "inject_slab_fault",
 ]

@@ -19,13 +19,6 @@ Distributed driver
     plan raises :class:`~repro.distributed.comm.WorkerFailure` inside a
     rank's local MTTKRP, exercising the retry and re-partition fallback.
 
-Process executor
-    Attach a :class:`WorkerKillPlan` as the
-    :class:`~repro.parallel.executor.ProcessExecutor`'s ``fault_plan``;
-    the pool calls it back before every batch dispatch and the plan
-    ``SIGKILL``\\ s real worker processes — exercising the respawn/
-    resubmit path and (relentlessly) the thread-executor fallback.
-
 Storage
     :func:`inject_slab_fault` damages a sharded-store slab file on disk
     (:data:`STORAGE_FAULT_KINDS`: a seeded single-bit flip or a seeded
@@ -48,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from ..distributed.comm import WorkerFailure
-from ..parallel.shm import ShmAllocationError
 from ..validation import require
 
 #: Fault classes understood by :class:`FaultInjector`.
@@ -56,13 +48,12 @@ from ..validation import require
 #: The first three corrupt *values* flowing through the loop (exercising
 #: the numerical guards); the rest simulate *environment* failures for
 #: the supervisor: ``stall`` wedges the loop until the watchdog
-#: interrupts it, ``shm_oom`` raises
-#: :class:`~repro.parallel.shm.ShmAllocationError` (memory pressure),
+#: interrupts it, ``oom`` raises :class:`MemoryError` (memory pressure),
 #: ``checkpoint_enospc`` makes the next checkpoint write fail with
 #: ``ENOSPC``, and ``checkpoint_corrupt`` scribbles garbage over the
 #: checkpoint that was just written (exercising quarantine + fallback).
 FAULT_KINDS = ("mttkrp_nan", "indefinite_gram", "diverge_error",
-               "stall", "shm_oom", "checkpoint_enospc",
+               "stall", "oom", "checkpoint_enospc",
                "checkpoint_corrupt")
 
 
@@ -171,9 +162,8 @@ class FaultInjector:
         ``stall`` blocks in an interruptible short-sleep loop — forever
         when ``seconds`` is unset, so only the watchdog's injected
         :class:`~repro.robustness.watchdog.FitStalled` (or a signal) can
-        unwedge it.  ``shm_oom`` raises
-        :class:`~repro.parallel.shm.ShmAllocationError`, the same class
-        a genuine shared-memory mapping failure produces.
+        unwedge it.  ``oom`` raises :class:`MemoryError`, the same class
+        a genuine allocation failure produces.
         """
         duration = self._stall_seconds(iteration)
         if duration is not None and self._match("stall", iteration, None):
@@ -182,10 +172,9 @@ class FaultInjector:
                 # Short ticks: async-injected exceptions and signals are
                 # delivered between bytecodes, never mid-sleep(3600).
                 time.sleep(0.01)
-        if self._match("shm_oom", iteration, None):
-            raise ShmAllocationError(
-                f"injected shared-memory allocation failure at iteration "
-                f"{iteration}")
+        if self._match("oom", iteration, None):
+            raise MemoryError(
+                f"injected allocation failure at iteration {iteration}")
 
     def check_checkpoint_write(self, iteration: int) -> None:
         """Fail the checkpoint write at *iteration* with ``ENOSPC``."""
@@ -382,50 +371,3 @@ class WorkerFaultPlan:
             raise WorkerFailure(rank=rank, kind=f.kind,
                                 detail=f"scheduled at iteration "
                                        f"{f.iteration}")
-
-
-# ----------------------------------------------------------------------
-# Process-pool worker kills (executor fault injection)
-# ----------------------------------------------------------------------
-
-@dataclass
-class WorkerKillPlan:
-    """``SIGKILL`` pool workers at dispatch time (real process deaths).
-
-    The :class:`~repro.parallel.procpool.ProcessPool` invokes
-    ``on_dispatch(pool)`` before every batch dispatch *and* after every
-    respawn round.  With ``relentless=False`` (default) the plan kills
-    ``kills`` workers exactly once, at the ``at_dispatch``-th dispatch —
-    the pool must respawn, resubmit the lost tasks, and return a correct
-    (bit-identical) result.  With ``relentless=True`` it kills at every
-    opportunity from ``at_dispatch`` on, which exhausts the respawn
-    budget and forces :class:`~repro.parallel.procpool.ProcessPoolBroken`
-    — the engine's thread-executor fallback path.
-    """
-
-    #: 1-based dispatch count at which killing starts.
-    at_dispatch: int = 1
-    #: Workers killed per firing.
-    kills: int = 1
-    #: Keep killing at every dispatch (to exhaust the respawn budget).
-    relentless: bool = False
-
-    def __post_init__(self) -> None:
-        require(self.at_dispatch >= 1, "at_dispatch is 1-based")
-        require(self.kills >= 1, "kills must be positive")
-        self._dispatches = 0
-        self._fired = False
-        #: Pids actually killed, in order (the audit log).
-        self.killed_pids: list[int] = []
-
-    def on_dispatch(self, pool) -> None:
-        self._dispatches += 1
-        if self._dispatches < self.at_dispatch:
-            return
-        if self._fired and not self.relentless:
-            return
-        self._fired = True
-        # Distinct indices: killing index 0 repeatedly would re-target
-        # the same (already reaped) worker and leave the rest alive.
-        for i in range(min(self.kills, pool.size)):
-            self.killed_pids.append(pool.kill_worker(i))

@@ -52,13 +52,11 @@ class GuardEvent:
 
     #: Outer iteration (1-based) during which the guard fired.
     iteration: int
-    #: What was detected: ``"nonfinite"``, ``"divergence"``, or
-    #: ``"worker_lost"`` (process-executor pool broken).
+    #: What was detected: ``"nonfinite"`` or ``"divergence"``.
     kind: str
     #: Where: ``"mttkrp"``, ``"primal"``, ``"dual"``, or ``"error"``.
     site: str
-    #: What happened: ``"raise"``, ``"repair"``, ``"rollback"``, or
-    #: ``"executor_fallback"`` (process pool -> thread executor).
+    #: What happened: ``"raise"``, ``"repair"``, or ``"rollback"``.
     action: str
     #: Mode being updated when the guard fired (None for error checks).
     mode: int | None = None

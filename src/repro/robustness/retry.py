@@ -1,8 +1,8 @@
 """Retry primitives: backoff schedules, deadlines, and attempt budgets.
 
 The supervisor (:mod:`repro.robustness.supervisor`) reacts to *transient*
-failures — a broken worker pool, a shared-memory allocation that lost a
-race against memory pressure, a checkpoint write hitting ``ENOSPC`` — by
+failures — an allocation that lost a race against memory pressure, a
+stalled loop, a checkpoint write hitting ``ENOSPC`` — by
 waiting briefly and trying again.  The three primitives here keep that
 logic deterministic and testable:
 

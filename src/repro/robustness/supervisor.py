@@ -14,19 +14,16 @@ wedged runs
     :class:`~repro.robustness.watchdog.FitStalled`.
 
 transient faults
-    Stalls, broken process pools
-    (:class:`~repro.parallel.procpool.ProcessPoolBroken`), shared-memory
-    allocation failures
-    (:class:`~repro.parallel.shm.ShmAllocationError` / ``MemoryError``),
-    and checkpoint I/O errors (``OSError``) are retried with exponential
+    Stalls, allocation failures (``MemoryError``) and checkpoint I/O
+    errors (``OSError``) are retried with exponential
     backoff (:mod:`repro.robustness.retry`) from the newest valid
     checkpoint.  Numerical faults are **not** transient — a NaN does not
     go away by retrying — and propagate to the caller.
 
 degradation ladder
-    On memory pressure or repeated pool loss the supervisor steps down
-    a ladder of progressively more conservative configurations before
-    the next attempt: executor ``process -> thread -> serial``, then a
+    On memory pressure or a stall the supervisor steps down a ladder
+    of progressively more conservative configurations before the next
+    attempt: executor ``thread -> serial``, then a
     shrinking ``slab_nnz_target``, then kernel memoization off.  Every
     rung changes *where and how fast* work executes, never *what* is
     computed — results stay bit-identical (the executor equivalence
@@ -70,8 +67,6 @@ from ..observability import (
     span,
 )
 from ..parallel.executor import resolve_executor
-from ..parallel.procpool import ProcessPoolBroken
-from ..parallel.shm import ShmAllocationError
 from ..validation import require
 from .checkpoint import Checkpoint, CheckpointStore, CheckpointUnavailable
 from .guards import GuardEvent, NumericalFaultError
@@ -173,8 +168,8 @@ class DegradationLadder:
 
     Each :meth:`advance` call returns a fresh
     :class:`~repro.core.options.AOADMMOptions` one rung down, or
-    ``None`` when exhausted.  Rung order: leave the process pool for
-    threads, leave threads for serial, then shrink the MTTKRP slab
+    ``None`` when exhausted.  Rung order: leave threads for serial,
+    then shrink the MTTKRP slab
     target (halving toward :data:`MIN_SLAB_NNZ`), then switch kernel
     memoization off.  None of these change computed values — only
     resource footprint and speed.
@@ -195,10 +190,7 @@ class DegradationLadder:
 
     def advance(self) -> "AOADMMOptions | None":
         name = self._executor_name()
-        if name == "process":
-            self.options = replace(self.options, executor="thread")
-            step = "executor process->thread"
-        elif name == "thread":
+        if name == "thread":
             self.options = replace(self.options, executor="serial")
             step = "executor thread->serial"
         else:
@@ -297,8 +289,7 @@ class FitSupervisor:
 
     def _classify(self, exc: BaseException) -> "str | None":
         """``"degrade"`` / ``"retry"`` for transient failures, else None."""
-        if isinstance(exc, (FitStalled, ProcessPoolBroken,
-                            ShmAllocationError, MemoryError)):
+        if isinstance(exc, (FitStalled, MemoryError)):
             return "degrade"
         if isinstance(exc, NumericalFaultError):
             return None

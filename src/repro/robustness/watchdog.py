@@ -5,7 +5,7 @@ Grams, the same MTTKRPs, the same inner solves against a static sparsity
 pattern (Huang/Sidiropoulos/Liavas) — which makes a *stall* sharply
 detectable: when the time since the last completed iteration exceeds a
 small multiple of the run's own moving per-iteration estimate, the fit
-is not "slow", it is wedged (a worker pool waiting on a dead pipe, a
+is not "slow", it is wedged (a read blocked on a dead mount, a
 kernel spinning on poisoned state).
 
 :class:`Watchdog` owns a daemon thread fed by per-outer-iteration
@@ -13,8 +13,8 @@ heartbeats (the supervisor wires them from the observability layer's
 ``iteration`` events).  On expiry it interrupts the fit thread by
 injecting :class:`FitStalled` asynchronously (CPython's
 ``PyThreadState_SetAsyncExc``), which unwinds the driver at the next
-bytecode boundary — including out of the process pool's 0.25 s
-``connection.wait`` tick — so the supervisor can quarantine the attempt
+bytecode boundary — including out of an injected stall's short sleep
+ticks — so the supervisor can quarantine the attempt
 and resume from the last checkpoint.
 """
 

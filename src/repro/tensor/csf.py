@@ -180,13 +180,11 @@ class CSFTensor:
     def buffers(self) -> dict[str, np.ndarray]:
         """Stable, named export of every level array.
 
-        The contract backing shared-memory registration
-        (:mod:`repro.parallel.shm`): keys are ``fids{l}`` for every
+        The contract backing the sharded store's slab files
+        (:mod:`repro.tensor.store`): keys are ``fids{l}`` for every
         level, ``fptr{l}`` for levels ``0..N-2``, and ``vals``; the
-        returned arrays are the tensor's own (zero-copy), in the exact
-        layout a worker needs to rebuild slab views byte-for-byte.  The
-        tensor is immutable after construction, so the export never goes
-        stale.
+        returned arrays are the tensor's own (zero-copy).  The tensor is
+        immutable after construction, so the export never goes stale.
         """
         out: dict[str, np.ndarray] = {"vals": self.vals}
         for level, arr in enumerate(self.fids):

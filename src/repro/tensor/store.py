@@ -88,7 +88,7 @@ _ALIGN = 64
 BUDGET_ENV_VAR = "REPRO_MAX_BYTES_IN_CORE"
 
 #: Name prefix of store directories created implicitly by
-#: :func:`open_tensor` (leak-check key, mirroring ``repro_shm_``).
+#: :func:`open_tensor` (the key CI leak checks look for).
 TEMP_SHARD_PREFIX = "repro_shards_"
 
 #: Name prefix of the hidden staging directory :meth:`create` shards

@@ -308,10 +308,8 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
     """The default sweep grid over every MTTKRP execution path.
 
     The tiled backends resolve their executor from the environment
-    (``REPRO_EXECUTOR``) — running the whole sweep under
-    ``REPRO_EXECUTOR=process`` pushes every tiled comparison through the
-    shared-memory pool.  *executors* additionally pins named executors
-    as explicit grid points, holding e.g. ``serial`` and ``process`` to
+    (``REPRO_EXECUTOR``).  *executors* additionally pins named executors
+    as explicit grid points, holding e.g. ``serial`` and ``thread`` to
     the same **bitwise** family anchor within one run.
     """
     specs = [
@@ -811,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--executors", default="",
                         help="comma-separated executor names to pin as "
                              "explicit bitwise grid points (e.g. "
-                             "'serial,process')")
+                             "'serial,thread')")
     parser.add_argument("--no-admm", action="store_true",
                         help="skip the blocked-vs-unblocked ADMM sweep")
     parser.add_argument("--storage-faults", action="store_true",

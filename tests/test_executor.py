@@ -1,14 +1,11 @@
-"""Process-parallel executor tests: bit-identity, faults, shm hygiene.
+"""Executor tests: bit-identity, selection, ``parallel_for`` inputs.
 
-The contract under test (ISSUE 6 / ROADMAP "process-parallel MTTKRP"):
+The contract under test:
 
-* MTTKRP and whole fits are **bit-identical** across
-  ``{serial, thread, process}`` executors × worker counts;
-* a SIGKILL-ed pool worker is respawned and its tasks resubmitted
-  (batches are idempotent), still yielding the bit-identical result;
-* a pool broken beyond its respawn budget makes the engine fall back to
-  the thread executor with a ``GuardEvent`` — never a wrong answer;
-* no ``repro_shm_*`` shared-memory segment outlives its arena.
+* MTTKRP and whole fits are **bit-identical** across the
+  ``{serial, thread}`` executors × worker counts;
+* an explicit unknown executor name raises, while a malformed
+  ``REPRO_EXECUTOR`` value warns once and falls back to ``thread``.
 """
 
 from __future__ import annotations
@@ -23,39 +20,19 @@ import repro
 from repro.core.options import AOADMMOptions
 from repro.kernels.dispatch import MTTKRPEngine
 from repro.parallel import parallel_for as thread_parallel_for
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     DEFAULT_EXECUTOR,
     EXECUTOR_ENV_VAR,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
     parallel_for,
     resolve_executor,
 )
-from repro.parallel.procpool import (
-    ProcessPool,
-    ProcessPoolBroken,
-    WorkerTaskError,
-)
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    ShmArena,
-    active_segment_names,
-)
 from repro.parallel.threadpool import _WARNED_ENV_VALUES, effective_threads
-from repro.robustness.faults import WorkerKillPlan
-from repro.tensor import random_coo
 
-EXECUTORS = ("serial", "thread", "process")
-
-
-def _dev_shm_segments() -> list[str]:
-    try:
-        return [f for f in os.listdir("/dev/shm")
-                if f.startswith(SEGMENT_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
+EXECUTORS = ("serial", "thread")
 
 
 def _factors(shape, rank=5, seed=23):
@@ -88,7 +65,7 @@ class TestExecutorBitIdentity:
 
     def test_mttkrp_grid_four_modes_internal_kernel(self, four_mode_tensor):
         # csf_allocation="one" routes non-root modes through the leaf
-        # and *internal* kernels — all three offload kinds in one test.
+        # and *internal* kernels — all three kernels in one test.
         factors = _factors(four_mode_tensor.shape)
         results = {}
         for name in EXECUTORS:
@@ -104,16 +81,19 @@ class TestExecutorBitIdentity:
                                               results[name][m])
 
     def test_repeated_calls_reuse_shared_buffers(self, small_tensor):
-        # Steady state: the second sweep must not map new segments.
+        # Steady state: the second sweep must not allocate new
+        # workspace buffers.
         factors = _factors(small_tensor.shape)
         engine = MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                              executor="process")
+                              executor="thread")
         first = [engine.mttkrp(factors, m).copy()
                  for m in range(small_tensor.nmodes)]
-        mapped = engine._arena.bytes_mapped
+        pooled = engine.workspace_bytes()
         second = [engine.mttkrp(factors, m).copy()
                   for m in range(small_tensor.nmodes)]
-        assert engine._arena.bytes_mapped == mapped
+        assert engine.workspace_bytes() == pooled
+        assert all(s.bytes_allocated == 0
+                   for s in engine.call_log[-small_tensor.nmodes:])
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
         engine.close()
@@ -121,14 +101,14 @@ class TestExecutorBitIdentity:
     def test_call_log_records_executor_and_workers(self, small_tensor):
         factors = _factors(small_tensor.shape)
         engine = MTTKRPEngine(small_tensor, threads=3, slab_nnz_target=16,
-                              executor="process")
+                              executor="serial")
         engine.mttkrp(factors, 0)
         stats = engine.call_log[-1]
-        assert stats.executor == "process"
+        assert stats.executor == "serial"
         assert stats.workers == 3
         engine.close()
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread"])
     def test_full_fit_bit_identical(self, small_tensor, executor):
         kwargs = dict(rank=3, seed=5, max_outer_iterations=4,
                       slab_nnz_target=16, threads=4)
@@ -148,7 +128,6 @@ class TestExecutorResolution:
     def test_names_resolve_to_singletons(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
         assert get_executor("thread") is get_executor("thread")
 
     def test_instance_resolves_to_itself(self):
@@ -158,38 +137,37 @@ class TestExecutorResolution:
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "serial")
         assert resolve_executor(None).name == "serial"
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
-        assert resolve_executor(None).name == "process"
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+        assert resolve_executor(None).name == "thread"
         monkeypatch.delenv(EXECUTOR_ENV_VAR)
         assert resolve_executor(None).name == "thread"
 
     def test_unknown_name_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown executor"):
-            get_executor("gpu")
+        for name in ("gpu", "process"):
+            with pytest.raises(ValueError, match="unknown executor") \
+                    as excinfo:
+                get_executor(name)
+            assert "'serial', 'thread'" in str(excinfo.value)
         # Explicit names raise; a malformed *environment* value only
         # warns (once per value) and falls back to the default — a shell
         # typo must not crash every library call.
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "bogus")
-        with pytest.warns(RuntimeWarning, match="malformed REPRO_EXECUTOR"):
-            ex = resolve_executor(None)
-        assert ex.name == DEFAULT_EXECUTOR
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve: no re-warn
-            assert resolve_executor(None).name == DEFAULT_EXECUTOR
+        for value in ("bogus", "process"):
+            executor_module._WARNED_ENV_VALUES.discard(value)
+            monkeypatch.setenv(EXECUTOR_ENV_VAR, value)
+            with pytest.warns(RuntimeWarning,
+                              match="malformed REPRO_EXECUTOR"):
+                ex = resolve_executor(None)
+            assert ex.name == DEFAULT_EXECUTOR == "thread"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # second resolve: no re-warn
+                assert resolve_executor(None).name == DEFAULT_EXECUTOR
 
     def test_options_validate_executor_name(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            AOADMMOptions(executor="bogus")
-        assert AOADMMOptions(executor="process").executor == "process"
-
-    def test_process_parallel_for_degrades_to_threads(self):
-        # Closures cannot cross the process boundary: same semantics,
-        # thread-pool execution, and no pool gets spawned for it.
-        ex = ProcessExecutor()
-        out = ex.parallel_for(lambda x: x * x, range(7), threads=2)
-        assert out == [x * x for x in range(7)]
-        assert not ex.spawned
-        ex.close()
+        for name in ("bogus", "process"):
+            with pytest.raises(ValueError, match="unknown executor") \
+                    as excinfo:
+                AOADMMOptions(executor=name)
+            assert "'serial', 'thread'" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -244,178 +222,3 @@ class TestEffectiveThreadsWarning:
             assert effective_threads(None) == 3
         assert not caught
         assert effective_threads(5) == 5
-
-
-# ----------------------------------------------------------------------
-# Pool fault tolerance (real SIGKILLs)
-# ----------------------------------------------------------------------
-
-class TestProcessPoolRecovery:
-    def test_worker_death_mid_batch_is_recovered(self, tmp_path):
-        # die_once SIGKILLs its worker on first execution and succeeds
-        # on the resubmission — respawn + resubmit must deliver every
-        # result.
-        marker = str(tmp_path / "died")
-        with ProcessPool(2) as pool:
-            payloads = [{"value": i, "marker": marker} for i in range(6)]
-            out = pool.submit_batch("repro.testing.proctasks:die_once",
-                                    payloads)
-            assert out == list(range(6))
-            assert pool.respawns >= 1
-            assert pool.recovered_batches >= 1
-        assert os.path.exists(marker)
-
-    def test_kill_at_dispatch_respawns(self):
-        plan = WorkerKillPlan(at_dispatch=2, kills=1)
-        with ProcessPool(2, fault_plan=plan) as pool:
-            first = pool.submit_batch("repro.testing.proctasks:echo",
-                                      [{"value": i} for i in range(4)])
-            second = pool.submit_batch("repro.testing.proctasks:echo",
-                                       [{"value": i} for i in range(4)])
-        assert first == second == list(range(4))
-        assert plan.killed_pids
-        # The dead worker is replaced as soon as the wait loop notices
-        # it; with a fast batch that may land after the results, so only
-        # the deterministic facts are asserted (correctness + the kill
-        # really happened).  Mid-batch respawn/resubmit is pinned down
-        # by test_worker_death_mid_batch_is_recovered.
-
-    def test_all_workers_killed_breaks_pool(self):
-        # Killing every worker before dispatch leaves nothing to send
-        # to — deterministically broken, no timing window.
-        plan = WorkerKillPlan(at_dispatch=1, kills=2)
-        with ProcessPool(2, fault_plan=plan) as pool:
-            with pytest.raises(ProcessPoolBroken):
-                pool.submit_batch("repro.testing.proctasks:echo",
-                                  [{"value": i} for i in range(4)])
-
-    def test_dying_workers_exhaust_respawn_budget(self):
-        # Every task kills its worker, so deaths outpace any budget.
-        with ProcessPool(2, respawn_budget=1) as pool:
-            with pytest.raises(ProcessPoolBroken):
-                pool.submit_batch("repro.testing.proctasks:die",
-                                  [{"value": i} for i in range(4)])
-
-    def test_worker_exception_propagates(self):
-        with ProcessPool(1) as pool:
-            with pytest.raises(WorkerTaskError, match="scheduled task"):
-                pool.submit_batch("repro.testing.proctasks:raise_error",
-                                  [{"message": "scheduled task failure"}])
-
-
-class TestEngineFaultRecovery:
-    def test_killed_worker_engine_result_identical(self, small_tensor):
-        factors = _factors(small_tensor.shape)
-        with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                          executor="serial") as ref_engine:
-            reference = [ref_engine.mttkrp(factors, m).copy()
-                         for m in range(small_tensor.nmodes)]
-        plan = WorkerKillPlan(at_dispatch=2, kills=1)
-        executor = ProcessExecutor(max_workers=2)
-        executor.fault_plan = plan
-        with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                          executor=executor) as engine:
-            out = [engine.mttkrp(factors, m).copy()
-                   for m in range(small_tensor.nmodes)]
-            assert engine.executor_name == "process"  # no fallback
-        for m in range(small_tensor.nmodes):
-            np.testing.assert_array_equal(reference[m], out[m])
-        assert plan.killed_pids
-        executor.close()
-
-    def test_broken_pool_falls_back_to_threads(self, small_tensor):
-        factors = _factors(small_tensor.shape)
-        with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                          executor="serial") as ref_engine:
-            reference = [ref_engine.mttkrp(factors, m).copy()
-                         for m in range(small_tensor.nmodes)]
-        # Killing the whole pool at dispatch is deterministic: nothing
-        # is left to finish the batch, so the engine must fall back.
-        plan = WorkerKillPlan(at_dispatch=1, kills=2, relentless=True)
-        executor = ProcessExecutor(max_workers=2, respawn_budget=1)
-        executor.fault_plan = plan
-        with MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                          executor=executor) as engine:
-            out = [engine.mttkrp(factors, m).copy()
-                   for m in range(small_tensor.nmodes)]
-            assert engine.executor_name == "thread"
-            assert len(engine.executor_events) == 1
-            event = engine.executor_events[0]
-            assert event.kind == "worker_lost"
-            assert event.action == "executor_fallback"
-            stats = engine.call_log[0]
-            assert stats.executor == "thread"  # post-fallback truth
-        for m in range(small_tensor.nmodes):
-            np.testing.assert_array_equal(reference[m], out[m])
-        executor.close()
-
-    def test_fit_survives_broken_pool(self, small_tensor):
-        baseline = repro.fit(small_tensor, rank=3, seed=5,
-                             max_outer_iterations=3, slab_nnz_target=16,
-                             executor="serial")
-        plan = WorkerKillPlan(at_dispatch=1, kills=2, relentless=True)
-        executor = ProcessExecutor(max_workers=2, respawn_budget=1)
-        executor.fault_plan = plan
-        result = repro.fit(small_tensor, rank=3, seed=5,
-                           max_outer_iterations=3, slab_nnz_target=16,
-                           executor=executor)
-        executor.close()
-        for a, b in zip(baseline.factors, result.factors):
-            np.testing.assert_array_equal(a, b)
-        fallbacks = [e for e in result.trace.guard_log
-                     if getattr(e, "action", "") == "executor_fallback"]
-        assert len(fallbacks) == 1
-
-
-# ----------------------------------------------------------------------
-# Shared-memory hygiene
-# ----------------------------------------------------------------------
-
-class TestShmArena:
-    def test_put_group_caches_and_aligns(self):
-        gen = np.random.default_rng(1)
-        arrays = {"a": gen.standard_normal(37),
-                  "b": np.arange(11, dtype=np.int64)}
-        with ShmArena(tag="t") as arena:
-            handles = arena.put_group("g", arrays)
-            assert arena.put_group("g", arrays) is handles  # cached
-            assert len({h.segment for h in handles.values()}) == 1
-            for h in handles.values():
-                assert h.offset % 64 == 0
-            for name, arr in arrays.items():
-                np.testing.assert_array_equal(
-                    arena._arrays[("group", "g", name)], arr)
-
-    def test_update_reallocates_under_fresh_name(self):
-        with ShmArena(tag="t") as arena:
-            h1 = arena.update("f", np.zeros(8))
-            h2 = arena.update("f", np.ones(8))
-            assert h1.segment == h2.segment  # same shape: reused in place
-            h3 = arena.update("f", np.ones(16))
-            assert h3.segment != h1.segment  # resize: fresh unique name
-            assert h1.segment not in arena.segment_names()
-
-    def test_close_unlinks_everything(self):
-        arena = ShmArena(tag="t")
-        arena.update("x", np.zeros(32))
-        names = arena.segment_names()
-        assert names and all(n in _dev_shm_segments() for n in names)
-        arena.close()
-        arena.close()  # idempotent
-        assert arena.segment_names() == []
-        assert not any(n in _dev_shm_segments() for n in names)
-
-
-class TestNoSegmentLeaks:
-    def test_engine_close_releases_all_segments(self, small_tensor):
-        factors = _factors(small_tensor.shape)
-        engine = MTTKRPEngine(small_tensor, threads=2, slab_nnz_target=16,
-                              executor="process")
-        for m in range(small_tensor.nmodes):
-            engine.mttkrp(factors, m)
-        created = engine._arena.segment_names()
-        assert created  # the offload really used shared memory
-        engine.close()
-        leftover = set(created) & set(_dev_shm_segments())
-        assert not leftover
-        assert not set(created) & set(active_segment_names())

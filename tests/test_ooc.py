@@ -20,7 +20,6 @@ from repro.kernels.dispatch import (
     make_engine,
 )
 from repro.observability import Observability
-from repro.parallel.shm import ShmArena
 from repro.tensor import (
     CSFTensor,
     ShardedTensorStore,
@@ -305,61 +304,3 @@ class TestFitOutOfCore:
         with open_tensor(tensor, max_bytes_in_core=4096) as store:
             repro.fit(store, rank=3, seed=0, max_outer_iterations=2)
         assert set(glob.glob(pattern)) == before
-
-
-# ---------------------------------------------------------------------------
-# ShmArena byte accounting (budgets must compose with shard residency)
-# ---------------------------------------------------------------------------
-
-class TestShmArenaAccounting:
-    def test_bytes_live_tracks_segments(self):
-        with ShmArena(tag="t") as arena:
-            assert arena.bytes_live == 0
-            arena.put_group("g", {"a": np.zeros(100)})
-            assert arena.bytes_live > 0
-            assert arena.billable_bytes() == arena.bytes_live
-        assert arena.bytes_live == 0
-
-    def test_content_addressed_dedup_shares_segment(self):
-        gen = np.random.default_rng(3)
-        arrays = {"a": gen.standard_normal(64)}
-        with ShmArena(tag="t") as arena:
-            h1 = arena.put_group("g1", arrays)
-            live_one = arena.bytes_live
-            h2 = arena.put_group("g2", {k: v.copy()
-                                        for k, v in arrays.items()})
-            assert h2["a"].segment == h1["a"].segment  # byte-identical
-            assert arena.bytes_live == live_one  # no second mapping
-            np.testing.assert_array_equal(arena.array(("group", "g2", "a")),
-                                          arrays["a"])
-
-    def test_drop_group_refcounts_shared_segment(self):
-        arrays = {"a": np.arange(32, dtype=np.float64)}
-        with ShmArena(tag="t") as arena:
-            h1 = arena.put_group("g1", arrays)
-            arena.put_group("g2", arrays)
-            seg = h1["a"].segment
-            arena.drop_group("g1")
-            assert seg in arena.segment_names()  # g2 still holds it
-            assert arena.bytes_live > 0
-            arena.drop_group("g2")
-            assert seg not in arena.segment_names()
-            assert arena.bytes_live == 0
-
-    def test_distinct_content_gets_own_segment(self):
-        with ShmArena(tag="t") as arena:
-            h1 = arena.put_group("g1", {"a": np.zeros(32)})
-            h2 = arena.put_group("g2", {"a": np.ones(32)})
-            assert h1["a"].segment != h2["a"].segment
-
-    def test_shard_resident_bytes_excluded_from_billable(self):
-        with ShmArena(tag="t") as arena:
-            h = arena.put_group("g", {"a": np.zeros(128)})
-            total = arena.bytes_live
-            seg_size = arena._segments[h["a"].segment].size
-            arena.mark_shard_resident("g")
-            assert arena.shard_resident_bytes == seg_size
-            assert arena.billable_bytes() == total - seg_size
-            arena.mark_shard_resident("g", resident=False)
-            assert arena.shard_resident_bytes == 0
-            assert arena.billable_bytes() == total
