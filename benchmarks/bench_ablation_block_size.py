@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro import AOADMMOptions, fit_aoadmm, init_factors
-from repro.bench import Timer, format_table
+from repro.bench import format_table
+from repro.observability import Stopwatch
 
 from conftest import BENCH_SEED, save_artifact
 
@@ -28,7 +29,7 @@ def run_block_size_sweep(small_datasets) -> tuple[str, dict]:
     rows = []
     stats = {}
     for block in BLOCK_SIZES:
-        with Timer() as t:
+        with Stopwatch() as t:
             result = fit_aoadmm(
                 tensor,
                 AOADMMOptions(rank=RANK, constraints="nonneg",

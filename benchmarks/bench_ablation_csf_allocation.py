@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import Timer, format_table
+from repro.bench import format_table
 from repro.kernels.dispatch import MTTKRPEngine
+from repro.observability import Stopwatch
 
 from conftest import BENCH_SEED, save_artifact
 
@@ -33,7 +34,7 @@ def run_csf_allocation(small_datasets) -> tuple[str, dict]:
         # Warm every tree the policy will use.
         for mode in range(3):
             engine.mttkrp(factors, mode)
-        with Timer() as t:
+        with Stopwatch() as t:
             for _ in range(REPEATS):
                 for mode in range(3):
                     engine.mttkrp(factors, mode)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import Timer, format_table
+from repro.bench import format_table
 from repro.kernels import native
 from repro.kernels.mttkrp_sparse import leaf_aggregator, mttkrp_csf_root_repr
+from repro.observability import Stopwatch
 from repro.sparse import CSRMatrix, HybridFactor
 from repro.tensor.csf import AllModeCSF
 
@@ -36,7 +37,7 @@ REPEATS = 3
 
 def _seconds(call) -> float:
     """Mean seconds of *call* over :data:`REPEATS` runs."""
-    with Timer() as t:
+    with Stopwatch() as t:
         for _ in range(REPEATS):
             call()
     return t.seconds / REPEATS
@@ -71,7 +72,7 @@ def run_threshold_sweep(small_datasets) -> tuple[str, dict, list]:
         sparse[rng.uniform(size=sparse.shape) > density] = 0.0
         fs = list(factors)
         fs[leaf] = sparse
-        with Timer() as build_t:
+        with Stopwatch() as build_t:
             rep = CSRMatrix.from_dense(sparse)
         seconds = _seconds(
             lambda: mttkrp_csf_root_repr(csf, fs, rep, aggregator))

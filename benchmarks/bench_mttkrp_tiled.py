@@ -14,6 +14,11 @@ and whole-sweep means at every slab target, serial, and the speedup of
 the best native slab over the best NumPy slab.  Both sides must agree
 bit for bit.
 
+The ``thread_fanout`` rows time the in-core slab fan-out on the same
+grid: the native sweep cut into :data:`FANOUT_SLABS` slabs on
+:data:`FANOUT_THREADS` workers of the ``thread`` executor (one pool,
+reused across calls) against the one-slab ``serial`` sweep.
+
 Unlike the other benchmarks this one's primary artifact is JSON
 (``BENCH_mttkrp_tiled.json``) so future PRs can diff the perf trajectory
 programmatically; a human-readable table is saved alongside.
@@ -22,7 +27,6 @@ programmatically; a human-readable table is saved alongside.
 from __future__ import annotations
 
 import importlib
-import json
 import time
 
 import numpy as np
@@ -30,7 +34,7 @@ import pytest
 
 from repro.kernels import MTTKRPEngine, native
 
-from conftest import BENCH_SEED, DATASET_NAMES, save_artifact
+from conftest import BENCH_SEED, DATASET_NAMES, save_artifact, save_bench_json
 
 RANK = 16
 ROUNDS = 5
@@ -39,6 +43,9 @@ SLAB_TARGETS = (10**9, 65536, 8192, 1024)
 THREADS = (1, 2, 4)
 #: Ranks of the native-vs-NumPy rows.
 NATIVE_RANKS = (16, 32)
+#: Slabs per tree and workers of the thread fan-out rows.
+FANOUT_SLABS = 8
+FANOUT_THREADS = 2
 #: The module whose ``root_kernel`` lookup the NumPy rows switch off
 #: (the package re-exports a function of the same name).
 CSF_MODULE = importlib.import_module("repro.kernels.mttkrp_csf")
@@ -52,9 +59,9 @@ def _engine_allocations(engine: MTTKRPEngine) -> tuple[int, int]:
 
 
 def _sweep_config(tensor, factors, slab_target: int,
-                  threads: int) -> dict:
+                  threads: int, executor: str | None = None) -> dict:
     engine = MTTKRPEngine(tensor, slab_nnz_target=slab_target,
-                          threads=threads)
+                          threads=threads, executor=executor)
     nmodes = tensor.nmodes
 
     for mode in range(nmodes):  # warm-up: builds trees, tilings, buffers
@@ -133,6 +140,32 @@ def _native_vs_numpy(datasets, monkeypatch) -> list[dict]:
     return entries
 
 
+def _thread_fanout(datasets) -> list[dict]:
+    """Native sweeps: FANOUT_SLABS slabs on a reused thread pool vs one
+    slab inline."""
+    entries = []
+    for name in DATASET_NAMES:
+        tensor = datasets[name]
+        target = -(-tensor.nnz // FANOUT_SLABS)
+        for rank in NATIVE_RANKS:
+            rng = np.random.default_rng(BENCH_SEED)
+            factors = [rng.uniform(0.0, 1.0, (s, rank))
+                       for s in tensor.shape]
+            serial = _sweep_config(tensor, factors, 10**9, 1, "serial")
+            threaded = _sweep_config(tensor, factors, target,
+                                     FANOUT_THREADS, "thread")
+            entries.append({
+                "dataset": f"{name}/small", "nnz": tensor.nnz,
+                "rank": rank, "slab_counts": threaded["slab_counts"],
+                "serial_one_slab_sweep_seconds":
+                    serial["mean_sweep_seconds"],
+                "threaded_sweep_seconds": threaded["mean_sweep_seconds"],
+                "speedup": (serial["mean_sweep_seconds"]
+                            / threaded["mean_sweep_seconds"]),
+            })
+    return entries
+
+
 @pytest.fixture(scope="module")
 def tiled_setup(small_datasets):
     tensor = small_datasets["reddit"]
@@ -154,8 +187,8 @@ def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
         assert cfg["steady"]["new_allocations"] == 0, cfg
         assert cfg["steady"]["new_bytes_allocated"] == 0, cfg
 
+    native_rows = native.root_kernel() is not None
     payload = {
-        "benchmark": "mttkrp_tiled",
         "dataset": "reddit/small",
         "shape": list(tensor.shape),
         "nnz": tensor.nnz,
@@ -164,10 +197,13 @@ def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
         "configs": configs,
         # Empty where the kernel cannot be built: nothing to compare.
         "native_vs_numpy": (_native_vs_numpy(small_datasets, monkeypatch)
-                            if native.root_kernel() is not None else []),
+                            if native_rows else []),
+        "fanout_slabs": FANOUT_SLABS,
+        "fanout_threads": FANOUT_THREADS,
+        "thread_fanout": (_thread_fanout(small_datasets)
+                          if native_rows else []),
     }
-    json_path = results_dir / "BENCH_mttkrp_tiled.json"
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    json_path = save_bench_json(results_dir, "mttkrp_tiled", payload)
 
     lines = ["MTTKRP slab tiling sweep (reddit/small, "
              f"nnz={tensor.nnz}, rank={RANK})",
@@ -189,5 +225,15 @@ def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
             f"{entry['numpy']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
             f"{entry['native']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
             f"{entry['speedup_best_sweep']:>8.1f}")
+    lines += ["", f"Native sweep, {FANOUT_SLABS} slabs on "
+              f"{FANOUT_THREADS} threads (reused pool) vs 1 slab serial",
+              f"{'dataset':>15} {'rank':>5} {'serial ms':>10} "
+              f"{'threads ms':>11} {'speedup':>8}"]
+    for entry in payload["thread_fanout"]:
+        lines.append(
+            f"{entry['dataset']:>15} {entry['rank']:>5} "
+            f"{entry['serial_one_slab_sweep_seconds'] * 1e3:>10.2f} "
+            f"{entry['threaded_sweep_seconds'] * 1e3:>11.2f} "
+            f"{entry['speedup']:>8.2f}")
     lines.append(f"[json saved to {json_path}]")
     save_artifact(results_dir, "bench_mttkrp_tiled", "\n".join(lines))

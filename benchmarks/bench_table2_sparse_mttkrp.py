@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AOADMMOptions, fit_aoadmm, init_factors
-from repro.bench import Timer, format_table
+from repro.bench import format_table
 from repro.constraints import NonNegativeL1
 from repro.kernels.dispatch import MTTKRPEngine
 from repro.machine import (
@@ -30,6 +30,7 @@ from repro.machine import (
     PAPER_MACHINE,
     factorization_time,
 )
+from repro.observability import Stopwatch
 
 from conftest import BENCH_SEED, save_artifact
 
@@ -55,7 +56,7 @@ def run_table2_measured(small_datasets) -> tuple[str, dict]:
                 engine = MTTKRPEngine(
                     tensor, repr_policy=policy, tol=0.0)
                 engine.trees.build_all()
-                with Timer() as t:
+                with Stopwatch() as t:
                     result = fit_aoadmm(
                         tensor,
                         AOADMMOptions(rank=rank,

@@ -102,29 +102,6 @@ from .types import TensorSource
 
 __version__ = "1.0.0"
 
-#: Deprecated top-level spellings -> (module path, attribute).  Kept
-#: importable through ``__getattr__`` below with a DeprecationWarning
-#: (mirroring the legacy flat-kwargs pattern): ``repro.open_tensor`` /
-#: ``repro.load_tns`` / ``repro.save_tns`` are the supported spellings.
-_DEPRECATED_ATTRS = {
-    "read_tns": ("repro.tensor.io", "read_tns", "repro.open_tensor"),
-    "write_tns": ("repro.tensor.io", "write_tns", "repro.save_tns"),
-}
-
-
-def __getattr__(name: str):
-    entry = _DEPRECATED_ATTRS.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_path, attr, replacement = entry
-    import importlib
-    import warnings
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} (the unified "
-        "TensorSource front door) instead",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(module_path), attr)
-
 __all__ = [
     "fit",
     "FitResult",
@@ -192,8 +169,6 @@ __all__ = [
     "ShardedTensorStore",
     "TensorSource",
     "open_tensor",
-    "read_tns",
-    "write_tns",
     "load_tns",
     "save_tns",
     "__version__",

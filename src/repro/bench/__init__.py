@@ -1,13 +1,13 @@
-"""Benchmark harness utilities: timers, paper-style tables, figure series."""
+"""Benchmark harness utilities: paper-style tables and figure series.
 
-from .timers import Timer, StageTimer
+Time with :class:`repro.observability.Stopwatch` / ``StageClock``.
+"""
+
 from .tables import format_table, format_markdown_table
 from .series import Series, format_series
 from .plots import ascii_plot, sparkline
 
 __all__ = [
-    "Timer",
-    "StageTimer",
     "format_table",
     "format_markdown_table",
     "Series",

@@ -7,13 +7,11 @@ Mirrors the workflows SPLATT's ``splatt`` binary offers:
   — run AO-ADMM, print the convergence trace, optionally save factors.
 * ``python -m repro generate reddit --preset small out.tns`` — write a
   synthetic corpus to disk.
-* ``python -m repro tune <file.tns> --rank 16`` — report the MTTKRP
-  backend autotuner's per-mode decisions (model or measured).
 * ``python -m repro simulate reddit --rank 50`` — the Figure 4/5 speedup
   curves on the simulated machine.
 * ``python -m repro fsck <path> [--repair] [--source t.tns]`` — scrub
-  sharded stores, checkpoints, and tuning caches against their
-  checksums; exit 0 when clean, 4 when unrepaired corruption remains.
+  sharded stores and checkpoints against their checksums; exit 0 when
+  clean, 4 when unrepaired corruption remains.
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         args.constraint,
         **({"weight": args.weight} if args.constraint in
            ("l1", "nonneg_l1", "l2") else {}))
-    # Same flat-kwargs -> Options translation path the fit_aoadmm shim
-    # uses, so CLI flags and legacy kwargs can never drift apart.
+    # Same flat-kwargs -> Options translation path repro.fit uses, so
+    # CLI flags and fit keywords can never drift apart.
     options = options_from_kwargs(
         rank=args.rank,
         constraints=constraint,
@@ -108,28 +106,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
                  for m, f in enumerate(result.model.factors)}
         np.savez(args.output, **saved)
         print(f"factors saved to {args.output}")
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from .kernels.autotune import BackendAutotuner, TuningCache
-    from .kernels.dispatch import make_engine
-    from .tensor.store import open_tensor
-
-    tensor = open_tensor(args.tensor)
-    if hasattr(tensor, "to_coo") and not hasattr(tensor, "coords"):
-        # Streaming stores keep their on-disk slabbing; expand once for
-        # a tuning report (the report is advisory, not a fit).
-        tensor = tensor.to_coo()
-    engine = make_engine(tensor, threads=args.threads, tune="off")
-    cache = TuningCache(args.cache) if args.cache else None
-    tuner = BackendAutotuner(mode=args.mode, cache=cache,
-                             probe_repeats=args.repeats)
-    report = tuner.tune_engine(engine, args.rank)
-    print(report.format_table())
-    if tuner.cache is not None:
-        print(f"tuning cache: {tuner.cache.path}")
-    engine.close()
     return 0
 
 
@@ -270,29 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "this many slab bytes resident "
                         "(REPRO_MAX_BYTES_IN_CORE in the environment)")
     p.add_argument("--tune", default=None,
-                   choices=("off", "model", "measure"),
-                   help="MTTKRP backend autotuning mode (default: "
+                   choices=("off", "model"),
+                   help="MTTKRP slab-plan autotuning mode (default: "
                         "REPRO_TUNE or 'model'; results are "
-                        "bit-identical across all modes)")
+                        "bit-identical across both modes)")
     p.set_defaults(func=_cmd_factorize)
-
-    p = sub.add_parser("tune",
-                       help="report the MTTKRP backend autotuner's "
-                            "per-mode slab-plan decisions")
-    p.add_argument("tensor", help="source .tns tensor or sharded store")
-    p.add_argument("--rank", type=int, default=16)
-    p.add_argument("--mode", default="measure",
-                   choices=("model", "measure"),
-                   help="rank candidates on the analytic cost model "
-                        "only, or refine with timed calibration probes")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repetitions per calibration probe "
-                        "(best-of-N)")
-    p.add_argument("--cache", metavar="PATH",
-                   help="tuning-cache JSON path (default: "
-                        "REPRO_TUNE_CACHE or ~/.cache/repro/autotune.json)")
-    p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("shard",
                        help="convert a .tns tensor into a sharded "
@@ -305,16 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_shard)
 
     p = sub.add_parser("fsck",
-                       help="scrub stores, checkpoints, and tuning "
-                            "caches; optionally repair what checksums "
-                            "can prove damaged")
+                       help="scrub stores and checkpoints; optionally "
+                            "repair what checksums can prove damaged")
     p.add_argument("path",
                    help="store directory, checkpoint file/directory, "
-                        "tuning-cache JSON, or a directory to walk")
+                        "or a directory to walk")
     p.add_argument("--repair", action="store_true",
                    help="quarantine damaged artifacts, rebuild slabs "
-                        "(needs --source), drop invalid cache entries, "
-                        "and clean stale staging debris")
+                        "(needs --source), and clean stale staging "
+                        "debris")
     p.add_argument("--source", metavar="TENSOR",
                    help=".tns file a store was sharded from; enables "
                         "slab rebuilds during --repair")

@@ -46,16 +46,6 @@ DEFAULT_SLAB_NNZ = 65536
 #: :data:`DEFAULT_SLAB_NNZ` is always included as a candidate.
 AUTOTUNE_SLAB_LADDER = (8192, 65536, 262144)
 
-#: Non-zeros a calibration probe runs over (a root-slice prefix of the
-#: real tree, capped here so probing stays a fixed, small cost even on
-#: huge tensors).
-AUTOTUNE_PROBE_NNZ = 131072
-
-#: Below this many non-zeros measured probes are noise-dominated (the
-#: whole kernel runs in microseconds), so ``tune="measure"`` falls back
-#: to the analytic model instead of timing anything.
-AUTOTUNE_MIN_PROBE_NNZ = 16384
-
 
 @dataclass(frozen=True)
 class Defaults:

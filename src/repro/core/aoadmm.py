@@ -49,7 +49,7 @@ from ..validation import require
 from .convergence import ConvergenceCriterion
 from .cpd import CPModel
 from .init import init_factors
-from .options import AOADMMOptions, options_from_kwargs
+from .options import AOADMMOptions
 from .trace import FactorizationTrace, OuterIterationRecord
 
 
@@ -91,8 +91,8 @@ def fit_aoadmm(tensor: TensorSource,
                options: AOADMMOptions | None = None,
                initial_factors: list[np.ndarray] | None = None,
                engine: MTTKRPEngine | None = None,
-               resume_from: "str | Path | Checkpoint | None" = None,
-               **legacy_kwargs: object) -> FactorizationResult:
+               resume_from: "str | Path | Checkpoint | None" = None
+               ) -> FactorizationResult:
     """Factorize *tensor* with (accelerated) AO-ADMM.
 
     Parameters
@@ -118,13 +118,6 @@ def fit_aoadmm(tensor: TensorSource,
         previous run with ``options.checkpoint_every`` set.  The run
         continues bit-identically from the checkpointed iteration; the
         tensor and the numerics-affecting options must match (verified).
-    **legacy_kwargs:
-        Deprecated flat-kwargs configuration (``rank=16``,
-        ``blocked=True``, historical aliases like ``n_components`` /
-        ``tol`` — see :data:`repro.core.options.LEGACY_KWARGS`).  Emits a
-        :class:`DeprecationWarning` and is translated onto *options* via
-        :func:`repro.core.options.options_from_kwargs`; pass an
-        :class:`AOADMMOptions` instead.
 
     Returns
     -------
@@ -136,15 +129,6 @@ def fit_aoadmm(tensor: TensorSource,
     repro.robustness.guards.NumericalFaultError
         When a numerical guard fires under ``guard_policy="raise"``.
     """
-    if legacy_kwargs:
-        import warnings
-        warnings.warn(
-            "passing factorization settings as flat keyword arguments to "
-            "fit_aoadmm() is deprecated; build an AOADMMOptions (or use "
-            "repro.fit(...)) instead: "
-            + ", ".join(sorted(legacy_kwargs)),
-            DeprecationWarning, stacklevel=2)
-        options = options_from_kwargs(base=options, **legacy_kwargs)
     options = options or AOADMMOptions()
     require(tensor.nmodes >= 2, "factorization needs at least two modes")
     require(tensor.nnz > 0, "cannot factor an empty tensor")

@@ -1,12 +1,10 @@
 """Options for the AO-ADMM driver.
 
 :class:`AOADMMOptions` is the one configuration object every driver
-(`fit_aoadmm`, the baselines, the CLI, ``repro.fit``) accepts.  The
-legacy flat-kwargs style (``fit_aoadmm(tensor, rank=16, blocked=True,
-...)``) is deprecated; :func:`options_from_kwargs` is the single
-translation path from flat keyword arguments — current field names or
-historical aliases — to an options instance, used by both the
-:func:`~repro.core.aoadmm.fit_aoadmm` deprecation shim and the CLI.
+(`fit_aoadmm`, the baselines, the CLI, ``repro.fit``) accepts.
+:func:`options_from_kwargs` is the single translation path from flat
+keyword arguments — current field names or historical aliases — to an
+options instance, used by both ``repro.fit`` and the CLI.
 """
 
 from __future__ import annotations
@@ -58,9 +56,10 @@ class AOADMMOptions:
         studied on the machine model).  Blocked ADMM ignores it: its
         blocks advance together in one batched solve.
     executor:
-        Execution backend, which runs the out-of-core slab prefetch:
-        ``"serial"``, ``"thread"``, or an
-        :class:`~repro.parallel.executor.ExecutorBase` instance.
+        Execution backend, which fans the in-core slab-tiled MTTKRP
+        kernels out over ``threads`` workers and runs the out-of-core
+        slab prefetch: ``"serial"`` (everything inline), ``"thread"``,
+        or an :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` (the default) resolves the ``REPRO_EXECUTOR``
         environment variable, falling back to ``"thread"``.  Results
         are bit-identical across executors (see
@@ -71,11 +70,10 @@ class AOADMMOptions:
         the backend autotuner choose per mode (see ``tune``); an
         explicit value pins every mode and disables tuning.
     tune:
-        MTTKRP backend autotuning mode
+        MTTKRP slab-plan autotuning mode
         (:mod:`repro.kernels.autotune`): ``"model"`` ranks the
-        csf-family slab plans on the analytic cost model, ``"measure"``
-        refines with timed calibration probes persisted in the on-disk
-        tuning cache, ``"off"`` keeps the default/explicit slab target.
+        csf-family slab plans on the analytic cost model, ``"off"``
+        keeps the default/explicit slab target.
         ``None`` (the default) resolves the ``REPRO_TUNE`` environment
         variable, falling back to ``"model"``.  Like
         ``threads``/``slab_nnz_target`` this is a performance knob:
@@ -164,9 +162,10 @@ class AOADMMOptions:
             require(self.slab_nnz_target >= 1,
                     "slab_nnz_target must be positive")
         if self.tune is not None:
-            require(self.tune in ("off", "model", "measure"),
+            from ..kernels.autotune import TUNE_MODES
+            require(self.tune in TUNE_MODES,
                     f"unknown tune mode {self.tune!r} "
-                    "(choose from ('off', 'model', 'measure'))")
+                    f"(choose from {TUNE_MODES})")
         if self.max_bytes_in_core is not None:
             require(self.max_bytes_in_core >= 1,
                     "max_bytes_in_core must be positive")
@@ -253,8 +252,8 @@ def options_from_kwargs(base: AOADMMOptions | None = None,
 
     *base* (default: fresh defaults) supplies every field not mentioned;
     *kwargs* may use current field names or the :data:`LEGACY_KWARGS`
-    aliases.  This is the single kwargs->Options translation path — the
-    ``fit_aoadmm`` deprecation shim and the CLI both go through it.
+    aliases.  This is the single kwargs->Options translation path —
+    ``repro.fit`` and the CLI both go through it.
     """
     translated: dict[str, object] = {}
     for name, value in kwargs.items():

@@ -1,11 +1,10 @@
 """Storage integrity: checksummed artifacts, verified reads, fsck.
 
-The platform persists load-bearing state in three places — memmapped
-slab files under a :class:`~repro.tensor.store.ShardedTensorStore`,
-versioned ``.npz`` checkpoints, and the autotuner's
-:class:`~repro.kernels.autotune.TuningCache` — and a fit warm-started
-from any of them is only as trustworthy as those bytes.  This package
-makes every one of them end-to-end verifiable:
+The platform persists load-bearing state in two places — memmapped
+slab files under a :class:`~repro.tensor.store.ShardedTensorStore` and
+versioned ``.npz`` checkpoints — and a fit warm-started from either is
+only as trustworthy as those bytes.  This package makes both of them
+end-to-end verifiable:
 
 * :mod:`repro.integrity.checksum` — the chunked CRC-32 core with a
   canonical manifest format (:class:`ChecksumManifest`) embedded in
@@ -18,9 +17,9 @@ makes every one of them end-to-end verifiable:
   ``<file>.corrupt`` and transparently rebuilt when the store still
   knows its source tensor;
 * :mod:`repro.integrity.fsck` — the ``python -m repro fsck`` scrubber
-  that walks stores, checkpoint directories, and tuning caches,
-  reporting per-artifact verdicts and (with ``repair=True``)
-  quarantining, rebuilding, and cleaning up partial shards.
+  that walks stores and checkpoint directories, reporting per-artifact
+  verdicts and (with ``repair=True``) quarantining, rebuilding, and
+  cleaning up partial shards.
 
 Detection counters (``integrity_bytes_scrubbed`` /
 ``integrity_mismatches`` / ``integrity_quarantines`` /

@@ -1,9 +1,8 @@
 """Chunked CRC-32 checksums: the storage-integrity substrate.
 
 Every persisted artifact the platform computes on — slab files in a
-:class:`~repro.tensor.store.ShardedTensorStore`, checkpoint ``.npz``
-payloads, the autotuner's :class:`~repro.kernels.autotune.TuningCache`
-— is covered by one canonical manifest format so a flipped bit or a
+:class:`~repro.tensor.store.ShardedTensorStore` and checkpoint ``.npz``
+payloads — is covered by one canonical manifest format so a flipped bit or a
 torn page is *detected* before it reaches a kernel, never computed on
 silently.
 

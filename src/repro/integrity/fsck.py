@@ -10,10 +10,10 @@ One engine audits every artifact class the platform persists:
   in place;
 * **checkpoint files / directories** — each ``.npz`` is loaded with
   payload-checksum verification; with ``repair=True`` a rotted file is
-  quarantined to ``.corrupt`` so the resume fallback walks past it;
-* **tuning caches** — each entry is validated by the same rules the
-  autotuner's read path applies; with ``repair=True`` invalid entries
-  are dropped (and an unparseable file quarantined).
+  quarantined to ``.corrupt`` so the resume fallback walks past it.
+
+Any other file — a JSON metrics export, or an ``autotune.json`` left
+by an older version's on-disk tuning cache — is reported ``skipped``.
 
 Detection is **read-only**: a plain ``fsck`` run never mutates anything,
 so it is safe against a store a fit is concurrently reading.  Verdicts
@@ -41,8 +41,8 @@ class ArtifactReport:
     """One scrubbed artifact and what happened to it."""
 
     path: str
-    #: ``slab`` / ``staging`` / ``checkpoint`` / ``tuning-cache`` /
-    #: ``tuning-entry`` / ``quarantine`` / ``other``.
+    #: ``slab`` / ``staging`` / ``checkpoint`` / ``quarantine`` /
+    #: ``other``.
     kind: str
     verdict: str
     detail: str = ""
@@ -192,57 +192,6 @@ def fsck_state_file(path: "str | Path", repair: bool = False) -> FsckReport:
     return report
 
 
-def fsck_tuning_cache(path: "str | Path",
-                      repair: bool = False) -> FsckReport:
-    """Scrub one tuning-cache JSON file entry by entry."""
-    from ..kernels.autotune import TuningCache
-    path = Path(path)
-    report = FsckReport(root=str(path), repair=repair)
-    cache = TuningCache(path)
-    audit = cache.scrub(repair=repair)
-    if not audit["exists"]:
-        report.add(path, "tuning-cache", "skipped", "no cache file")
-        return report
-    if audit["parse_error"] is not None:
-        record_integrity_event("mismatch", artifact=path.name,
-                               detail=audit["parse_error"])
-        verdict = "quarantined" if repair else "corrupt"
-        report.add(path, "tuning-cache", verdict, audit["parse_error"])
-        return report
-    if not audit["invalid"]:
-        report.add(path, "tuning-cache", "clean",
-                   f"{audit['entries']} entr"
-                   f"{'y' if audit['entries'] == 1 else 'ies'}")
-        return report
-    for key in audit["invalid"]:
-        record_integrity_event("mismatch", artifact=path.name, detail=key)
-        if repair:
-            record_integrity_event("repair", artifact=path.name,
-                                   detail=f"dropped {key}")
-            report.add(path, "tuning-entry", "repaired",
-                       f"dropped invalid entry {key!r}")
-        else:
-            report.add(path, "tuning-entry", "corrupt",
-                       f"invalid entry {key!r}")
-    return report
-
-
-def _looks_like_tuning_cache(path: Path) -> bool:
-    """Whether a JSON file is plausibly an autotune cache.
-
-    A cache is a dict whose keys all carry the ``v<N>:`` version
-    prefix; an empty dict counts.  Unparseable files count too — a
-    corrupted cache must not dodge the scrub by being unreadable.
-    """
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return True
-    return isinstance(data, dict) and all(
-        isinstance(k, str) and k.startswith("v") and ":" in k
-        for k in data)
-
-
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
@@ -252,11 +201,10 @@ def fsck_path(path: "str | Path", repair: bool = False,
     """Scrub whatever lives at *path* (the ``repro fsck`` entry point).
 
     Dispatch: a store directory (has ``meta.json``) scrubs as a store;
-    an ``.npz`` file as a checkpoint; a ``.json`` file as a tuning
-    cache; any other directory is walked recursively and every
-    recognized artifact inside it is scrubbed.  *source* (the original
-    :class:`~repro.tensor.coo.COOTensor`) enables slab rebuilds during
-    store repair.
+    an ``.npz`` file as a checkpoint; any other directory is walked
+    recursively and every recognized artifact inside it is scrubbed.
+    *source* (the original :class:`~repro.tensor.coo.COOTensor`)
+    enables slab rebuilds during store repair.
     """
     from ..tensor.store import META_FILE, ShardedTensorStore
     path = Path(path)
@@ -276,22 +224,14 @@ def fsck_path(path: "str | Path", repair: bool = False,
             elif entry.suffix == ".npz":
                 report.merge(fsck_state_file(entry, repair=repair))
             elif entry.suffix == ".json":
-                # Only judge a JSON file by tuning-cache rules when it
-                # plausibly is one — a walked-over metrics export must
-                # not be reported as a corrupt cache.
-                if _looks_like_tuning_cache(entry):
-                    report.merge(fsck_tuning_cache(entry, repair=repair))
-                else:
-                    report.add(entry, "other", "skipped",
-                               "JSON file, not a tuning cache")
+                report.add(entry, "other", "skipped",
+                           "JSON file, not a recognized artifact")
             elif entry.name.endswith(".corrupt"):
                 report.add(entry, "quarantine", "skipped",
                            "quarantined evidence from an earlier repair")
         return report
     if path.suffix == ".npz":
         return fsck_state_file(path, repair=repair)
-    if path.suffix == ".json":
-        return fsck_tuning_cache(path, repair=repair)
     report = FsckReport(root=str(path), repair=repair)
     if path.exists():
         report.add(path, "other", "skipped", "not a recognized artifact")

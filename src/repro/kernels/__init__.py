@@ -32,7 +32,6 @@ from .autotune import (
     BackendAutotuner,
     BackendCandidate,
     ModeDecision,
-    TuningCache,
     TuningReport,
     candidate_backends,
     resolve_tune_mode,
@@ -59,7 +58,6 @@ __all__ = [
     "BackendAutotuner",
     "BackendCandidate",
     "ModeDecision",
-    "TuningCache",
     "TuningReport",
     "candidate_backends",
     "resolve_tune_mode",

@@ -128,11 +128,10 @@ def _auto_plan(tensor: COOTensor, mode: int, rank: int
                ) -> tuple[CSFTensor, CSFTiling, KernelWorkspace]:
     """Build (or reuse) the model-tuned plan for one stateless auto call.
 
-    Stateless calls always seed from the analytic model — even under
-    ``REPRO_TUNE=measure`` — because a one-off call cannot amortize a
-    timed probe (engines and fits are where measuring pays).  Every
-    candidate plan is the same csf-family sweep, so the selection is
-    bit-invisible: ``method="auto"`` equals ``method="csf"`` exactly.
+    Every candidate plan is the same csf-family sweep, so the selection
+    is bit-invisible: ``method="auto"`` equals ``method="csf"`` exactly.
+    The plan's slabs run inline (the ``serial`` executor the call log
+    records).
     """
     key = (id(tensor), mode, rank)
     hit = _AUTO_PLAN_CACHE.get(key) if _MEMOIZATION_ENABLED else None
@@ -178,7 +177,7 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
         start = time.perf_counter()
         with span("mttkrp", mode=mode, method="auto", kernel=kernel):
             out = mttkrp_csf(tree, factors, mode, tiling=tiling,
-                             workspace=ws)
+                             workspace=ws, executor="serial")
         if is_enabled():
             record_mttkrp_call(MTTKRPCallStats(
                 mode=mode, leaf_mode=tree.mode_order[-1],
@@ -268,8 +267,10 @@ class MTTKRPEngine:
         Execution backend: ``"serial"``, ``"thread"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` resolves ``REPRO_EXECUTOR`` (default ``thread``).
-        It is recorded in :attr:`call_log`; slab fan-out follows
-        *threads*.  Results are bit-identical across executors.
+        The dense tiled kernels fan their slabs out through it:
+        inline under ``serial`` whatever *threads* says, over a reused
+        pool of *threads* workers under ``thread``.  It is recorded in
+        :attr:`call_log`.  Results are bit-identical across executors.
 
     Notes
     -----
@@ -446,7 +447,8 @@ class MTTKRPEngine:
             with span("mttkrp", mode=mode, representation="dense",
                       kernel=kernel):
                 out = mttkrp_csf(csf, factors, mode, tiling=tiling,
-                                 workspace=ws, threads=self.threads)
+                                 workspace=ws, threads=self.threads,
+                                 executor=self._executor)
             _, bytes1 = ws.snapshot()
             stats = MTTKRPCallStats(
                 mode=mode, leaf_mode=csf.mode_order[-1],
@@ -475,7 +477,8 @@ class MTTKRPEngine:
             with span("mttkrp", mode=mode, representation="dense",
                       kernel=kernel):
                 out = mttkrp_csf(csf, factors, mode, tiling=tiling,
-                                 workspace=ws, threads=self.threads)
+                                 workspace=ws, threads=self.threads,
+                                 executor=self._executor)
             _, bytes1 = ws.snapshot()
             rep_name = "dense"
             touched = csf.nnz * int(np.asarray(factors[0]).shape[1])
@@ -735,6 +738,8 @@ def make_engine(tensor,
         tensor = tensor.to_coo()
     require(isinstance(tensor, COOTensor),
             f"cannot build an MTTKRP engine from {type(tensor).__name__}")
+    tune_mode = (resolve_tune_mode(tune)
+                 if rank is not None and slab_nnz_target is None else "off")
     engine = MTTKRPEngine(tensor, repr_policy=repr_policy,
                           sparsity_threshold=sparsity_threshold,
                           tol=tol, csf_allocation=csf_allocation,
@@ -746,9 +751,6 @@ def make_engine(tensor,
         engine.trees.csf(0)
     else:
         engine.trees.build_all()
-    if rank is not None and slab_nnz_target is None:
-        tune_mode = resolve_tune_mode(tune)
-        if tune_mode != "off":
-            tuner = BackendAutotuner(mode=tune_mode)
-            tuner.tune_engine(engine, rank)
+    if tune_mode != "off":
+        BackendAutotuner(mode=tune_mode).tune_engine(engine, rank)
     return engine

@@ -24,10 +24,12 @@ Each kernel has two execution paths:
   reference implementation, the bitwise anchor of the ``csf`` family,
   and for one-off calls;
 * the **slab-tiled** path — the tree is partitioned into nnz-balanced
-  root-slice slabs (:class:`repro.tensor.tiling.CSFTiling`) executed via
-  :func:`repro.parallel.threadpool.parallel_for`, with every temporary
-  drawn from a reusable :class:`repro.kernels.workspace.KernelWorkspace`
-  (paper Section IV-A slice parallelism).  Root slabs write disjoint
+  root-slice slabs (:class:`repro.tensor.tiling.CSFTiling`) fanned out
+  by the executor's ``parallel_for`` (:mod:`repro.parallel.executor`:
+  inline under ``serial``, a reused pool under ``thread``), with every
+  temporary drawn from a reusable
+  :class:`repro.kernels.workspace.KernelWorkspace` (paper Section IV-A
+  slice parallelism).  Root slabs write disjoint
   output rows directly; leaf/internal slabs write their per-node products
   into disjoint ranges of one shared buffer which a single deterministic
   scatter then reduces — so results are **bit-identical** for any slab
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.threadpool import parallel_for
+from ..parallel.executor import ExecutorBase, resolve_executor
 from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFSlab, CSFTiling
 from ..types import VALUE_DTYPE, FactorList
@@ -211,7 +213,9 @@ def sweep_kernel(csf: CSFTensor, mode: int,
 def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
-                    threads: int | None = None) -> np.ndarray:
+                    threads: int | None = None,
+                    executor: "str | ExecutorBase | None" = None
+                    ) -> np.ndarray:
     """MTTKRP for the CSF's root mode (paper Algorithm 3).
 
     With a *tiling*, slabs run in parallel and write disjoint output rows
@@ -241,22 +245,25 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
     kernel = root_kernel()
     if kernel is not None:
         run = kernel.bind(csf.mode_order, factors, out)
-        parallel_for(lambda slab: run(slab.tree), tiling.slabs,
-                     threads=threads)
+        resolve_executor(executor).parallel_for(
+            lambda slab: run(slab.tree), tiling.slabs, threads=threads)
         return out
 
     def run_slab(slab: CSFSlab) -> None:
         rows = _slab_upward(slab, factors, 0, ws, rank)
         out[slab.tree.fids[0]] = rows
 
-    parallel_for(run_slab, tiling.slabs, threads=threads)
+    resolve_executor(executor).parallel_for(run_slab, tiling.slabs,
+                                            threads=threads)
     return out
 
 
 def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
-                    threads: int | None = None) -> np.ndarray:
+                    threads: int | None = None,
+                    executor: "str | ExecutorBase | None" = None
+                    ) -> np.ndarray:
     """MTTKRP for the CSF's deepest mode.
 
     With a *tiling*, each slab propagates its ancestor products downward
@@ -291,7 +298,8 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
         lo, hi = slab.leaf_range
         np.multiply(rows, slab.tree.vals[:, None], out=prod[lo:hi])
 
-    parallel_for(run_slab, tiling.slabs, threads=threads)
+    resolve_executor(executor).parallel_for(run_slab, tiling.slabs,
+                                            threads=threads)
     plan = ws.scatter_plan(("scatter", leaf_level), csf.fids[leaf_level])
     return _scatter_add_static(out, prod, plan, ws, ("sct", leaf_level))
 
@@ -299,7 +307,9 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
 def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
                         tiling: CSFTiling | None = None,
                         workspace: KernelWorkspace | None = None,
-                        threads: int | None = None) -> np.ndarray:
+                        threads: int | None = None,
+                        executor: "str | ExecutorBase | None" = None
+                        ) -> np.ndarray:
     """MTTKRP for the mode at an internal CSF *level* (0 < level < N-1).
 
     The tiled path runs each slab's meeting upward/downward sweeps in
@@ -333,7 +343,8 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
         lo, hi = slab.node_ranges[level]
         np.multiply(upward, downward, out=nodeprod[lo:hi])
 
-    parallel_for(run_slab, tiling.slabs, threads=threads)
+    resolve_executor(executor).parallel_for(run_slab, tiling.slabs,
+                                            threads=threads)
     plan = ws.scatter_plan(("scatter", level), csf.fids[level])
     return _scatter_add_static(out, nodeprod, plan, ws, ("sct", level))
 
@@ -341,15 +352,19 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
 def mttkrp_csf(csf: CSFTensor, factors: FactorList, mode: int,
                tiling: CSFTiling | None = None,
                workspace: KernelWorkspace | None = None,
-               threads: int | None = None) -> np.ndarray:
+               threads: int | None = None,
+               executor: "str | ExecutorBase | None" = None) -> np.ndarray:
     """MTTKRP for any *mode*, picking the kernel by the mode's CSF level."""
     mode = check_mode(mode, csf.nmodes)
     level = csf.mode_order.index(mode)
     if level == 0:
         return mttkrp_csf_root(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads)
+                               workspace=workspace, threads=threads,
+                               executor=executor)
     if level == csf.nmodes - 1:
         return mttkrp_csf_leaf(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads)
+                               workspace=workspace, threads=threads,
+                               executor=executor)
     return mttkrp_csf_internal(csf, factors, level, tiling=tiling,
-                               workspace=workspace, threads=threads)
+                               workspace=workspace, threads=threads,
+                               executor=executor)

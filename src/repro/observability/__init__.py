@@ -42,8 +42,6 @@ from .hooks import (
     record_supervisor_event,
     record_tiling,
     record_tune_decision,
-    record_tune_probe,
-    record_tune_quarantine,
     remove_hook,
     roofline_seconds,
 )
@@ -166,8 +164,6 @@ __all__ = [
     "record_slab_event",
     "record_supervisor_event",
     "record_tune_decision",
-    "record_tune_probe",
-    "record_tune_quarantine",
     "mttkrp_flops_bytes",
     "roofline_seconds",
     "SECONDS_BUCKETS",

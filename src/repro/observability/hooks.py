@@ -226,26 +226,6 @@ def record_slab_event(kind: str, mode: int, slab: int, nbytes: int,
                    "resident_count": resident_count})
 
 
-def record_tune_probe(mode: int, backend: str, probe_nnz: int,
-                      seconds: float, scaled_seconds: float) -> None:
-    """One timed calibration probe of the MTTKRP backend autotuner.
-
-    ``seconds`` is the raw best-of-N prefix timing; ``scaled_seconds``
-    the per-nnz extrapolation to the full tree the selector compares.
-    """
-    if not is_enabled():
-        return
-    reg = active_registry()
-    reg.counter("tune_probes", mode=mode, backend=backend).inc()
-    reg.histogram("tune_probe_seconds", mode=mode,
-                  backend=backend).observe(seconds)
-    reg.gauge("tune_probe_scaled_seconds", mode=mode,
-              backend=backend).set(scaled_seconds)
-    _emit("tune_probe", {"mode": mode, "backend": backend,
-                         "probe_nnz": probe_nnz, "seconds": seconds,
-                         "scaled_seconds": scaled_seconds})
-
-
 def record_tune_decision(decision) -> None:
     """One per-mode backend selection (a ``ModeDecision``)."""
     if not is_enabled():
@@ -268,8 +248,8 @@ def record_integrity_event(kind: str, artifact: str = "",
     artifact was renamed aside as ``.corrupt``), ``"rebuild"`` (a
     quarantined slab was regenerated from its source tensor),
     ``"repair"`` (fsck resolved a finding).  ``artifact`` labels the
-    artifact class (``"slab"``, ``"checkpoint"``, ``"tuning-cache"``,
-    ...), so dashboards can tell slab bit-rot from checkpoint bit-rot.
+    artifact class (``"slab"``, ``"checkpoint"``, ...), so dashboards
+    can tell slab bit-rot from checkpoint bit-rot.
     The supervisor listens to the pluggable-hook mirror of these events
     to surface quarantines/rebuilds as GuardEvents in the run's trace.
     """
@@ -289,14 +269,6 @@ def record_integrity_event(kind: str, artifact: str = "",
         reg.counter("integrity_repairs", artifact=artifact).inc()
     _emit("integrity", {"kind": kind, "artifact": artifact,
                         "nbytes": int(nbytes), "detail": detail})
-
-
-def record_tune_quarantine(kind: str) -> None:
-    """A corrupt tuning-cache file or entry was quarantined."""
-    if not is_enabled():
-        return
-    active_registry().counter("tune_cache_quarantined", kind=kind).inc()
-    _emit("tune_quarantine", {"kind": kind})
 
 
 def record_iteration(record, scope: str = "aoadmm") -> None:

@@ -14,7 +14,7 @@ Two timing primitives with different contracts:
   drivers' per-iteration records (``mttkrp_seconds`` etc.) are part of
   the documented trace format and must be populated whether or not
   observability is enabled, so these always measure.  They are the
-  substrate ``repro.bench.timers`` and ``repro.core.trace`` consume.
+  substrate ``repro.core.trace`` and the benchmarks consume.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .schedule import (
     ScheduleOutcome,
     run_schedule,
 )
-from .threadpool import parallel_for, effective_threads
+from .threadpool import effective_threads
 
 __all__ = [
     "row_blocks",
@@ -38,7 +38,6 @@ __all__ = [
     "GuidedSchedule",
     "ScheduleOutcome",
     "run_schedule",
-    "parallel_for",
     "effective_threads",
     "DEFAULT_EXECUTOR",
     "EXECUTOR_ENV_VAR",

@@ -8,9 +8,10 @@ knob on :class:`~repro.kernels.dispatch.MTTKRPEngine` /
     Inline loops, no pool of any kind.  The baseline the thread
     executor must match bit-for-bit.
 ``thread``
-    The :class:`ThreadPoolExecutor` path (:mod:`repro.parallel.
-    threadpool`); its ``submit_one`` runs the out-of-core slab
-    prefetch on a background thread, since file I/O releases the GIL.
+    A :class:`ThreadPoolExecutor` reused across calls: the in-core
+    tiled MTTKRP kernels fan their slabs out over it, and its
+    ``submit_one`` runs the out-of-core slab prefetch on a background
+    thread, since file I/O releases the GIL.
 
 Executors resolved by *name* are process-wide singletons.  Results are
 bit-identical across both executors and every worker count — that
@@ -22,10 +23,11 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
 
 from ..validation import require
-from .threadpool import parallel_for as _thread_for
+from .threadpool import effective_threads
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -69,6 +71,11 @@ class ExecutorBase:
 
     def parallel_for(self, func: Callable[[T], R], items: Sequence[T],
                      threads: int | None = None) -> list[R]:
+        """Apply *func* to every item; results come back in input order.
+
+        *items* may be any iterable (it is normalized with one
+        ``list()`` up front).
+        """
         raise NotImplementedError
 
     def submit_one(self, func: Callable[..., R], *args):
@@ -102,43 +109,53 @@ class SerialExecutor(ExecutorBase):
 class ThreadExecutor(ExecutorBase):
     """The GIL-sharing thread pool (see :mod:`repro.parallel.threadpool`).
 
-    ``submit_one`` runs on a small lazy thread pool of its own: slab
-    prefetch is file I/O — ``np.memmap`` open plus page-in — which
-    releases the GIL.  The pool is created on first use and torn down
+    :meth:`parallel_for` runs on one lazy pool per worker count, kept
+    for the executor's lifetime, so repeated kernel calls reuse their
+    worker threads instead of starting and joining new ones.  One
+    worker or at most one item runs inline.  ``submit_one`` runs on a
+    small pool of its own: slab prefetch is file I/O — ``np.memmap``
+    open plus page-in — which releases the GIL, and it must not queue
+    behind compute.  Every pool is created on first use and torn down
     in :meth:`close`.
     """
 
     name = "thread"
 
     def __init__(self) -> None:
-        self._io_pool = None
-        self._io_pool_lock = threading.Lock()
+        self._pools: dict[str, ThreadPoolExecutor] = {}
+        self._lock = threading.Lock()
+
+    def _pool(self, key: str, workers: int) -> ThreadPoolExecutor:
+        pool = self._pools.get(key)
+        if pool is None:
+            with self._lock:
+                pool = self._pools.get(key)
+                if pool is None:
+                    pool = ThreadPoolExecutor(
+                        max_workers=workers,
+                        thread_name_prefix=f"repro-{self.name}-{key}")
+                    self._pools[key] = pool
+        return pool
 
     def parallel_for(self, func, items, threads=None):
-        return _thread_for(func, items, threads=threads)
+        items = list(items)
+        workers = effective_threads(threads)
+        if workers == 1 or len(items) <= 1:
+            return [func(item) for item in items]
+        return list(self._pool(f"w{workers}", workers).map(func, items))
 
     def submit_one(self, func, *args):
-        pool = self._io_pool
-        if pool is None:
-            with self._io_pool_lock:
-                pool = self._io_pool
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-                    pool = ThreadPoolExecutor(
-                        max_workers=2,
-                        thread_name_prefix=f"repro-{self.name}-io")
-                    self._io_pool = pool
         try:
-            return pool.submit(func, *args)
+            return self._pool("io", 2).submit(func, *args)
         except RuntimeError:
             # Pool shut down underneath us (interpreter teardown);
             # degrade to inline execution.
             return ExecutorBase.submit_one(self, func, *args)
 
     def close(self) -> None:
-        with self._io_pool_lock:
-            pool, self._io_pool = self._io_pool, None
-        if pool is not None:
+        with self._lock:
+            pools, self._pools = list(self._pools.values()), {}
+        for pool in pools:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -194,14 +211,6 @@ def resolve_executor(spec: "str | ExecutorBase | None" = None
     return get_executor(spec)
 
 
-def parallel_for(func: Callable[[T], R], items: Iterable[T],
-                 threads: int | None = None,
-                 executor: "str | ExecutorBase | None" = None) -> list[R]:
-    """Executor-aware ``parallel_for`` (same contract as the thread one)."""
-    return resolve_executor(executor).parallel_for(func, list(items),
-                                                   threads=threads)
-
-
 def shutdown_executors() -> None:
     """Close every singleton executor (tests / leak checks)."""
     with _SINGLETON_LOCK:
@@ -219,6 +228,5 @@ __all__ = [
     "ThreadExecutor",
     "get_executor",
     "resolve_executor",
-    "parallel_for",
     "shutdown_executors",
 ]

@@ -1,30 +1,27 @@
-"""A minimal thread-pool ``parallel_for``.
+"""Thread-count resolution for the ``thread`` executor.
 
 When threads help — and when they don't
 ---------------------------------------
-CPython threads share the GIL, so a thread pool only overlaps work that
-*releases* it.  NumPy releases the GIL inside individual kernels, which
-is enough for coarse-grained work dominated by large BLAS calls or by
-one compiled kernel call per item (the C root-mode MTTKRP kernel of
-``repro.kernels.native`` releases it for a whole slab).  It is **not**
-enough for the NumPy slab MTTKRP kernels: each slab is a chain of many small
-``take`` / ``multiply`` / ``reduceat`` calls, and the interpreter
-re-acquires the GIL between every one of them, so threads serialize on
-dispatch and add contention on top.  ``BENCH_mttkrp_tiled.json`` measures
-exactly that — the 139-slab sweep runs 94.7 ms on 1 thread and 133.6 ms
-on 4.  Whenever the compiled kernel is available it serves the root mode
-instead, and then slab threads do overlap (see ``docs/parallelism.md``).
+CPython threads share the GIL, so a thread pool (the ``thread``
+executor's ``parallel_for``, :mod:`repro.parallel.executor`) only
+overlaps work that *releases* it.  NumPy releases the GIL inside
+individual kernels, which is enough for coarse-grained work dominated
+by large BLAS calls or by one compiled kernel call per item (the C
+root-mode MTTKRP kernel of ``repro.kernels.native`` releases it for a
+whole slab).  It is **not** enough for the NumPy slab MTTKRP kernels:
+each slab is a chain of many small ``take`` / ``multiply`` /
+``reduceat`` calls, and the interpreter re-acquires the GIL between
+every one of them, so threads serialize on dispatch and add contention
+on top (a 139-slab NumPy sweep once measured 94.7 ms on 1 thread and
+133.6 ms on 4).  Whenever the compiled kernel is available it serves
+the root mode instead, and then slab threads do overlap (see
+``docs/parallelism.md``).
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _ENV_VAR = "REPRO_NUM_THREADS"
 
@@ -57,20 +54,3 @@ def effective_threads(requested: int | None = None) -> int:
                 f"positive integer); falling back to the CPU count",
                 RuntimeWarning, stacklevel=2)
     return os.cpu_count() or 1
-
-
-def parallel_for(func: Callable[[T], R], items: Iterable[T],
-                 threads: int | None = None) -> list[R]:
-    """Apply *func* to every item, possibly across a thread pool.
-
-    *items* may be any iterable (generators included — it is normalized
-    with one ``list()`` up front).  Results are returned in input order.
-    With one thread (or at most one item) the loop runs inline — no
-    executor overhead, identical semantics.
-    """
-    items = list(items)
-    threads = effective_threads(threads)
-    if threads == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))

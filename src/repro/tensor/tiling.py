@@ -108,25 +108,6 @@ def _make_slab(csf: CSFTensor, index: int, roots: slice) -> CSFSlab:
     return CSFSlab(index, tree, tuple(ranges))
 
 
-def root_prefix_tree(csf: CSFTensor, max_nnz: int) -> CSFTensor:
-    """A self-contained sub-tree over the first root slices of *csf*.
-
-    Takes the shortest root-slice prefix holding at least *max_nnz*
-    non-zeros (the whole tree if it has fewer) and rebases it exactly
-    like a :class:`CSFSlab` — ``fids``/``vals`` stay zero-copy views, so
-    the sub-tree shares the parent's memory.  The autotuner uses this as
-    a cheap calibration workload: the prefix runs the same kernels over
-    the same physical layout as the full tree, just over fewer slices.
-    """
-    require(max_nnz >= 1, "max_nnz must be positive")
-    if csf.nslices == 0 or csf.nnz <= max_nnz:
-        return csf
-    cumulative = np.cumsum(nnz_per_root_slice(csf))
-    stop = int(np.searchsorted(cumulative, max_nnz)) + 1
-    stop = min(stop, csf.nslices)
-    return _make_slab(csf, 0, slice(0, stop)).tree
-
-
 class CSFTiling:
     """A partition of a CSF tree into balanced, independent slabs.
 

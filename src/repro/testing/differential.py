@@ -243,32 +243,19 @@ def _sharded_backend(tensor: COOTensor,
     return kernel
 
 
-def _auto_backend(tensor: COOTensor, tune_mode: str) -> Callable:
-    """Autotuned grid point: engine whose slab plans the tuner chose.
+def _auto_backend(tensor: COOTensor) -> Callable:
+    """Model-tuned grid point: engine whose slab plans the tuner chose.
 
     Joins the ``csf`` family — the autotuner only ever selects among
     csf-family slab decompositions (``docs/autotuning.md``), so its
-    choice is contractually **bitwise** invisible whatever the tune
-    mode.  ``measure`` probes against a throwaway temp cache
-    (finalizer-cleaned) so sweep runs never touch the user's cache.
-    Tuning happens lazily on the first call, when the rank is known
-    from the factors.
+    choice is contractually **bitwise** invisible.  Tuning happens
+    lazily on the first call, when the rank is known from the factors.
     """
-    import shutil
-    import tempfile
-    import weakref
-
-    from ..kernels.autotune import BackendAutotuner, TuningCache
+    from ..kernels.autotune import BackendAutotuner
 
     engine = MTTKRPEngine(tensor, repr_policy="dense", threads=1)
     engine.trees.build_all()
-    if tune_mode == "measure":
-        tmp = tempfile.mkdtemp(prefix="repro-difftune-")
-        cache = TuningCache(f"{tmp}/autotune.json")
-    else:
-        tmp, cache = None, None
-    tuner = BackendAutotuner(mode=tune_mode, cache=cache,
-                             min_probe_nnz=0, probe_repeats=1)
+    tuner = BackendAutotuner(mode="model")
     tuned: list[int] = []
 
     def kernel(factors: list, mode: int) -> np.ndarray:
@@ -277,8 +264,6 @@ def _auto_backend(tensor: COOTensor, tune_mode: str) -> Callable:
             tuned.append(1)
         return np.array(engine.mttkrp(factors, mode), copy=True)
 
-    if tmp is not None:
-        weakref.finalize(kernel, shutil.rmtree, tmp, True)
     return kernel
 
 
@@ -321,15 +306,12 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
                     lambda t: lambda f, m: mttkrp(t, f, m, method="csf")),
         # The autotuned paths: same family, because the autotuner only
         # selects among csf-family slab plans.  "auto" is the stateless
-        # dispatch default; auto[model]/auto[measure] pin the engine
-        # tuner to each tune mode so a measured decision can never
-        # drift bitwise from the model-seeded or manual anchors.
+        # dispatch default; auto[model] pins the engine tuner so a
+        # model decision can never drift bitwise from the manual
+        # anchors.
         BackendSpec("auto", "csf",
                     lambda t: lambda f, m: mttkrp(t, f, m, method="auto")),
-        BackendSpec("auto[model]", "csf",
-                    lambda t: _auto_backend(t, "model")),
-        BackendSpec("auto[measure]", "csf",
-                    lambda t: _auto_backend(t, "measure")),
+        BackendSpec("auto[model]", "csf", _auto_backend),
     ]
     for t in threads:
         for s in slab_targets:

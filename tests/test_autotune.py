@@ -1,20 +1,17 @@
-"""Tests for the measured-cost MTTKRP backend autotuner.
+"""Tests for the model-priced MTTKRP slab-plan autotuner.
 
-The autotuner's contract has two halves, and both are covered here:
-
-* **selection is performance-only** — whatever mode (`off` / `model` /
-  `measure`), executor, or cache state, ``method="auto"`` and tuned
-  engines are bit-identical to the untuned csf anchor, because every
-  candidate is a csf-family slab plan;
-* **the machinery is deterministic and resilient** — calibration under
-  a pinned fake clock always makes the same decision, the tuning cache
-  round-trips and invalidates on fingerprint change, and corruption
-  (file- or entry-level) is quarantined and re-measured, never fatal.
+The autotuner's contract: **selection is performance-only** — whatever
+the mode (``off`` / ``model``) or executor, ``method="auto"`` and tuned
+engines are bit-identical to the untuned csf anchor, because every
+candidate is a csf-family slab plan.  The model prices candidates
+without timing anything, and ``measure`` is rejected when asked for
+explicitly and ignored (with one warning) when it comes from
+``REPRO_TUNE``.
 """
 
 from __future__ import annotations
 
-import json
+import time
 import warnings
 
 import numpy as np
@@ -25,18 +22,13 @@ from repro.config import DEFAULT_SLAB_NNZ
 from repro.kernels.autotune import (
     TUNE_ENV_VAR,
     BackendAutotuner,
-    ModeDecision,
-    TuningCache,
-    cache_key,
     candidate_backends,
-    default_cache_path,
     resolve_tune_mode,
 )
 from repro.kernels.dispatch import MTTKRPEngine, make_engine, mttkrp
 from repro.observability import MetricsRegistry
 from repro.observability.state import set_active_registry
 from repro.tensor.random import random_coo, random_factors
-from repro.tensor.tiling import root_prefix_tree
 
 RANK = 4
 
@@ -59,41 +51,44 @@ def factors(tensor):
     return random_factors(tensor.shape, RANK, seed=9)
 
 
-class FakeClock:
-    """A clock whose reported durations are scripted, not measured."""
-
-    def __init__(self, deltas):
-        self.deltas = list(deltas)
-        self.now = 0.0
-        self.calls = 0
-
-    def __call__(self) -> float:
-        # Called in (tick, tock) pairs: advance by the next scripted
-        # delta on every tock.
-        if self.calls % 2 == 1:
-            self.now += self.deltas[(self.calls // 2) % len(self.deltas)]
-        self.calls += 1
-        return self.now
-
-
 # ---------------------------------------------------------------------------
 # mode resolution & candidates
 # ---------------------------------------------------------------------------
 
 class TestResolveTuneMode:
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(TUNE_ENV_VAR, "measure")
+        monkeypatch.setenv(TUNE_ENV_VAR, "model")
         assert resolve_tune_mode("off") == "off"
 
     def test_explicit_invalid_raises(self):
         with pytest.raises(ValueError, match="unknown tune mode"):
             resolve_tune_mode("fastest")
 
+    def test_explicit_measure_raises_naming_the_choices(self, tensor):
+        from repro.core.options import AOADMMOptions
+        choices = r"\('off', 'model'\)"
+        with pytest.raises(ValueError, match=choices):
+            resolve_tune_mode("measure")
+        with pytest.raises(ValueError, match=choices):
+            AOADMMOptions(tune="measure")
+        with pytest.raises(ValueError, match=choices):
+            make_engine(tensor, rank=RANK, tune="measure")
+
+    def test_env_measure_warns_once_and_runs_model(self, monkeypatch):
+        from repro.kernels import autotune as autotune_mod
+        monkeypatch.setattr(autotune_mod, "_WARNED_ENV_VALUES", set())
+        monkeypatch.setenv(TUNE_ENV_VAR, "measure")
+        with pytest.warns(RuntimeWarning, match="'measure'"):
+            assert resolve_tune_mode() == "model"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert BackendAutotuner().mode == "model"
+
     def test_env_resolution_and_default(self, monkeypatch):
         monkeypatch.delenv(TUNE_ENV_VAR, raising=False)
         assert resolve_tune_mode() == "model"
-        monkeypatch.setenv(TUNE_ENV_VAR, "measure")
-        assert resolve_tune_mode() == "measure"
+        monkeypatch.setenv(TUNE_ENV_VAR, "off")
+        assert resolve_tune_mode() == "off"
 
     def test_malformed_env_warns_once_per_value(self, monkeypatch):
         from repro.kernels import autotune as autotune_mod
@@ -107,11 +102,6 @@ class TestResolveTuneMode:
         monkeypatch.setenv(TUNE_ENV_VAR, "ludicrous")
         with pytest.warns(RuntimeWarning, match="ludicrous"):
             assert resolve_tune_mode() == "model"
-
-    def test_cache_path_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "t.json"))
-        assert default_cache_path() == tmp_path / "t.json"
-
 
 class TestCandidates:
     def test_dedupes_by_slab_count(self):
@@ -142,139 +132,25 @@ class TestCandidates:
             assert again.slab_count == tiling.slab_count
 
 
-class TestRootPrefixTree:
-    def test_whole_tree_when_cap_covers(self, tree):
-        assert root_prefix_tree(tree, tree.nnz) is tree
-
-    def test_prefix_is_root_slice_aligned(self, tree):
-        prefix = root_prefix_tree(tree, 200)
-        assert 200 <= prefix.nnz < tree.nnz
-        assert prefix.nslices < tree.nslices
-        # The prefix is the same leading slices: leaf values agree.
-        np.testing.assert_array_equal(prefix.vals,
-                                      tree.vals[:prefix.nnz])
-
-    def test_rejects_nonpositive_cap(self, tree):
-        with pytest.raises(ValueError, match="positive"):
-            root_prefix_tree(tree, 0)
-
-
 # ---------------------------------------------------------------------------
-# calibration determinism (fake clock)
+# the model prices without a clock
 # ---------------------------------------------------------------------------
 
 class TestCalibration:
-    LADDER = (64, 500, 10_000)
+    def test_model_mode_never_calls_clock(self, tree, monkeypatch):
+        calls = []
+        real = time.perf_counter
 
-    def _tuner(self, clock, cache=None):
-        return BackendAutotuner(mode="measure", cache=cache,
-                                ladder=self.LADDER, min_probe_nnz=0,
-                                probe_repeats=1, clock=clock)
+        def counting_clock() -> float:
+            calls.append(1)
+            return real()
 
-    def test_fake_clock_is_deterministic(self, tree):
-        deltas = (0.030, 0.010, 0.020)
-        d1 = self._tuner(FakeClock(deltas)).decide_tree(tree, 0, RANK)
-        d2 = self._tuner(FakeClock(deltas)).decide_tree(tree, 0, RANK)
-        assert d1.source == d2.source == "measure"
-        assert d1.backend == d2.backend
-        assert d1.probe_seconds == d2.probe_seconds
-        assert d1.probe_nnz == d2.probe_nnz > 0
-
-    @pytest.mark.parametrize("winner", [0, 1, 2])
-    def test_crafted_clock_picks_crafted_winner(self, tree, winner):
-        # One timed run per candidate, in ladder order: give the
-        # crafted winner the smallest scripted duration.
-        deltas = [0.5 if i != winner else 0.001
-                  for i in range(len(self.LADDER))]
-        cands = candidate_backends(tree.nnz, tree.nslices, self.LADDER)
-        assert len(cands) == len(self.LADDER)  # no dedupe on this tree
-        decision = self._tuner(FakeClock(deltas)).decide_tree(tree, 0, RANK)
-        assert decision.backend == cands[winner].name
-
-    def test_probe_floor_falls_back_to_model(self, tree):
-        tuner = BackendAutotuner(mode="measure", cache=None,
-                                 ladder=self.LADDER,
-                                 min_probe_nnz=tree.nnz + 1)
+        monkeypatch.setattr(time, "perf_counter", counting_clock)
+        tuner = BackendAutotuner(mode="model", ladder=(64, 500, 10_000))
         decision = tuner.decide_tree(tree, 0, RANK)
         assert decision.source == "model"
-        assert decision.probe_seconds == {}
-
-    def test_model_mode_never_calls_clock(self, tree):
-        clock = FakeClock([1.0])
-        tuner = BackendAutotuner(mode="model", ladder=self.LADDER,
-                                 clock=clock)
-        decision = tuner.decide_tree(tree, 0, RANK)
-        assert decision.source == "model"
-        assert clock.calls == 0
-
-
-# ---------------------------------------------------------------------------
-# the tuning cache
-# ---------------------------------------------------------------------------
-
-class TestTuningCache:
-    LADDER = (64, 500, 10_000)
-
-    def _tuner(self, path, deltas=(0.030, 0.010, 0.020)):
-        return BackendAutotuner(mode="measure", cache=TuningCache(path),
-                                ladder=self.LADDER, min_probe_nnz=0,
-                                probe_repeats=1, clock=FakeClock(deltas))
-
-    def test_round_trip_hits_cache(self, tree, tmp_path):
-        path = tmp_path / "cache.json"
-        first = self._tuner(path).decide_tree(tree, 0, RANK,
-                                              fingerprint="fp-a")
-        assert first.source == "measure"
-        again = self._tuner(path).decide_tree(tree, 0, RANK,
-                                              fingerprint="fp-a")
-        assert again.source == "cache"
-        assert again.backend == first.backend
-        assert again.probe_seconds == pytest.approx(first.probe_seconds)
-
-    def test_fingerprint_change_invalidates(self, tree, tmp_path):
-        path = tmp_path / "cache.json"
-        self._tuner(path).decide_tree(tree, 0, RANK, fingerprint="fp-a")
-        fresh = self._tuner(path).decide_tree(tree, 0, RANK,
-                                              fingerprint="fp-b")
-        assert fresh.source == "measure"
-
-    def test_key_covers_mode_rank_threads_executor(self):
-        keys = {cache_key("fp", 0, 4, 1, "serial"),
-                cache_key("fp", 1, 4, 1, "serial"),
-                cache_key("fp", 0, 8, 1, "serial"),
-                cache_key("fp", 0, 4, 2, "serial"),
-                cache_key("fp", 0, 4, 1, "thread")}
-        assert len(keys) == 5
-
-    def test_corrupt_file_quarantined_and_remeasured(self, tree, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{definitely not json", encoding="utf-8")
-        tuner = self._tuner(path)
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            decision = tuner.decide_tree(tree, 0, RANK, fingerprint="fp-a")
-        assert decision.source == "measure"
-        assert tuner.cache.quarantined == 1
-        assert (tmp_path / "cache.json.corrupt").exists()
-        # The re-measured decision was persisted into a fresh file.
-        assert json.loads(path.read_text())
-
-    def test_corrupt_entry_quarantined_and_remeasured(self, tree, tmp_path):
-        path = tmp_path / "cache.json"
-        first = self._tuner(path).decide_tree(tree, 0, RANK,
-                                              fingerprint="fp-a")
-        data = json.loads(path.read_text())
-        (key,) = data.keys()
-        data[key] = {"backend": 42, "slab_nnz_target": -1}
-        path.write_text(json.dumps(data), encoding="utf-8")
-        tuner = self._tuner(path)
-        with pytest.warns(RuntimeWarning, match="re-measuring"):
-            decision = tuner.decide_tree(tree, 0, RANK, fingerprint="fp-a")
-        assert decision.source == "measure"
-        assert decision.backend == first.backend
-        assert tuner.cache.quarantined == 1
-        # ... and the repaired entry now round-trips.
-        assert self._tuner(path).decide_tree(
-            tree, 0, RANK, fingerprint="fp-a").source == "cache"
+        assert len(decision.model_seconds) == 3
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +159,9 @@ class TestTuningCache:
 
 class TestBitIdentity:
     def test_stateless_auto_matches_csf_across_tune_modes(
-            self, tensor, factors, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "c.json"))
+            self, tensor, factors, monkeypatch):
         anchor = mttkrp(tensor, factors, 0, method="csf")
-        for mode in ("off", "model", "measure"):
+        for mode in ("off", "model"):
             monkeypatch.setenv(TUNE_ENV_VAR, mode)
             out = mttkrp(tensor, factors, 0, method="auto")
             np.testing.assert_array_equal(out, anchor)
@@ -296,14 +171,23 @@ class TestBitIdentity:
             mttkrp(tensor, factors, 1),
             mttkrp(tensor, factors, 1, method="auto"))
 
+    # "measure" arrives through REPRO_TUNE: it warns and tunes with the
+    # model, so the engine must still match the anchor bit for bit.
     @pytest.mark.parametrize("tune", ["off", "model", "measure"])
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_tuned_engines_match_untuned_anchor(
-            self, tensor, factors, tune, executor, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "c.json"))
+            self, tensor, factors, tune, executor, monkeypatch):
         anchor_engine = make_engine(tensor, tune="off")
-        engine = make_engine(tensor, rank=RANK, tune=tune,
-                             executor=executor)
+        if tune == "measure":
+            from repro.kernels import autotune as autotune_mod
+            monkeypatch.setattr(autotune_mod, "_WARNED_ENV_VALUES", set())
+            monkeypatch.setenv(TUNE_ENV_VAR, tune)
+            with pytest.warns(RuntimeWarning, match="'measure'"):
+                engine = make_engine(tensor, rank=RANK, executor=executor)
+            assert engine.tuning.tune_mode == "model"
+        else:
+            engine = make_engine(tensor, rank=RANK, tune=tune,
+                                 executor=executor)
         try:
             for mode in range(tensor.nmodes):
                 np.testing.assert_array_equal(
@@ -314,12 +198,10 @@ class TestBitIdentity:
             engine.close()
             anchor_engine.close()
 
-    def test_fit_bit_identical_across_tune_modes(self, tensor,
-                                                 monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "c.json"))
+    def test_fit_bit_identical_across_tune_modes(self, tensor):
         results = [repro.fit(tensor, rank=3, seed=11,
                              max_outer_iterations=3, tune=mode)
-                   for mode in ("off", "model", "measure")]
+                   for mode in ("off", "model")]
         for other in results[1:]:
             for a, b in zip(results[0].factors, other.factors):
                 np.testing.assert_array_equal(a, b)
@@ -391,50 +273,20 @@ class TestEngineWiring:
 # ---------------------------------------------------------------------------
 
 class TestTelemetryAndCli:
-    def test_tune_metrics_recorded(self, tree, tmp_path):
+    def test_tune_metrics_recorded(self, tree):
         registry = MetricsRegistry(enabled=True)
         previous = set_active_registry(registry)
         try:
-            tuner = BackendAutotuner(
-                mode="measure", cache=TuningCache(tmp_path / "c.json"),
-                ladder=(64, 500, 10_000), min_probe_nnz=0,
-                probe_repeats=1, clock=FakeClock([0.01, 0.02, 0.03]))
-            tuner.decide_tree(tree, 0, RANK, fingerprint="fp")
+            BackendAutotuner(mode="model", ladder=(64, 500, 10_000)
+                             ).decide_tree(tree, 0, RANK)
         finally:
             set_active_registry(previous)
         snap = registry.snapshot()
-        assert any(k.startswith("tune_probes") for k in snap["counters"])
-        assert any(k.startswith("tune_decisions") and "source=measure" in k
+        assert any(k.startswith("tune_decisions") and "source=model" in k
                    for k in snap["counters"])
         assert any(k.startswith("tune_slab_nnz_target")
                    for k in snap["gauges"])
         assert any("span=tune" in k for k in snap["histograms"])
-
-    def test_quarantine_metric_recorded(self, tmp_path):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_active_registry(registry)
-        try:
-            path = tmp_path / "c.json"
-            path.write_text("not json", encoding="utf-8")
-            with pytest.warns(RuntimeWarning):
-                TuningCache(path).get("anything")
-        finally:
-            set_active_registry(previous)
-        counters = registry.snapshot()["counters"]
-        assert any(k.startswith("tune_cache_quarantined")
-                   for k in counters)
-
-    def test_cli_tune_report(self, tensor, tmp_path, capsys):
-        from repro.cli import main
-        from repro.tensor.io import write_tns
-        tns = tmp_path / "t.tns"
-        write_tns(tensor, tns)
-        code = main(["tune", str(tns), "--rank", "4", "--repeats", "1",
-                     "--cache", str(tmp_path / "c.json")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "tune mode=measure" in out
-        assert "chosen" in out
 
     def test_cli_factorize_accepts_tune_flag(self, tensor, tmp_path,
                                              capsys):
@@ -446,17 +298,6 @@ class TestTelemetryAndCli:
                      "--max-iterations", "2", "--tune", "model"])
         assert code == 0
         assert "stopped:" in capsys.readouterr().out
-
-    def test_report_table_marks_probes(self, tree, tmp_path):
-        tuner = BackendAutotuner(
-            mode="measure", cache=TuningCache(tmp_path / "c.json"),
-            ladder=(64, 500, 10_000), min_probe_nnz=0, probe_repeats=1,
-            clock=FakeClock([0.01, 0.02, 0.03]))
-        decision = tuner.decide_tree(tree, 0, RANK, fingerprint="fp")
-        from repro.kernels.autotune import TuningReport
-        report = TuningReport(tune_mode="measure", rank=RANK, threads=1,
-                              executor="serial", fingerprint="fp" * 6,
-                              decisions=(decision,))
-        table = report.format_table()
-        assert "ms*" in table  # probe-extrapolated cells are starred
-        assert decision.backend in table
+        with pytest.raises(SystemExit):
+            main(["factorize", str(tns), "--tune", "measure"])
+        assert "'off', 'model'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Timer, table, and series formatting tests."""
+"""Stopwatch/StageClock, table, and series formatting tests."""
 
 import time
 
@@ -7,29 +7,28 @@ import pytest
 
 from repro.bench import (
     Series,
-    StageTimer,
-    Timer,
     format_markdown_table,
     format_series,
     format_table,
 )
+from repro.observability import StageClock, Stopwatch
 
 
 class TestTimers:
     def test_timer_measures(self):
-        with Timer() as t:
+        with Stopwatch() as t:
             time.sleep(0.01)
         assert t.seconds >= 0.009
 
     def test_timer_accumulates(self):
-        t = Timer()
+        t = Stopwatch()
         for _ in range(2):
             with t:
                 time.sleep(0.005)
         assert t.seconds >= 0.009
 
     def test_stage_timer_fractions(self):
-        st = StageTimer()
+        st = StageClock()
         with st.stage("a"):
             time.sleep(0.01)
         with st.stage("b"):
@@ -39,7 +38,7 @@ class TestTimers:
         assert sum(fr.values()) == pytest.approx(1.0)
 
     def test_stage_timer_empty(self):
-        assert StageTimer().fractions() == {}
+        assert StageClock().fractions() == {}
 
 
 class TestTables:

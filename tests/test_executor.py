@@ -1,16 +1,22 @@
-"""Executor tests: bit-identity, selection, ``parallel_for`` inputs.
+"""Executor tests: bit-identity, selection, kernel fan-out, inputs.
 
 The contract under test:
 
 * MTTKRP and whole fits are **bit-identical** across the
   ``{serial, thread}`` executors × worker counts;
+* the tiled kernels fan slabs out through the engine's executor:
+  ``serial`` starts no worker thread, ``thread`` reuses its workers
+  across calls;
 * an explicit unknown executor name raises, while a malformed
   ``REPRO_EXECUTOR`` value warns once and falls back to ``thread``.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +25,6 @@ import pytest
 import repro
 from repro.core.options import AOADMMOptions
 from repro.kernels.dispatch import MTTKRPEngine
-from repro.parallel import parallel_for as thread_parallel_for
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     DEFAULT_EXECUTOR,
@@ -27,12 +32,14 @@ from repro.parallel.executor import (
     SerialExecutor,
     ThreadExecutor,
     get_executor,
-    parallel_for,
     resolve_executor,
 )
 from repro.parallel.threadpool import _WARNED_ENV_VALUES, effective_threads
 
 EXECUTORS = ("serial", "thread")
+
+#: The kernel module (the package re-exports a function of its name).
+csf_module = importlib.import_module("repro.kernels.mttkrp_csf")
 
 
 def _factors(shape, rank=5, seed=23):
@@ -177,20 +184,109 @@ class TestExecutorResolution:
 class TestParallelForInputs:
     def test_threadpool_accepts_generators(self):
         gen = (i + 1 for i in range(8))
-        assert thread_parallel_for(lambda x: 2 * x, gen, threads=3) \
-            == [2 * (i + 1) for i in range(8)]
+        assert get_executor("thread").parallel_for(
+            lambda x: 2 * x, gen, threads=3) == [2 * (i + 1) for i in range(8)]
 
     def test_executor_parallel_for_accepts_generators(self):
         gen = (i * i for i in range(6))
-        assert parallel_for(lambda x: x + 1, gen, threads=2,
-                            executor="serial") \
-            == [i * i + 1 for i in range(6)]
+        assert get_executor("serial").parallel_for(
+            lambda x: x + 1, gen, threads=2) == [i * i + 1 for i in range(6)]
 
     def test_single_thread_matches_multi(self):
         items = list(range(13))
-        one = thread_parallel_for(lambda x: x - 7, iter(items), threads=1)
-        many = thread_parallel_for(lambda x: x - 7, iter(items), threads=4)
+        pool = get_executor("thread")
+        one = pool.parallel_for(lambda x: x - 7, iter(items), threads=1)
+        many = pool.parallel_for(lambda x: x - 7, iter(items), threads=4)
         assert one == many
+
+
+# ----------------------------------------------------------------------
+# Kernel fan-out goes through the engine's executor
+# ----------------------------------------------------------------------
+
+class TestKernelFanOut:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """(names of the threads that ran a slab, threads started)."""
+        ran, started = [], []
+        slab_downward = csf_module._slab_downward
+        thread_start = threading.Thread.start
+
+        def spy_slab(*args, **kwargs):
+            ran.append(threading.current_thread().name)
+            return slab_downward(*args, **kwargs)
+
+        def spy_start(thread):
+            started.append(thread.name)
+            return thread_start(thread)
+
+        monkeypatch.setattr(csf_module, "_slab_downward", spy_slab)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        return ran, started
+
+    @staticmethod
+    def _engine(tensor, threads, executor):
+        # One mode-0 tree: modes 1 and 2 run the NumPy internal/leaf
+        # slab sweeps, which the spy sees.
+        return MTTKRPEngine(tensor, threads=threads, slab_nnz_target=16,
+                            executor=executor, csf_allocation="one")
+
+    def test_serial_starts_no_worker_thread(self, small_tensor, spy):
+        ran, started = spy
+        engine = self._engine(small_tensor, 4, "serial")
+        factors = _factors(small_tensor.shape)
+        for mode in (1, 2, 1, 2):
+            engine.mttkrp(factors, mode)
+        assert engine.call_log[-1].slab_count > 1
+        assert started == []
+        assert set(ran) == {threading.current_thread().name}
+
+    def test_thread_calls_reuse_worker_threads(self, small_tensor, spy):
+        ran, started = spy
+        executor = ThreadExecutor()
+        try:
+            engine = self._engine(small_tensor, 2, executor)
+            factors = _factors(small_tensor.shape)
+            engine.mttkrp(factors, 2)
+            first, workers = set(ran), list(started)
+            ran.clear()
+            engine.mttkrp(factors, 2)
+            assert engine.call_log[-1].slab_count > 1
+            assert len(workers) == 2
+            assert first == set(workers)
+            assert started == workers  # no thread started by call two
+            assert set(ran) <= first
+        finally:
+            executor.close()
+
+    def test_concurrent_calls_share_one_pool(self):
+        # Eight callers race to create the pool under a short switch
+        # interval; a lost update would start a second set of workers.
+        executor = ThreadExecutor()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        names, results = set(), []
+
+        def work(item):
+            names.add(threading.current_thread().name)
+            return item * item
+
+        def caller():
+            results.append(executor.parallel_for(work, range(50),
+                                                 threads=4))
+
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+        assert results == [[i * i for i in range(50)]] * 8
+        assert len(names) <= 4
 
 
 class TestEffectiveThreadsWarning:

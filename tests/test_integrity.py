@@ -29,7 +29,6 @@ from repro.integrity.fsck import (
     fsck_path,
     fsck_state_file,
     fsck_store,
-    fsck_tuning_cache,
 )
 from repro.cli import main as cli_main
 from repro.core.serialize import (
@@ -38,7 +37,6 @@ from repro.core.serialize import (
     payload_fingerprint,
     save_state_npz,
 )
-from repro.kernels.autotune import CACHE_VERSION, TuningCache
 from repro.robustness import (
     CheckpointStore,
     InjectedCrash,
@@ -393,23 +391,25 @@ class TestFsck:
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
 
-    def test_tuning_cache_roundtrip(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        good = {"backend": "csf", "slab_nnz_target": 64, "n_slabs": 2,
-                "probe_seconds": {"csf": 0.01}}
-        path.write_text(json.dumps({
-            f"v{CACHE_VERSION}:aaaa:mode=0:rank=4:threads=1": good,
-            f"v{CACHE_VERSION}:bbbb:mode=1:rank=4:threads=1":
-                {"backend": 12},  # invalid entry
+    def test_stale_tuning_cache_is_skipped(self, tmp_path):
+        # Older versions persisted measured tuning decisions here; fsck
+        # no longer scrubs them, so one must never read as corruption.
+        stale = tmp_path / "autotune.json"
+        stale.write_text(json.dumps({
+            "v1:aaaa:mode=0:rank=4:threads=1:executor=serial":
+                {"backend": 12},  # invalid by the old cache rules
         }))
-        report = fsck_tuning_cache(path)
-        assert not report.ok and report.count("corrupt") == 1
-        repaired = fsck_tuning_cache(path, repair=True)
-        assert repaired.ok and repaired.count("repaired") == 1
-        assert fsck_tuning_cache(path).ok
-        remaining = json.loads(path.read_text())
-        assert len(remaining) == 1
-        assert TuningCache(path).get(next(iter(remaining))) is not None
+        report = fsck_path(tmp_path)
+        assert report.ok and report.count("corrupt") == 0
+        (entry,) = report.artifacts
+        assert entry.verdict == "skipped"
+        assert entry.path.endswith("autotune.json")
+        direct = fsck_path(stale, repair=True)
+        assert direct.ok
+        (entry,) = direct.artifacts
+        assert entry.verdict == "skipped"
+        assert entry.detail == "not a recognized artifact"
+        assert json.loads(stale.read_text())  # untouched
 
     def test_walk_scrubs_mixed_directory(self, tensor, tmp_path, rng):
         make_store(tensor, tmp_path / "store", keep_source=False).close()
@@ -422,7 +422,7 @@ class TestFsck:
         assert report.ok
         kinds = {a.kind for a in report.artifacts}
         assert "slab" in kinds and "checkpoint" in kinds
-        # The metrics export is not judged by tuning-cache rules.
+        # A metrics export is not a recognized artifact.
         metrics = [a for a in report.artifacts
                    if a.path.endswith("metrics.json")]
         assert metrics and metrics[0].verdict == "skipped"

@@ -25,7 +25,7 @@ from repro.observability.export import (
     write_jsonl,
 )
 from repro.observability.state import set_active_registry
-from repro.parallel.threadpool import parallel_for
+from repro.parallel import get_executor
 from repro.tensor import noisy_lowrank_coo
 
 
@@ -122,7 +122,8 @@ class TestSpans:
                     assert current_span_path() == "worker/step"
             return i
 
-        results = parallel_for(work, list(range(16)), threads=4)
+        results = get_executor("thread").parallel_for(work, list(range(16)),
+                                                     threads=4)
         assert sorted(results) == list(range(16))
         hists = registry.snapshot()["histograms"]
         key = next(k for k in hists if "span=worker/step" in k)
@@ -328,14 +329,17 @@ class TestFitFacade:
         assert r.metrics == handle.snapshot()
         assert r.metrics["counters"]
 
-    def test_legacy_kwargs_warn_and_translate(self):
+    def test_fit_translates_legacy_aliases(self):
         tensor = small_tensor()
-        with pytest.warns(DeprecationWarning, match="flat keyword"):
-            result = repro.fit_aoadmm(tensor, n_components=3, random_state=0,
-                                      max_iter=2, use_blocked=False)
+        result = repro.fit(tensor, n_components=3, random_state=0,
+                           max_iter=2, use_blocked=False)
         assert result.options.rank == 3
         assert result.options.blocked is False
         assert len(result.trace) == 2
+
+    def test_fit_aoadmm_takes_no_flat_kwargs(self):
+        with pytest.raises(TypeError):
+            repro.fit_aoadmm(small_tensor(), rank=3)
 
     def test_options_from_kwargs_unknown_name(self):
         with pytest.raises(ValueError, match="not an AOADMMOptions field"):
@@ -343,15 +347,13 @@ class TestFitFacade:
 
     def test_load_tns_alias(self):
         # load_tns routes through the unified open_tensor front door;
-        # the historical read/write spellings stay importable but warn.
+        # the historical top-level read/write spellings are gone.
         import warnings
 
-        from repro.tensor.io import read_tns, write_tns
+        from repro.tensor.io import write_tns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert repro.load_tns is not None
             assert repro.save_tns is write_tns
-        with pytest.warns(DeprecationWarning, match="open_tensor"):
-            assert repro.read_tns is read_tns
-        with pytest.warns(DeprecationWarning, match="save_tns"):
-            assert repro.write_tns is write_tns
+        assert not hasattr(repro, "read_tns")
+        assert not hasattr(repro, "write_tns")

@@ -13,10 +13,14 @@ from repro.parallel import (
     balanced_chunks,
     block_of_row,
     effective_threads,
-    parallel_for,
+    get_executor,
     row_blocks,
     run_schedule,
 )
+
+
+def parallel_for(func, items, threads=None):
+    return get_executor("thread").parallel_for(func, items, threads=threads)
 
 
 class TestRowBlocks:
