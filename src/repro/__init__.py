@@ -66,28 +66,18 @@ from .integrity import (
 )
 from .observability import Observability, configure, get_observability
 from .robustness import (
-    Backoff,
     Checkpoint,
     CheckpointStore,
-    Deadline,
     FaultInjector,
     FaultSpec,
-    FitStalled,
-    FitSupervisor,
     GuardEvent,
     HealthMonitor,
     NumericalFaultError,
-    RetryBudgetExceeded,
-    RetryPolicy,
-    SupervisorOptions,
-    SupervisorReport,
-    Watchdog,
     WorkerFault,
     WorkerFaultPlan,
     load_checkpoint,
     resolve_resume,
     save_checkpoint,
-    supervise_fit,
     verify_checkpoint,
 )
 from .tensor import (
@@ -141,28 +131,18 @@ __all__ = [
     "VERIFY_ENV_VAR",
     "checksum_file",
     "verify_reads_enabled",
-    "Backoff",
     "Checkpoint",
     "CheckpointStore",
-    "Deadline",
     "FaultInjector",
     "FaultSpec",
-    "FitStalled",
-    "FitSupervisor",
     "GuardEvent",
     "HealthMonitor",
     "NumericalFaultError",
-    "RetryBudgetExceeded",
-    "RetryPolicy",
-    "SupervisorOptions",
-    "SupervisorReport",
-    "Watchdog",
     "WorkerFault",
     "WorkerFaultPlan",
     "load_checkpoint",
     "resolve_resume",
     "save_checkpoint",
-    "supervise_fit",
     "verify_checkpoint",
     "COOTensor",
     "CSFTensor",

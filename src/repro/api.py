@@ -31,11 +31,6 @@ from .core.cpd import CPModel
 from .core.options import AOADMMOptions, options_from_kwargs
 from .core.trace import FactorizationTrace
 from .observability import Observability, empty_snapshot, get_observability
-from .robustness.supervisor import (
-    FitSupervisor,
-    SupervisorOptions,
-    SupervisorReport,
-)
 from .types import TensorSource
 from .validation import require
 
@@ -75,9 +70,6 @@ class FitResult:
     method: str
     #: The underlying driver's result, for anything not surfaced here.
     raw: FactorizationResult
-    #: Recovery audit trail when the run was supervised
-    #: (``fit(..., supervise=...)``); ``None`` otherwise.
-    supervisor: "SupervisorReport | None" = None
 
     @property
     def factors(self) -> list[np.ndarray]:
@@ -101,7 +93,6 @@ def fit(tensor: "TensorSource | str | Path",
         initial_factors: "list[np.ndarray] | None" = None,
         engine: object = None,
         resume_from: object = None,
-        supervise: "bool | SupervisorOptions | None" = None,
         **option_kwargs: object) -> FitResult:
     """Factorize *tensor* and return a :class:`FitResult`.
 
@@ -137,18 +128,6 @@ def fit(tensor: "TensorSource | str | Path",
         ``**option_kwargs`` are applied on top of it.
     initial_factors, engine, resume_from:
         Forwarded to the driver (``resume_from`` is AO-ADMM only).
-    supervise:
-        Run under the resilient
-        :class:`~repro.robustness.supervisor.FitSupervisor` (AO-ADMM
-        only): a heartbeat watchdog interrupts stalled runs, transient
-        faults (memory exhaustion, checkpoint I/O errors) are retried
-        with backoff from the newest valid checkpoint, execution
-        degrades ``thread -> serial`` under repeated pressure, and
-        SIGTERM/SIGINT preempt gracefully (checkpoint + resumable
-        ``stop_reason="preempted"``).  ``True`` uses default
-        :class:`~repro.robustness.supervisor.SupervisorOptions`; pass an
-        instance to tune.  The recovery audit trail lands in
-        ``FitResult.supervisor`` and the run's ``trace.guard_log``.
     **option_kwargs:
         Any other :class:`AOADMMOptions` field (or legacy alias), e.g.
         ``blocked=False, seed=0, max_outer_iterations=50``, or
@@ -183,37 +162,17 @@ def fit(tensor: "TensorSource | str | Path",
         driver_kwargs["resume_from"] = resume_from
     driver = _driver(method)
 
-    report: "SupervisorReport | None" = None
-    if supervise:
-        require(method == "aoadmm",
-                "supervise is only supported by method='aoadmm'")
-        require(engine is None,
-                "supervise owns the engine lifecycle (the degradation "
-                "ladder swaps executors); do not pass engine=")
-        sup_options = (supervise if isinstance(supervise,
-                                               SupervisorOptions)
-                       else None)
-
-        def run():
-            return FitSupervisor(tensor, options, supervisor=sup_options,
-                                 initial_factors=initial_factors,
-                                 resume_from=resume_from).run()
-    else:
-        def run():
-            return driver(tensor, **driver_kwargs), None
-
     if observe is None:
-        result, report = run()
+        result = driver(tensor, **driver_kwargs)
         handle = get_observability()
-        metrics = handle.snapshot() if handle.enabled else empty_snapshot()
     else:
         handle = (observe if isinstance(observe, Observability)
                   else Observability(enabled=bool(observe)))
         with handle.activate():
-            result, report = run()
-        metrics = handle.snapshot() if handle.enabled else empty_snapshot()
+            result = driver(tensor, **driver_kwargs)
+    metrics = handle.snapshot() if handle.enabled else empty_snapshot()
 
     return FitResult(model=result.model, trace=result.trace,
                      metrics=metrics, stop_reason=result.stop_reason,
                      converged=result.converged, options=result.options,
-                     method=method, raw=result, supervisor=report)
+                     method=method, raw=result)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +51,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
     from .constraints.registry import make_constraint
     from .core.aoadmm import fit_aoadmm
     from .core.options import options_from_kwargs
+    from .robustness.preemption import preempt_on_signals
     from .tensor.store import open_tensor
 
     tensor = open_tensor(args.tensor,
@@ -75,12 +78,11 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         max_bytes_in_core=args.max_bytes_in_core,
         tune=args.tune,
     )
-    report = None
-    if args.supervise:
-        from .robustness.supervisor import FitSupervisor
-        result, report = FitSupervisor(
-            tensor, options, resume_from=args.resume).run()
-    else:
+    # SIGTERM/SIGINT stop the fit after a final checkpoint, so they are
+    # caught only when there is a checkpoint to resume from.
+    with (preempt_on_signals() if args.checkpoint else nullcontext()) \
+            as preempt_flag:
+        options = replace(options, preempt_flag=preempt_flag)
         result = fit_aoadmm(tensor, options, resume_from=args.resume)
     for record in result.trace.records:
         if args.verbose or record.iteration == len(result.trace):
@@ -92,11 +94,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
     print(f"stopped: {result.stop_reason}; relative error "
           f"{result.relative_error:.6f}; "
           f"total {result.trace.total_seconds():.1f}s")
-    if report is not None and (report.recovered or report.preempted
-                               or report.stalls):
-        print(f"supervisor: {report.attempts} attempt(s), "
-              f"{report.stalls} stall(s), "
-              f"degradations: {report.degradations or 'none'}")
     if result.stop_reason == "preempted":
         print("preempted; resume with --resume "
               f"{result.options.checkpoint_path}")
@@ -225,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("off", "raise", "rollback", "repair"),
                    help="numerical-guard reaction (repro.robustness)")
     p.add_argument("--checkpoint", metavar="PATH",
-                   help=".npz destination for resumable checkpoints")
+                   help=".npz destination for resumable checkpoints; "
+                        "SIGTERM/SIGINT then stop the fit after a final "
+                        "checkpoint (exit code 3, continue with --resume)")
     p.add_argument("--checkpoint-every", type=int, metavar="N",
                    help="checkpoint every N outer iterations "
                         "(requires --checkpoint)")
@@ -235,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-last", type=int, metavar="N",
                    help="retain the newest N versioned checkpoints "
                         "(requires --checkpoint)")
-    p.add_argument("--supervise", action="store_true",
-                   help="run under the resilient fit supervisor: stall "
-                        "watchdog, retry with backoff from checkpoints, "
-                        "executor degradation ladder, graceful "
-                        "SIGTERM/SIGINT preemption (exit code 3 when "
-                        "preempted)")
     p.add_argument("--max-bytes-in-core", type=int, metavar="BYTES",
                    help="stream the tensor out-of-core, keeping at most "
                         "this many slab bytes resident "

@@ -203,18 +203,12 @@ def fit_aoadmm(tensor: TensorSource,
         store = CheckpointStore(options.checkpoint_path,
                                 keep_last=options.checkpoint_keep_last)
 
-    def write_checkpoint(iteration: int) -> None:
-        if injector is not None:
-            injector.check_checkpoint_write(iteration)
+    def write_checkpoint() -> None:
         if store is not None:
-            written = store.save(tensor, options, states, trace,
-                                 rhos=last_rhos)
+            store.save(tensor, options, states, trace, rhos=last_rhos)
         else:
-            written = save_checkpoint(options.checkpoint_path, tensor,
-                                      options, states, trace,
-                                      rhos=last_rhos)
-        if injector is not None:
-            injector.corrupt_checkpoint(written, iteration)
+            save_checkpoint(options.checkpoint_path, tensor, options,
+                            states, trace, rhos=last_rhos)
 
     nmodes = tensor.nmodes
     converged = False
@@ -243,12 +237,6 @@ def fit_aoadmm(tensor: TensorSource,
     clock = StageClock(scope="aoadmm")
     while not stop_reason:
         iteration = len(trace) + 1
-        if injector is not None:
-            # Environment faults (stall / oom) fire here, before any
-            # kernel work, so the supervisor's watchdog and retry paths
-            # see them exactly as a wedged loop or allocation failure
-            # would present.
-            injector.pre_iteration(iteration)
         clock.reset()
         inner_iterations: list[int] = []
         block_reports: list[object] = []
@@ -347,7 +335,7 @@ def fit_aoadmm(tensor: TensorSource,
         checkpointed = False
         if options.checkpoint_every is not None \
                 and iteration % options.checkpoint_every == 0:
-            write_checkpoint(iteration)
+            write_checkpoint()
             checkpointed = True
 
         stop_reason = ""
@@ -366,7 +354,7 @@ def fit_aoadmm(tensor: TensorSource,
             # resumes bit-identically; skip when this iteration's
             # periodic checkpoint already captured exactly this state.
             if options.checkpoint_path is not None and not checkpointed:
-                write_checkpoint(iteration)
+                write_checkpoint()
         if stop_reason:
             converged = stop_reason == "tolerance"
             break

@@ -110,8 +110,9 @@ class AOADMMOptions:
         A ``threading.Event``-like object (anything with ``is_set()``)
         polled between outer iterations.  When set, the driver writes a
         final checkpoint (if checkpointing is configured) and returns
-        with ``stop_reason="preempted"`` — the graceful-preemption hook
-        the supervisor's SIGTERM/SIGINT handlers use.
+        with ``stop_reason="preempted"``.
+        :func:`repro.robustness.preempt_on_signals` yields one that
+        SIGTERM/SIGINT set.
     fault_injector:
         A :class:`repro.robustness.faults.FaultInjector` for testing the
         guards; ``None`` (the default) in production runs.

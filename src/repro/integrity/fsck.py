@@ -123,8 +123,7 @@ def fsck_store(path: "str | Path", repair: bool = False,
             if problem is None:
                 report.add(path / rel, "slab", "clean")
                 continue
-            record_integrity_event("mismatch", artifact=rel,
-                                   detail=problem)
+            record_integrity_event("mismatch", artifact=rel)
             if not repair:
                 report.add(path / rel, "slab", "corrupt", problem)
                 continue
@@ -143,8 +142,7 @@ def fsck_store(path: "str | Path", repair: bool = False,
         if repair:
             import shutil
             shutil.rmtree(staging, ignore_errors=True)
-            record_integrity_event("repair", artifact=staging.name,
-                                   detail="removed stale staging dir")
+            record_integrity_event("repair", artifact=staging.name)
             report.add(staging, "staging", "repaired",
                        "stale staging directory removed")
         else:
@@ -177,15 +175,14 @@ def fsck_state_file(path: "str | Path", repair: bool = False) -> FsckReport:
         record_integrity_event("scrub", artifact=path.name, nbytes=nbytes)
         report.add(path, "checkpoint", "clean")
         return report
-    record_integrity_event("mismatch", artifact=path.name, detail=problem)
+    record_integrity_event("mismatch", artifact=path.name)
     if not repair:
         report.add(path, "checkpoint", "corrupt", problem)
         return report
     import os
     target = path.with_name(path.name + ".corrupt")
     os.replace(path, target)
-    record_integrity_event("quarantine", artifact=path.name,
-                           detail=problem)
+    record_integrity_event("quarantine", artifact=path.name)
     report.add(path, "checkpoint", "quarantined",
                f"{problem}; moved to {target.name} (resume falls back "
                f"to the next older version)")

@@ -64,7 +64,6 @@ ReprPolicy = Literal["dense", "csr", "hybrid", "auto"]
 _CSF_METHOD_CACHE: dict[tuple[int, int],
                         tuple[np.ndarray, np.ndarray, CSFTensor]] = {}
 _CSF_METHOD_CACHE_MAX = 8
-_MEMOIZATION_ENABLED = True
 
 #: Memoized model-tuned execution plans for the stateless
 #: ``mttkrp(method="auto")`` path, keyed by ``(id(tensor), mode, rank)``
@@ -73,29 +72,6 @@ _AUTO_PLAN_CACHE: dict[tuple[int, int, int],
                        tuple[np.ndarray, np.ndarray, CSFTiling,
                              KernelWorkspace]] = {}
 _AUTO_PLAN_CACHE_MAX = 8
-
-
-def configure_memoization(enabled: bool) -> bool:
-    """Globally enable/disable kernel memoization; returns the old setting.
-
-    Disabling also drops the current cache contents.  Memoized trees
-    pin their source arrays, so under memory pressure the supervisor's
-    degradation ladder turns this off to trade recompute time for
-    released memory — results are bit-identical either way (the cache
-    only avoids re-sorting, it never changes values).
-    """
-    global _MEMOIZATION_ENABLED
-    previous = _MEMOIZATION_ENABLED
-    _MEMOIZATION_ENABLED = bool(enabled)
-    if not _MEMOIZATION_ENABLED:
-        _CSF_METHOD_CACHE.clear()
-        _AUTO_PLAN_CACHE.clear()
-    return previous
-
-
-def memoization_enabled() -> bool:
-    """Whether kernel memoization is currently on (see above)."""
-    return _MEMOIZATION_ENABLED
 
 
 def _csf_for_method(tensor: COOTensor, mode: int) -> CSFTensor:
@@ -107,7 +83,7 @@ def _csf_for_method(tensor: COOTensor, mode: int) -> CSFTensor:
     repeated test calls from re-sorting the same tensor on every call.
     """
     key = (id(tensor), mode)
-    hit = _CSF_METHOD_CACHE.get(key) if _MEMOIZATION_ENABLED else None
+    hit = _CSF_METHOD_CACHE.get(key)
     if hit is not None and hit[0] is tensor.coords and hit[1] is tensor.vals:
         # A memoized tree used to make the call's stats vanish entirely;
         # the registry keeps every invocation visible (cache_hit counter).
@@ -117,10 +93,9 @@ def _csf_for_method(tensor: COOTensor, mode: int) -> CSFTensor:
     order = None if mode == 0 else (
         (mode,) + tuple(m for m in range(tensor.nmodes) if m != mode))
     tree = CSFTensor.from_coo(tensor, mode_order=order)
-    if _MEMOIZATION_ENABLED:
-        if len(_CSF_METHOD_CACHE) >= _CSF_METHOD_CACHE_MAX:
-            _CSF_METHOD_CACHE.pop(next(iter(_CSF_METHOD_CACHE)))
-        _CSF_METHOD_CACHE[key] = (tensor.coords, tensor.vals, tree)
+    if len(_CSF_METHOD_CACHE) >= _CSF_METHOD_CACHE_MAX:
+        _CSF_METHOD_CACHE.pop(next(iter(_CSF_METHOD_CACHE)))
+    _CSF_METHOD_CACHE[key] = (tensor.coords, tensor.vals, tree)
     return tree
 
 
@@ -134,7 +109,7 @@ def _auto_plan(tensor: COOTensor, mode: int, rank: int
     records).
     """
     key = (id(tensor), mode, rank)
-    hit = _AUTO_PLAN_CACHE.get(key) if _MEMOIZATION_ENABLED else None
+    hit = _AUTO_PLAN_CACHE.get(key)
     if hit is not None and hit[0] is tensor.coords and hit[1] is tensor.vals:
         record_cache_event("mttkrp_auto_plan", hit=True)
         return hit[2].csf, hit[2], hit[3]
@@ -144,10 +119,9 @@ def _auto_plan(tensor: COOTensor, mode: int, rank: int
     decision = tuner.decide_tree(tree, mode, rank)
     tiling = CSFTiling(tree, slab_nnz_target=decision.slab_nnz_target)
     ws = KernelWorkspace(tiling)
-    if _MEMOIZATION_ENABLED:
-        if len(_AUTO_PLAN_CACHE) >= _AUTO_PLAN_CACHE_MAX:
-            _AUTO_PLAN_CACHE.pop(next(iter(_AUTO_PLAN_CACHE)))
-        _AUTO_PLAN_CACHE[key] = (tensor.coords, tensor.vals, tiling, ws)
+    if len(_AUTO_PLAN_CACHE) >= _AUTO_PLAN_CACHE_MAX:
+        _AUTO_PLAN_CACHE.pop(next(iter(_AUTO_PLAN_CACHE)))
+    _AUTO_PLAN_CACHE[key] = (tensor.coords, tensor.vals, tiling, ws)
     return tree, tiling, ws
 
 
@@ -228,7 +202,9 @@ class MTTKRPCallStats:
     #: The engine's executor (``serial``/``thread``); sparse-
     #: representation calls record ``serial`` (they run inline).
     executor: str = "thread"
-    #: Worker/thread count the call was allowed to use.
+    #: Threads the call's kernel was allowed to use: 1 for calls that
+    #: run inline (the ``serial`` executor, one-slab, sparse-
+    #: representation and streamed calls).
     workers: int = 1
     #: Sweep that computed the call: ``native`` (the compiled kernel of
     #: :mod:`repro.kernels.native`) or ``numpy`` (its fallback).
@@ -459,7 +435,8 @@ class MTTKRPEngine:
                 bytes_allocated=bytes1 - bytes0,
                 seconds=time.perf_counter() - start,
                 executor=self._executor.name,
-                workers=effective_threads(self.threads),
+                workers=self._workers(self._executor.name,
+                                      tiling.slab_count),
                 kernel=kernel)
             self.call_log.append(stats)
             record_mttkrp_call(
@@ -503,11 +480,17 @@ class MTTKRPEngine:
             slab_count=slab_count, bytes_allocated=bytes_allocated,
             seconds=time.perf_counter() - start,
             executor=call_executor,
-            workers=effective_threads(self.threads),
+            workers=self._workers(call_executor, slab_count),
             kernel=kernel)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=int(np.asarray(factors[0]).shape[1]))
         return out
+
+    def _workers(self, executor: str, slab_count: int) -> int:
+        """Threads a call may use: one when its slabs run inline."""
+        if executor == "serial" or slab_count <= 1:
+            return 1
+        return effective_threads(self.threads)
 
     def _mttkrp_sparse(self, csf: CSFTensor, factors: FactorList,
                        mode: int, rep: FactorRepresentation,
@@ -676,7 +659,8 @@ class StreamingMTTKRPEngine:
             bytes_allocated=allocated,
             seconds=time.perf_counter() - start,
             executor=self._executor.name,
-            workers=effective_threads(self.threads),
+            # The sweep runs inline; the executor only prefetches slabs.
+            workers=1,
             kernel=kernel_name)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=rank)

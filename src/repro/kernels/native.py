@@ -442,7 +442,7 @@ def _resolve() -> RootKernel | None:
     warnings.warn(f"native CSF kernel unavailable ({reason}); root-mode "
                   "MTTKRP uses the NumPy sweep", RuntimeWarning,
                   stacklevel=4)
-    record_kernel_fallback("csf_root", reason)
+    record_kernel_fallback("csf_root")
     return None
 
 

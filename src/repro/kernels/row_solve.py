@@ -289,7 +289,7 @@ def _resolve() -> RowSolver | None:
     warnings.warn(f"native row solve unavailable ({reason}); the ADMM "
                   "solve and block loop use NumPy", RuntimeWarning,
                   stacklevel=5)
-    record_kernel_fallback("row_solve", reason)
+    record_kernel_fallback("row_solve")
     return None
 
 

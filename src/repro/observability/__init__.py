@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .export import prometheus_text, read_jsonl, report, write_jsonl
 from .hooks import (
-    add_hook,
     mttkrp_flops_bytes,
     record_admm_report,
     record_cache_event,
@@ -39,10 +38,8 @@ from .hooks import (
     record_mttkrp_call,
     record_representation,
     record_slab_event,
-    record_supervisor_event,
     record_tiling,
     record_tune_decision,
-    remove_hook,
     roofline_seconds,
 )
 from .registry import (
@@ -151,8 +148,6 @@ __all__ = [
     "prometheus_text",
     "empty_snapshot",
     "render_key",
-    "add_hook",
-    "remove_hook",
     "record_mttkrp_call",
     "record_cache_event",
     "record_integrity_event",
@@ -162,7 +157,6 @@ __all__ = [
     "record_iteration",
     "record_kernel_fallback",
     "record_slab_event",
-    "record_supervisor_event",
     "record_tune_decision",
     "mttkrp_flops_bytes",
     "roofline_seconds",

@@ -3,8 +3,7 @@
 Each ``record_*`` function is a cheap early-return no-op while
 observability is disabled; when enabled it turns one runtime event —
 an MTTKRP call, an inner ADMM solve, a factor-representation switch, a
-finished outer iteration — into registry counters/gauges/histograms,
-and forwards the raw payload to any registered pluggable hooks.
+finished outer iteration — into registry counters/gauges/histograms.
 
 The MTTKRP hook also derives analytic flop/byte estimates and the
 single-core roofline time from :mod:`repro.machine.spec`, so measured
@@ -14,34 +13,9 @@ hardware allows (the ROADMAP's "as fast as the hardware allows" check).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..machine.spec import PAPER_MACHINE, MachineSpec
 from .registry import ITERATION_BUCKETS
 from .state import active_registry, is_enabled
-
-#: Pluggable hooks: ``hook(event: str, payload: dict)`` called on every
-#: recorded event while observability is enabled.
-_HOOKS: list[Callable[[str, dict], None]] = []
-
-
-def add_hook(hook: Callable[[str, dict], None]) -> None:
-    """Register a pluggable profiling hook (called as ``hook(event, payload)``)."""
-    _HOOKS.append(hook)
-
-
-def remove_hook(hook: Callable[[str, dict], None]) -> None:
-    """Unregister a previously added hook (no error if absent)."""
-    try:
-        _HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
-def _emit(event: str, payload: dict) -> None:
-    for hook in _HOOKS:
-        hook(event, payload)
-
 
 # ----------------------------------------------------------------------
 # Kernel-level estimates (machine/spec.py)
@@ -97,34 +71,13 @@ def record_mttkrp_call(stats, rank: int | None = None) -> None:
         if stats.seconds > 0.0:
             reg.gauge("mttkrp_roofline_fraction",
                       mode=mode).set(floor / stats.seconds)
-    _emit("mttkrp", {"stats": stats, "rank": rank})
 
 
-def record_kernel_fallback(kernel: str, detail: str = "") -> None:
+def record_kernel_fallback(kernel: str) -> None:
     """A compiled kernel is unavailable; its NumPy twin serves instead."""
     if not is_enabled():
         return
     active_registry().counter("kernel_fallbacks", kernel=kernel).inc()
-    _emit("kernel_fallback", {"kernel": kernel, "detail": detail})
-
-
-def record_supervisor_event(kind: str, attempt: int,
-                            detail: str = "") -> None:
-    """One recovery action of the fit supervisor.
-
-    ``kind`` is the supervisor's event vocabulary — ``"stall"``,
-    ``"retry"``, ``"degrade"``, ``"resume"``, ``"restart"``,
-    ``"preempted"``, ``"checkpoint_quarantined"`` — so dashboards can
-    tell a run that merely *finished* from one that survived three pool
-    losses and a corrupted checkpoint along the way.
-    """
-    if not is_enabled():
-        return
-    reg = active_registry()
-    reg.counter("supervisor_events", kind=kind).inc()
-    reg.gauge("supervisor_attempt").set(attempt)
-    _emit("supervisor", {"kind": kind, "attempt": attempt,
-                         "detail": detail})
 
 
 def record_cache_event(cache: str, hit: bool) -> None:
@@ -139,7 +92,6 @@ def record_cache_event(cache: str, hit: bool) -> None:
     reg = active_registry()
     reg.counter(f"{cache}_cache_hits" if hit
                 else f"{cache}_cache_misses").inc()
-    _emit("cache", {"cache": cache, "hit": hit})
 
 
 def record_tiling(tiling, root_mode: int) -> None:
@@ -153,7 +105,6 @@ def record_tiling(tiling, root_mode: int) -> None:
         mean = sum(nnz) / len(nnz)
         imbalance = (max(nnz) / mean) if mean > 0 else 1.0
         reg.gauge("slab_imbalance", mode=root_mode).set(imbalance)
-    _emit("tiling", {"tiling": tiling, "root_mode": root_mode})
 
 
 def record_representation(mode: int, name: str, rep: object = None) -> None:
@@ -167,7 +118,6 @@ def record_representation(mode: int, name: str, rep: object = None) -> None:
         ncols = rep.shape[1]
         reg.gauge("csrh_dense_col_ratio",
                   mode=mode).set(n_dense / ncols if ncols else 0.0)
-    _emit("representation", {"mode": mode, "name": name, "rep": rep})
 
 
 def record_admm_report(report, mode: int, blocked: bool) -> None:
@@ -193,10 +143,9 @@ def record_admm_report(report, mode: int, blocked: bool) -> None:
     reg.gauge("admm_rho", mode=mode).set(report.rho)
     if report.jitter_added:
         reg.counter("cholesky_jitter_events", mode=mode).inc()
-    _emit("admm", {"report": report, "mode": mode, "blocked": blocked})
 
 
-def record_slab_event(kind: str, mode: int, slab: int, nbytes: int,
+def record_slab_event(kind: str, mode: int, nbytes: int,
                       resident_bytes: int, resident_count: int) -> None:
     """One residency-set transition of the out-of-core slab cache.
 
@@ -221,9 +170,6 @@ def record_slab_event(kind: str, mode: int, slab: int, nbytes: int,
         reg.counter("slab_prefetches", mode=mode).inc()
     reg.gauge("slab_resident_bytes").set(int(resident_bytes))
     reg.gauge("slab_resident_count").set(int(resident_count))
-    _emit("slab", {"kind": kind, "mode": mode, "slab": slab,
-                   "nbytes": nbytes, "resident_bytes": resident_bytes,
-                   "resident_count": resident_count})
 
 
 def record_tune_decision(decision) -> None:
@@ -235,11 +181,10 @@ def record_tune_decision(decision) -> None:
                 backend=decision.backend, source=decision.source).inc()
     reg.gauge("tune_slab_nnz_target",
               mode=decision.mode).set(decision.slab_nnz_target)
-    _emit("tune_decision", {"decision": decision})
 
 
 def record_integrity_event(kind: str, artifact: str = "",
-                           nbytes: int = 0, detail: str = "") -> None:
+                           nbytes: int = 0) -> None:
     """One storage-integrity event (:mod:`repro.integrity`).
 
     ``kind`` is the integrity vocabulary — ``"scrub"`` (bytes verified
@@ -250,8 +195,6 @@ def record_integrity_event(kind: str, artifact: str = "",
     ``"repair"`` (fsck resolved a finding).  ``artifact`` labels the
     artifact class (``"slab"``, ``"checkpoint"``, ...), so dashboards
     can tell slab bit-rot from checkpoint bit-rot.
-    The supervisor listens to the pluggable-hook mirror of these events
-    to surface quarantines/rebuilds as GuardEvents in the run's trace.
     """
     if not is_enabled():
         return
@@ -267,8 +210,6 @@ def record_integrity_event(kind: str, artifact: str = "",
         reg.counter("integrity_rebuilds", artifact=artifact).inc()
     elif kind == "repair":
         reg.counter("integrity_repairs", artifact=artifact).inc()
-    _emit("integrity", {"kind": kind, "artifact": artifact,
-                        "nbytes": int(nbytes), "detail": detail})
 
 
 def record_iteration(record, scope: str = "aoadmm") -> None:
@@ -286,4 +227,3 @@ def record_iteration(record, scope: str = "aoadmm") -> None:
                       mode=mode).observe(inner)
     if record.guard_events:
         reg.counter("guard_events", scope=scope).inc(len(record.guard_events))
-    _emit("iteration", {"record": record, "scope": scope})

@@ -375,10 +375,8 @@ class CheckpointStore:
         """Move *path* aside as ``<path>.corrupt``; returns the new name."""
         target = path.with_name(path.name + QUARANTINE_SUFFIX)
         os.replace(path, target)
-        record_integrity_event("mismatch", artifact=path.name,
-                               detail=reason)
-        record_integrity_event("quarantine", artifact=path.name,
-                               detail=reason)
+        record_integrity_event("mismatch", artifact=path.name)
+        record_integrity_event("quarantine", artifact=path.name)
         warnings.warn(
             f"quarantined corrupt checkpoint {path.name} -> "
             f"{target.name}: {reason}",
@@ -409,9 +407,9 @@ def resolve_resume(resume_from: "str | Path | Checkpoint") -> Checkpoint:
     """Turn a ``resume_from`` spec into a loaded :class:`Checkpoint`.
 
     Accepts a loaded checkpoint, an exact file path, or a *base* path
-    whose :class:`CheckpointStore` versions exist (the supervised /
-    ``keep_last`` layout) — in which case the newest valid version wins,
-    with corrupt ones quarantined along the way.
+    whose :class:`CheckpointStore` versions exist (the ``keep_last``
+    layout) — in which case the newest valid version wins, with corrupt
+    ones quarantined along the way.
     """
     if isinstance(resume_from, Checkpoint):
         return resume_from

@@ -32,9 +32,7 @@ Storage
 
 from __future__ import annotations
 
-import errno
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,18 +41,9 @@ import numpy as np
 from ..distributed.comm import WorkerFailure
 from ..validation import require
 
-#: Fault classes understood by :class:`FaultInjector`.
-#:
-#: The first three corrupt *values* flowing through the loop (exercising
-#: the numerical guards); the rest simulate *environment* failures for
-#: the supervisor: ``stall`` wedges the loop until the watchdog
-#: interrupts it, ``oom`` raises :class:`MemoryError` (memory pressure),
-#: ``checkpoint_enospc`` makes the next checkpoint write fail with
-#: ``ENOSPC``, and ``checkpoint_corrupt`` scribbles garbage over the
-#: checkpoint that was just written (exercising quarantine + fallback).
-FAULT_KINDS = ("mttkrp_nan", "indefinite_gram", "diverge_error",
-               "stall", "oom", "checkpoint_enospc",
-               "checkpoint_corrupt")
+#: Fault classes understood by :class:`FaultInjector`; each corrupts a
+#: *value* flowing through the loop, exercising the numerical guards.
+FAULT_KINDS = ("mttkrp_nan", "indefinite_gram", "diverge_error")
 
 
 @dataclass(frozen=True)
@@ -73,18 +62,12 @@ class FaultSpec:
     #: Mode to hit; ``None`` matches any mode (kind-dependent).
     mode: int | None = None
     once: bool = True
-    #: For ``kind="stall"``: wedge for this many seconds, then resume.
-    #: ``None`` stalls indefinitely — until the watchdog injects
-    #: :class:`~repro.robustness.watchdog.FitStalled` into the loop.
-    seconds: float | None = None
 
     def __post_init__(self) -> None:
         require(self.kind in FAULT_KINDS,
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{FAULT_KINDS}")
         require(self.iteration >= 1, "fault iteration is 1-based")
-        require(self.seconds is None or self.seconds > 0.0,
-                "stall seconds must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -146,57 +129,6 @@ class FaultInjector:
         if not self._match("diverge_error", iteration, None):
             return error
         return error * 10.0 + 1.0
-
-    def _stall_seconds(self, iteration: int) -> float | None:
-        """Duration of the stall fired at *iteration* (sentinel inf = forever)."""
-        for i, f in enumerate(self.faults):
-            if f.kind != "stall" or i in self._spent:
-                continue
-            if iteration == f.iteration if f.once else iteration >= f.iteration:
-                return f.seconds if f.seconds is not None else float("inf")
-        return None
-
-    def pre_iteration(self, iteration: int) -> None:
-        """Environment faults fired at the top of an outer iteration.
-
-        ``stall`` blocks in an interruptible short-sleep loop — forever
-        when ``seconds`` is unset, so only the watchdog's injected
-        :class:`~repro.robustness.watchdog.FitStalled` (or a signal) can
-        unwedge it.  ``oom`` raises :class:`MemoryError`, the same class
-        a genuine allocation failure produces.
-        """
-        duration = self._stall_seconds(iteration)
-        if duration is not None and self._match("stall", iteration, None):
-            start = time.monotonic()
-            while time.monotonic() - start < duration:
-                # Short ticks: async-injected exceptions and signals are
-                # delivered between bytecodes, never mid-sleep(3600).
-                time.sleep(0.01)
-        if self._match("oom", iteration, None):
-            raise MemoryError(
-                f"injected allocation failure at iteration {iteration}")
-
-    def check_checkpoint_write(self, iteration: int) -> None:
-        """Fail the checkpoint write at *iteration* with ``ENOSPC``."""
-        if self._match("checkpoint_enospc", iteration, None):
-            raise OSError(errno.ENOSPC,
-                          f"injected ENOSPC during checkpoint write at "
-                          f"iteration {iteration}")
-
-    def corrupt_checkpoint(self, path, iteration: int) -> bool:
-        """Scribble garbage over the checkpoint just written at *path*.
-
-        Fired *after* a successful write, so the corrupt-latest /
-        fall-back-to-previous recovery path is exercised exactly as a
-        torn page or bit rot would: the file exists, has a plausible
-        size, and fails integrity verification on load.
-        """
-        if not self._match("checkpoint_corrupt", iteration, None):
-            return False
-        path = Path(path)
-        size = max(path.stat().st_size, 64)
-        path.write_bytes(b"\x00repro-injected-corruption\x00" * (size // 27 + 1))
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +213,7 @@ class ShardCrashPlan:
 
     Pass the plan as ``create(..., fault_hook=plan)``; it counts slab
     writes and at the ``at_slab``-th one either raises
-    :class:`InjectedCrash` (default — the checkpoint_enospc style of
-    injection, catchable by the test) or hard-kills the process with
+    :class:`InjectedCrash` (default — catchable by the test) or hard-kills the process with
     ``os._exit`` (``hard=True``, for subprocess-based crash tests where
     no ``finally`` block may run).  Either way the torn-write contract
     must hold: the target directory never contains a ``meta.json``, so

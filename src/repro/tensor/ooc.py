@@ -85,14 +85,14 @@ class SlabCache:
         if entry is not None:
             self._resident.move_to_end(key)
             self.hits += 1
-            record_slab_event("hit", key[0], key[1], entry[1],
+            record_slab_event("hit", key[0], entry[1],
                               self.resident_bytes, len(self._resident))
             return entry[0]
         self.misses += 1
         slab = loader()
         self.loads += 1
         self.put(key, slab, nbytes)
-        record_slab_event("load", key[0], key[1], nbytes,
+        record_slab_event("load", key[0], nbytes,
                           self.resident_bytes, len(self._resident))
         return slab
 
@@ -118,7 +118,7 @@ class SlabCache:
             key, (_, nbytes) = self._resident.popitem(last=False)
             self.resident_bytes -= nbytes
             self.evictions += 1
-            record_slab_event("evict", key[0], key[1], nbytes,
+            record_slab_event("evict", key[0], nbytes,
                               self.resident_bytes, len(self._resident))
 
     def clear(self) -> None:
@@ -187,7 +187,7 @@ class SlabStreamer:
                     self.cache.misses += 1
                     self.cache.loads += 1
                     self.cache.put((mode, index), slab, nbytes)
-                    record_slab_event("load", mode, index, nbytes,
+                    record_slab_event("load", mode, nbytes,
                                       self.cache.resident_bytes,
                                       len(self.cache))
                     current = slab
@@ -205,7 +205,7 @@ class SlabStreamer:
                     self.store.load_slab, mode, nxt)
                 pending_index = nxt
                 self.prefetches += 1
-                record_slab_event("prefetch", mode, nxt,
+                record_slab_event("prefetch", mode,
                                   self.store.slab_nbytes(mode, nxt),
                                   self.cache.resident_bytes,
                                   len(self.cache))

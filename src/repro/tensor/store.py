@@ -483,8 +483,7 @@ class ShardedTensorStore:
             os.replace(file_path, quarantined)
         except FileNotFoundError:
             quarantined = None
-        record_integrity_event("quarantine", artifact=smeta["file"],
-                               detail=str(reason))
+        record_integrity_event("quarantine", artifact=smeta["file"])
         warnings.warn(
             f"quarantined corrupt slab {file_path} "
             f"({reason})" + (f" -> {quarantined.name}"
@@ -567,8 +566,7 @@ class ShardedTensorStore:
         """Quarantine a damaged slab, then rebuild or raise."""
         smeta = self.slab_meta(mode, index)
         file_path = self.path / smeta["file"]
-        record_integrity_event("mismatch", artifact=smeta["file"],
-                               detail=problem)
+        record_integrity_event("mismatch", artifact=smeta["file"])
         quarantined = self.quarantine_slab(mode, index, problem)
         if self._source is None:
             where = (f"; evidence preserved at {quarantined}"

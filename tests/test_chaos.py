@@ -1,8 +1,9 @@
-"""Chaos: kill a real supervised fit mid-run, restart it, compare bits.
+"""Chaos: SIGTERM a real fit mid-run, restart it, compare bits.
 
-The in-process preemption tests (``tests/test_supervisor.py``) prove the
+The in-process preemption tests (``tests/test_robustness.py``) prove the
 flag-and-checkpoint mechanics; this module proves the whole journey —
-a *separate interpreter* running a supervised fit receives a real
+a *separate interpreter* running a fit under
+:func:`~repro.robustness.preempt_on_signals` receives a real
 ``SIGTERM``, exits through the graceful-preemption path, and a fresh
 process resuming from its checkpoints reproduces the uninterrupted run
 bit-for-bit, for both the serial and the thread executor.
@@ -21,30 +22,28 @@ from repro.tensor import noisy_lowrank_coo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Runs in a child interpreter: a supervised fit that SIGTERMs *itself*
-#: after outer iteration 3 (deterministic, no timing window), then
-#: reports how it stopped.  Exit code 3 = preempted (the CLI contract).
+#: Runs in a child interpreter: a fit that SIGTERMs *itself* after
+#: outer iteration 3 (deterministic, no timing window), then reports
+#: how it stopped.  Exit code 3 = preempted (the CLI contract).
 _CHILD_SCRIPT = """
 import os, signal, sys
-from repro import AOADMMOptions
-from repro.robustness import Backoff, SupervisorOptions, supervise_fit
+from repro import AOADMMOptions, fit_aoadmm
+from repro.robustness import preempt_on_signals
 from repro.tensor import noisy_lowrank_coo
 
 executor, ck_path = sys.argv[1], sys.argv[2]
 tensor, _ = noisy_lowrank_coo((30, 25, 20), rank=4, nnz=2000, seed=0)
-options = AOADMMOptions(
-    rank=4, constraints="nonneg", seed=0,
-    max_outer_iterations=8, outer_tolerance=0.0,
-    executor=executor, threads=2, slab_nnz_target=256,
-    checkpoint_every=1, checkpoint_keep_last=3, checkpoint_path=ck_path,
-    callback=lambda r: (r.iteration == 3
-                        and os.kill(os.getpid(), signal.SIGTERM))
-    and False)
-result, report = supervise_fit(
-    tensor, options,
-    SupervisorOptions(backoff=Backoff(initial=0.0, multiplier=1.0,
-                                      max_delay=0.0),
-                      install_signal_handlers=True))
+with preempt_on_signals() as preempt_flag:
+    options = AOADMMOptions(
+        rank=4, constraints="nonneg", seed=0,
+        max_outer_iterations=8, outer_tolerance=0.0,
+        executor=executor, threads=2, slab_nnz_target=256,
+        checkpoint_every=1, checkpoint_keep_last=3, checkpoint_path=ck_path,
+        preempt_flag=preempt_flag,
+        callback=lambda r: (r.iteration == 3
+                            and os.kill(os.getpid(), signal.SIGTERM))
+        and False)
+    result = fit_aoadmm(tensor, options)
 print("STOP", result.stop_reason, len(result.trace), flush=True)
 sys.exit(3 if result.stop_reason == "preempted" else 0)
 """

@@ -106,13 +106,44 @@ class TestExecutorBitIdentity:
         engine.close()
 
     def test_call_log_records_executor_and_workers(self, small_tensor):
+        # ``serial`` runs every slab inline, so the call used one worker
+        # whatever ``threads`` says.
         factors = _factors(small_tensor.shape)
         engine = MTTKRPEngine(small_tensor, threads=3, slab_nnz_target=16,
                               executor="serial")
         engine.mttkrp(factors, 0)
         stats = engine.call_log[-1]
         assert stats.executor == "serial"
-        assert stats.workers == 3
+        assert stats.workers == 1
+        engine.close()
+
+    @pytest.mark.parametrize("slab_nnz_target,workers", [(16, 3),
+                                                         (10**9, 1)])
+    def test_call_log_records_thread_workers(self, small_tensor,
+                                             slab_nnz_target, workers):
+        # One slab runs inline under ``thread`` too.
+        factors = _factors(small_tensor.shape)
+        engine = MTTKRPEngine(small_tensor, threads=3,
+                              slab_nnz_target=slab_nnz_target,
+                              executor="thread")
+        engine.mttkrp(factors, 0)
+        stats = engine.call_log[-1]
+        assert stats.executor == "thread"
+        assert (stats.slab_count > 1) == (workers > 1)
+        assert stats.workers == workers
+        engine.close()
+
+    def test_sparse_calls_record_one_worker(self, small_tensor):
+        factors = _factors(small_tensor.shape)
+        factors[2][:, 1:] = 0.0  # well below the 20% density threshold
+        factors[2][1:, 0] = 0.0
+        engine = MTTKRPEngine(small_tensor, repr_policy="csr", threads=3,
+                              executor="thread")
+        engine.update_factor(2, factors[2])
+        engine.mttkrp(factors, 0)
+        stats = engine.call_log[-1]
+        assert stats.representation == "csr"
+        assert (stats.executor, stats.workers) == ("serial", 1)
         engine.close()
 
     @pytest.mark.parametrize("executor", ["thread"])

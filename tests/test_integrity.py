@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+import repro
 from repro import AOADMMOptions, IntegrityError, fit_aoadmm
 from repro.integrity import (
     ALGORITHM,
@@ -45,7 +46,6 @@ from repro.robustness import (
     SlabFaultSpec,
     inject_slab_fault,
     resolve_resume,
-    supervise_fit,
 )
 from repro.tensor import noisy_lowrank_coo, save_tns
 from repro.tensor.store import (
@@ -495,14 +495,23 @@ class TestFitContract:
             fit_aoadmm(store, make_options())
         store.close()
 
-    def test_supervisor_surfaces_integrity_guard_events(self, tensor,
-                                                        tmp_path):
+    def test_rebuilt_slab_shows_in_fit_metrics(self, tensor, tmp_path):
+        clean = make_store(tensor, tmp_path / "clean")
+        reference = fit_aoadmm(clean, make_options())
+        clean.close()
         store = make_store(tensor, tmp_path / "s")  # rebuildable
         inject_slab_fault(store, SlabFaultSpec("slab_bitflip", seed=11))
-        result, report = supervise_fit(store, make_options())
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            result = repro.fit(store, options=make_options(), observe=True)
         store.close()
-        assert result is not None
-        kinds = {e.kind for e in report.guard_events}
-        assert "integrity_mismatch" in kinds or \
-               "integrity_quarantine" in kinds
-        assert any(k.startswith("integrity_") for k in kinds)
+        for ref, res in zip(reference.model.factors, result.factors):
+            np.testing.assert_array_equal(ref, res)
+        counters = result.metrics["counters"]
+
+        def total(name):
+            return sum(v for k, v in counters.items()
+                       if k.split("{")[0] == name)
+
+        assert total("integrity_mismatches") == 1
+        assert total("integrity_quarantines") == 1
+        assert total("integrity_rebuilds") == 1

@@ -3,8 +3,15 @@
 Every fault class the harness can inject is proven to be detected and
 handled per the configured policy — no injected NaN ever reaches a
 returned model silently — and a checkpointed run is proven to resume
-bit-identically against an uninterrupted reference run.
+bit-identically against an uninterrupted reference run, also from a
+versioned checkpoint store with a corrupt latest version and after a
+SIGTERM/SIGINT preemption.
 """
+
+import os
+import signal
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +21,8 @@ from repro.distributed.comm import WorkerFailure
 from repro.distributed.daoadmm import fit_aoadmm_distributed
 from repro.robustness import (
     Checkpoint,
+    CheckpointStore,
+    CheckpointUnavailable,
     FaultInjector,
     FaultSpec,
     GuardEvent,
@@ -22,9 +31,11 @@ from repro.robustness import (
     WorkerFault,
     WorkerFaultPlan,
     load_checkpoint,
+    preempt_on_signals,
+    resolve_resume,
     save_checkpoint,
 )
-from repro.robustness.checkpoint import options_fingerprint
+from repro.robustness.checkpoint import QUARANTINE_SUFFIX, options_fingerprint
 from repro.tensor import noisy_lowrank_coo
 
 
@@ -39,6 +50,20 @@ def make_options(**kw):
                 max_outer_iterations=10, outer_tolerance=0.0)
     base.update(kw)
     return AOADMMOptions(**base)
+
+
+@pytest.fixture(scope="module")
+def reference(tensor):
+    """The uninterrupted run every resumed fit must reproduce bit-for-bit."""
+    return fit_aoadmm(tensor, make_options())
+
+
+def assert_identical(reference, result):
+    for m, (a, b) in enumerate(zip(reference.model.factors,
+                                   result.model.factors)):
+        np.testing.assert_array_equal(a, b, err_msg=f"mode {m}")
+    np.testing.assert_array_equal(reference.trace.errors(),
+                                  result.trace.errors())
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +335,157 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
+# Checkpoint store: retention, quarantine, fallback
+# ----------------------------------------------------------------------
+
+class TestCheckpointStore:
+    def test_versioned_layout_and_retention(self, tensor, tmp_path):
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=6, checkpoint_every=1,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=2)
+        fit_aoadmm(tensor, opts)
+        store = CheckpointStore(path, keep_last=2)
+        versions = store.versions()
+        assert [store._iteration_of(p) for p in versions] == [5, 6]
+        assert store.latest_path() == store.version_path(6)
+        assert not path.exists()  # versioned layout, no legacy base file
+
+    def test_prune_only_after_new_version_exists(self, tensor, tmp_path):
+        # Writing version N+1 must never leave zero checkpoints even if
+        # pruning is interrupted: save() orders fsync before prune.
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=3, checkpoint_every=1,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=1)
+        fit_aoadmm(tensor, opts)
+        store = CheckpointStore(path, keep_last=1)
+        assert len(store.versions()) == 1
+
+    def test_corrupt_latest_quarantined_and_previous_loads(self, tensor,
+                                                          tmp_path):
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=4, checkpoint_every=1,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=3)
+        fit_aoadmm(tensor, opts)
+        store = CheckpointStore(path, keep_last=3)
+        latest = store.latest_path()
+        latest.write_bytes(b"garbage" * 100)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            checkpoint, loaded_from = store.load_latest()
+        assert checkpoint.iteration == 3
+        assert loaded_from == store.version_path(3)
+        quarantined = latest.with_name(latest.name + QUARANTINE_SUFFIX)
+        assert quarantined.exists() and not latest.exists()
+
+    def test_all_corrupt_escalates(self, tensor, tmp_path):
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=3, checkpoint_every=2,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=2)
+        fit_aoadmm(tensor, opts)
+        store = CheckpointStore(path, keep_last=2)
+        for p in store.versions():
+            p.write_bytes(b"\x00" * 32)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            with pytest.raises(CheckpointUnavailable):
+                store.load_latest()
+
+    def test_resolve_resume_finds_versioned_store(self, tensor, tmp_path):
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=4, checkpoint_every=2,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=2)
+        fit_aoadmm(tensor, opts)
+        # The base path does not exist, but versions beside it do.
+        checkpoint = resolve_resume(path)
+        assert checkpoint.iteration == 4
+        with pytest.raises(FileNotFoundError):
+            resolve_resume(tmp_path / "nothing.npz")
+
+    def test_resume_from_versioned_store_is_bit_identical(self, tensor,
+                                                          reference,
+                                                          tmp_path):
+        path = tmp_path / "ck.npz"
+        opts = make_options(max_outer_iterations=4, checkpoint_every=2,
+                            checkpoint_path=str(path),
+                            checkpoint_keep_last=2)
+        fit_aoadmm(tensor, opts)
+        resumed = fit_aoadmm(tensor, make_options(), resume_from=path)
+        assert_identical(reference, resumed)
+
+
+# ----------------------------------------------------------------------
+# Graceful preemption
+# ----------------------------------------------------------------------
+
+def sigterm_at(iteration, signum=signal.SIGTERM):
+    """A callback that signals this process after *iteration* (never stops)."""
+    return lambda record: (record.iteration == iteration
+                           and os.kill(os.getpid(), signum)) and False
+
+
+class TestPreemption:
+    def test_preempt_flag_stops_with_checkpoint(self, tensor, reference,
+                                                tmp_path):
+        flag = threading.Event()
+        opts = make_options(
+            checkpoint_every=1, checkpoint_keep_last=2,
+            checkpoint_path=str(tmp_path / "ck.npz"),
+            preempt_flag=flag,
+            callback=lambda r: (r.iteration == 3 and flag.set()) and False)
+        result = fit_aoadmm(tensor, opts)
+        assert result.stop_reason == "preempted"
+        assert len(result.trace) == 3
+        resumed = fit_aoadmm(tensor, make_options(),
+                             resume_from=tmp_path / "ck.npz")
+        assert_identical(reference, resumed)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_sets_preempt_flag(self, tensor, tmp_path, signum):
+        previous = signal.getsignal(signum)
+        with preempt_on_signals() as flag:
+            assert signal.getsignal(signum) is not previous
+            result = fit_aoadmm(tensor, make_options(
+                max_outer_iterations=50,
+                checkpoint_every=1, checkpoint_keep_last=2,
+                checkpoint_path=str(tmp_path / "ck.npz"),
+                preempt_flag=flag, callback=sigterm_at(2, signum)))
+        assert flag.is_set()
+        assert result.stop_reason == "preempted"
+        assert len(result.trace) == 2
+        assert signal.getsignal(signum) is previous  # restored
+
+    def test_handlers_restored_when_the_fit_raises(self, tensor):
+        previous = signal.getsignal(signal.SIGTERM)
+        inj = FaultInjector([FaultSpec("mttkrp_nan", iteration=2, mode=0)])
+        with pytest.raises(NumericalFaultError):
+            with preempt_on_signals() as flag:
+                fit_aoadmm(tensor, make_options(fault_injector=inj,
+                                                preempt_flag=flag))
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+    def test_off_main_thread_raises(self):
+        previous = signal.getsignal(signal.SIGTERM)
+        errors = []
+
+        def worker():
+            try:
+                with preempt_on_signals():
+                    pass
+            except ValueError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert len(errors) == 1
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+
+# ----------------------------------------------------------------------
 # Distributed worker failures
 # ----------------------------------------------------------------------
 
@@ -426,6 +602,42 @@ class TestRobustnessCLI:
         resumed_out = tmp_path / "resumed.npz"
         assert main(common + ["--max-iterations", "6",
                               "--resume", str(ck),
+                              "--output", str(resumed_out)]) == 0
+        full = load_model(full_out)
+        resumed = load_model(resumed_out)
+        for a, b in zip(full.factors, resumed.factors):
+            np.testing.assert_array_equal(a, b)
+
+    def test_sigterm_exits_3_then_resume_is_bit_identical(
+            self, tensor, tmp_path, monkeypatch, capsys):
+        # `factorize --checkpoint` turns SIGTERM into a graceful stop:
+        # exit code 3, a final checkpoint, and a resumable run.
+        import repro.core.aoadmm as aoadmm
+        from repro.cli import main
+        from repro.core import load_model
+        from repro.tensor import write_tns
+        tns = tmp_path / "t.tns"
+        write_tns(tensor, tns)
+        ck = tmp_path / "ck.npz"
+        common = ["factorize", str(tns), "--rank", "4", "--seed", "0",
+                  "--tolerance", "0.0", "--max-iterations", "6"]
+        full_out = tmp_path / "full.npz"
+        assert main(common + ["--output", str(full_out)]) == 0
+
+        fit = aoadmm.fit_aoadmm
+        monkeypatch.setattr(
+            aoadmm, "fit_aoadmm",
+            lambda tensor, options, **kw: fit(
+                tensor, replace(options, callback=sigterm_at(2)), **kw))
+        previous = signal.getsignal(signal.SIGTERM)
+        assert main(common + ["--checkpoint", str(ck)]) == 3
+        assert signal.getsignal(signal.SIGTERM) is previous
+        assert f"resume with --resume {ck}" in capsys.readouterr().out
+        assert load_checkpoint(ck).iteration == 2
+        monkeypatch.undo()
+
+        resumed_out = tmp_path / "resumed.npz"
+        assert main(common + ["--resume", str(ck),
                               "--output", str(resumed_out)]) == 0
         full = load_model(full_out)
         resumed = load_model(resumed_out)
