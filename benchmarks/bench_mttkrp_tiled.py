@@ -14,6 +14,13 @@ and whole-sweep means at every slab target, serial, and the speedup of
 the best native slab over the best NumPy slab.  Both sides must agree
 bit for bit.
 
+The ``isa_variants`` rows time every ISA variant of the compiled root
+kernel that the CPU runs (:func:`repro.kernels.native.load_kernels`) on
+the whole mode-rooted trees of the same four datasets at ranks 16 and
+32: the median of :data:`ISA_CALLS` calls per mode, the variants
+interleaved call by call, and the whole-sweep speedup over the baseline
+variant.  Every variant must return the same bytes.
+
 The ``thread_fanout`` rows time the in-core slab fan-out on the same
 grid: the native sweep cut into :data:`FANOUT_SLABS` slabs on
 :data:`FANOUT_THREADS` workers of the ``thread`` executor (one pool,
@@ -33,6 +40,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import MTTKRPEngine, native
+from repro.tensor.csf import AllModeCSF
 
 from conftest import BENCH_SEED, DATASET_NAMES, save_artifact, save_bench_json
 
@@ -43,6 +51,8 @@ SLAB_TARGETS = (10**9, 65536, 8192, 1024)
 THREADS = (1, 2, 4)
 #: Ranks of the native-vs-NumPy rows.
 NATIVE_RANKS = (16, 32)
+#: Calls per mode and variant of the ISA rows (the median is reported).
+ISA_CALLS = 15
 #: Slabs per tree and workers of the thread fan-out rows.
 FANOUT_SLABS = 8
 FANOUT_THREADS = 2
@@ -140,6 +150,47 @@ def _native_vs_numpy(datasets, monkeypatch) -> list[dict]:
     return entries
 
 
+def _isa_variants(datasets) -> list[dict]:
+    """Every variant on whole trees: median ms per call, byte-equal."""
+    kernels = native.load_kernels()
+    entries = []
+    for name in DATASET_NAMES:
+        tensor = datasets[name]
+        trees = AllModeCSF(tensor)
+        for rank in NATIVE_RANKS:
+            rng = np.random.default_rng(BENCH_SEED)
+            factors = [rng.uniform(0.0, 1.0, (s, rank))
+                       for s in tensor.shape]
+            ms = {isa: [] for isa in kernels}
+            for mode in range(tensor.nmodes):
+                tree = trees.csf(mode)
+                outs, runs = {}, {}
+                for isa, kernel in kernels.items():
+                    outs[isa] = np.zeros((tensor.shape[mode], rank))
+                    runs[isa] = kernel.bind(tree.mode_order, factors,
+                                            outs[isa])
+                    runs[isa](tree)  # warm-up
+                seconds = {isa: [] for isa in kernels}
+                for _ in range(ISA_CALLS):
+                    for isa, run in runs.items():
+                        tick = time.perf_counter()
+                        run(tree)
+                        seconds[isa].append(time.perf_counter() - tick)
+                want = outs["baseline"].tobytes()
+                assert all(out.tobytes() == want for out in outs.values()), \
+                    f"ISA variants differ on {name} mode {mode}"
+                for isa in kernels:
+                    ms[isa].append(float(np.median(seconds[isa])) * 1e3)
+            entries.append({
+                "dataset": f"{name}/small", "nnz": tensor.nnz,
+                "rank": rank, "median_ms_per_call": ms,
+                "sweep_speedup_vs_baseline": {
+                    isa: sum(ms["baseline"]) / sum(ms[isa])
+                    for isa in kernels},
+            })
+    return entries
+
+
 def _thread_fanout(datasets) -> list[dict]:
     """Native sweeps: FANOUT_SLABS slabs on a reused thread pool vs one
     slab inline."""
@@ -198,6 +249,9 @@ def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
         # Empty where the kernel cannot be built: nothing to compare.
         "native_vs_numpy": (_native_vs_numpy(small_datasets, monkeypatch)
                             if native_rows else []),
+        "isa_calls": ISA_CALLS,
+        "isa_variants": (_isa_variants(small_datasets)
+                         if native_rows else []),
         "fanout_slabs": FANOUT_SLABS,
         "fanout_threads": FANOUT_THREADS,
         "thread_fanout": (_thread_fanout(small_datasets)
@@ -225,6 +279,17 @@ def test_bench_mttkrp_tiled(tiled_setup, small_datasets, results_dir,
             f"{entry['numpy']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
             f"{entry['native']['best']['mean_sweep_seconds'] * 1e3:>10.2f} "
             f"{entry['speedup_best_sweep']:>8.1f}")
+    lines += ["", "ISA variants of the native kernel, whole trees "
+              f"(median of {ISA_CALLS} calls, ms per mode)",
+              f"{'dataset':>15} {'rank':>5} {'variant':>9} "
+              f"{'ms per mode':>24} {'speedup':>8}"]
+    for entry in payload["isa_variants"]:
+        for isa, ms in entry["median_ms_per_call"].items():
+            per_mode = " / ".join(f"{m:.1f}" for m in ms)
+            lines.append(
+                f"{entry['dataset']:>15} {entry['rank']:>5} {isa:>9} "
+                f"{per_mode:>24} "
+                f"{entry['sweep_speedup_vs_baseline'][isa]:>8.2f}")
     lines += ["", f"Native sweep, {FANOUT_SLABS} slabs on "
               f"{FANOUT_THREADS} threads (reused pool) vs 1 slab serial",
               f"{'dataset':>15} {'rank':>5} {'serial ms':>10} "

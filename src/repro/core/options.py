@@ -53,8 +53,10 @@ class AOADMMOptions:
     threads:
         Thread count for the real pool used by the slab-tiled MTTKRP
         kernels (results are bit-identical for any value; scalability is
-        studied on the machine model).  Blocked ADMM ignores it: its
-        blocks advance together in one batched solve.
+        studied on the machine model).  Blocked ADMM ignores it: the
+        compiled block loop runs the blocks one after another in one
+        call, and the NumPy fallback advances them together as one
+        batched active set.
     executor:
         Execution backend, which fans the in-core slab-tiled MTTKRP
         kernels out over ``threads`` workers and runs the out-of-core

@@ -38,6 +38,13 @@
  * decrease returns CSF_UNSORTED instead.  The levels above reuse the
  * dense code unchanged.
  *
+ * ISA variants.  The loop is compiled once per ISA (AVX-512F, AVX2 and
+ * baseline on x86, baseline only elsewhere) from one C body, and the
+ * caller picks a variant the CPU runs.  Every inner loop runs across the
+ * rank columns, with each column's operations in the order above, so the
+ * compiler vectorizes them at the variant's width without reordering any
+ * column's sum: every variant returns the same bytes.
+ *
  * Every index is bounds-checked in the loop: a malformed tree returns an
  * error code instead of reading out of bounds.  All scratch is allocated
  * per call, so concurrent calls share no state.
@@ -49,7 +56,10 @@
 #define PW_BLOCK 128
 
 enum { CSF_OK = 0, CSF_BAD_FID = 1, CSF_BAD_FPTR = 2, CSF_NO_MEMORY = 3,
-       CSF_UNSORTED = 4, CSF_BAD_LEAF = 5 };
+       CSF_UNSORTED = 4, CSF_BAD_LEAF = 5, CSF_BAD_VARIANT = 6 };
+
+/* Variant ids, those of row_solve.c. */
+enum { VARIANT_BASELINE = 0, VARIANT_AVX2 = 1, VARIANT_AVX512F = 2 };
 
 /* A CSR (ndense = 0) or CSR-H deep factor with rows = dims[nmodes-1]. */
 typedef struct {
@@ -76,111 +86,127 @@ typedef struct {
     const leaf_rep_t *leaf;         /* sparse deep factor, or NULL */
 } sweep_t;
 
-/* dst = NumPy pairwise sum of the n rows at a (row stride = rank). */
-static void pairwise(const sweep_t *t, const double *a, int64_t n,
-                     double *dst, double *split)
-{
-    const int64_t F = t->rank;
-    int64_t i, j, f;
-    if (n < 8) {
-        for (f = 0; f < F; f++)
-            dst[f] = t->init;
-        for (i = 0; i < n; i++)
-            for (f = 0; f < F; f++)
-                dst[f] += a[i * F + f];
-    } else if (n <= PW_BLOCK) {
-        double *r = t->acc8;
-        memcpy(r, a, (size_t)(8 * F) * sizeof(double));
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (j = 0; j < 8; j++)
-                for (f = 0; f < F; f++)
-                    r[j * F + f] += a[(i + j) * F + f];
-        for (f = 0; f < F; f++)
-            dst[f] = ((r[f] + r[F + f]) + (r[2 * F + f] + r[3 * F + f]))
-                   + ((r[4 * F + f] + r[5 * F + f])
-                      + (r[6 * F + f] + r[7 * F + f]));
-        for (; i < n; i++)
-            for (f = 0; f < F; f++)
-                dst[f] += a[i * F + f];
-    } else {
-        int64_t n2 = n / 2;
-        n2 -= n2 % 8;
-        pairwise(t, a, n2, dst, split + F);
-        pairwise(t, a + n2 * F, n - n2, split, split + F);
-        for (f = 0; f < F; f++)
-            dst[f] += split[f];
-    }
+/* One variant: NAME##_node_row(...) and the functions it calls, compiled
+ * with the ISA attribute ATTR. */
+#define DEFINE_VARIANT(NAME, ATTR)                                         \
+/* dst = NumPy pairwise sum of the n rows at a (row stride = rank). */     \
+ATTR static void                                                           \
+NAME##_pairwise(const sweep_t *t, const double *a, int64_t n, double *dst, \
+                double *split)                                             \
+{                                                                          \
+    const int64_t F = t->rank;                                             \
+    int64_t i, j, f;                                                       \
+    if (n < 8) {                                                           \
+        for (f = 0; f < F; f++)                                            \
+            dst[f] = t->init;                                              \
+        for (i = 0; i < n; i++)                                            \
+            for (f = 0; f < F; f++)                                        \
+                dst[f] += a[i * F + f];                                    \
+    } else if (n <= PW_BLOCK) {                                            \
+        double *r = t->acc8;                                               \
+        memcpy(r, a, (size_t)(8 * F) * sizeof(double));                    \
+        for (i = 8; i < n - (n % 8); i += 8)                               \
+            for (j = 0; j < 8; j++)                                        \
+                for (f = 0; f < F; f++)                                    \
+                    r[j * F + f] += a[(i + j) * F + f];                    \
+        for (f = 0; f < F; f++)                                            \
+            dst[f] = ((r[f] + r[F + f]) + (r[2 * F + f] + r[3 * F + f]))   \
+                   + ((r[4 * F + f] + r[5 * F + f])                        \
+                      + (r[6 * F + f] + r[7 * F + f]));                    \
+        for (; i < n; i++)                                                 \
+            for (f = 0; f < F; f++)                                        \
+                dst[f] += a[i * F + f];                                    \
+    } else {                                                               \
+        int64_t n2 = n / 2;                                                \
+        n2 -= n2 % 8;                                                      \
+        NAME##_pairwise(t, a, n2, dst, split + F);                         \
+        NAME##_pairwise(t, a + n2 * F, n - n2, split, split + F);          \
+        for (f = 0; f < F; f++)                                            \
+            dst[f] += split[f];                                            \
+    }                                                                      \
+}                                                                          \
+                                                                           \
+/* dst = row of fiber `node` (level nmodes-2) through the sparse leaf. */  \
+ATTR static int                                                            \
+NAME##_fiber_row(const sweep_t *t, int64_t node, double *dst)              \
+{                                                                          \
+    const leaf_rep_t *L = t->leaf;                                         \
+    const int64_t F = t->rank, nd = L->ndense, level = t->nmodes - 2;      \
+    const int64_t hi = t->fptr[level][node + 1], rows = t->dims[level + 1];\
+    const int64_t *ids = t->fids[level + 1], *perm = L->perm;              \
+    int64_t c = t->fptr[level][node], e, f;                                \
+    for (f = 0; f < F; f++)                                                \
+        dst[f] = 0.0;                                                      \
+    while (c < hi) {                                                       \
+        const int64_t k = ids[c];                                          \
+        const double *drow;                                                \
+        double a = t->vals[c];                                             \
+        if (k < 0 || k >= rows)                                            \
+            return CSF_BAD_FID;                                            \
+        for (c++; c < hi && ids[c] == k; c++)                              \
+            a += t->vals[c];                                               \
+        if (c < hi && ids[c] < k)                                          \
+            return ids[c] < 0 ? CSF_BAD_FID : CSF_UNSORTED;                \
+        drow = L->dense + k * nd;                                          \
+        for (f = 0; f < nd; f++)                                           \
+            dst[perm[f]] += a * drow[f];                                   \
+        for (e = L->indptr[k]; e < L->indptr[k + 1]; e++)                  \
+            dst[perm[nd + L->indices[e]]] += a * L->data[e];               \
+    }                                                                      \
+    return CSF_OK;                                                         \
+}                                                                          \
+                                                                           \
+/* dst = row of `node` at `level`: the reduceat of its children's rows,    \
+ * excluding the factor of `level` itself. */                              \
+ATTR static int                                                            \
+NAME##_node_row(const sweep_t *t, int64_t level, int64_t node, double *dst)\
+{                                                                          \
+    const int64_t F = t->rank, child = level + 1;                          \
+    const int64_t lo = t->fptr[level][node], hi = t->fptr[level][node + 1];\
+    const int64_t *ids = t->fids[child];                                   \
+    const double *factor = t->factors[child];                              \
+    double *rows = t->children[child];                                     \
+    int64_t c, f;                                                          \
+    if (t->leaf != NULL && child == t->nmodes - 1)                         \
+        return NAME##_fiber_row(t, node, dst);                             \
+    for (c = lo; c < hi; c++) {                                            \
+        const int64_t id = ids[c];                                         \
+        double *row = rows + (c - lo) * F;                                 \
+        const double *frow;                                                \
+        if (id < 0 || id >= t->dims[child])                                \
+            return CSF_BAD_FID;                                            \
+        frow = factor + id * F;                                            \
+        if (child == t->nmodes - 1) {                                      \
+            const double v = t->vals[c];                                   \
+            for (f = 0; f < F; f++)                                        \
+                row[f] = frow[f] * v;                                      \
+        } else {                                                           \
+            int err = NAME##_node_row(t, child, c, row);                   \
+            if (err)                                                       \
+                return err;                                                \
+            for (f = 0; f < F; f++)                                        \
+                row[f] *= frow[f];                                         \
+        }                                                                  \
+    }                                                                      \
+    memcpy(dst, rows, (size_t)F * sizeof(double));                         \
+    if (hi - lo > 1) {                                                     \
+        NAME##_pairwise(t, rows + F, hi - lo - 1, t->split, t->split + F); \
+        for (f = 0; f < F; f++)                                            \
+            dst[f] += t->split[f];                                         \
+    }                                                                      \
+    return CSF_OK;                                                         \
 }
 
-/* dst = row of fiber `node` (level nmodes-2) through the sparse leaf. */
-static int fiber_row(const sweep_t *t, int64_t node, double *dst)
-{
-    const leaf_rep_t *L = t->leaf;
-    const int64_t F = t->rank, nd = L->ndense, level = t->nmodes - 2;
-    const int64_t hi = t->fptr[level][node + 1], rows = t->dims[level + 1];
-    const int64_t *ids = t->fids[level + 1], *perm = L->perm;
-    int64_t c = t->fptr[level][node], e, f;
-    for (f = 0; f < F; f++)
-        dst[f] = 0.0;
-    while (c < hi) {
-        const int64_t k = ids[c];
-        const double *drow;
-        double a = t->vals[c];
-        if (k < 0 || k >= rows)
-            return CSF_BAD_FID;
-        for (c++; c < hi && ids[c] == k; c++)
-            a += t->vals[c];
-        if (c < hi && ids[c] < k)
-            return ids[c] < 0 ? CSF_BAD_FID : CSF_UNSORTED;
-        drow = L->dense + k * nd;
-        for (f = 0; f < nd; f++)
-            dst[perm[f]] += a * drow[f];
-        for (e = L->indptr[k]; e < L->indptr[k + 1]; e++)
-            dst[perm[nd + L->indices[e]]] += a * L->data[e];
-    }
-    return CSF_OK;
-}
+#if defined(__x86_64__) || defined(__i386__)
+#define CSF_X86 1
+DEFINE_VARIANT(avx512f, __attribute__((target("avx512f"))))
+DEFINE_VARIANT(avx2, __attribute__((target("avx2"))))
+#endif
+DEFINE_VARIANT(baseline, )
 
-/* dst = row of `node` at `level`: the reduceat of its children's rows,
- * excluding the factor of `level` itself. */
-static int node_row(const sweep_t *t, int64_t level, int64_t node,
-                    double *dst)
-{
-    const int64_t F = t->rank, child = level + 1;
-    const int64_t lo = t->fptr[level][node], hi = t->fptr[level][node + 1];
-    const int64_t *ids = t->fids[child];
-    const double *factor = t->factors[child];
-    double *rows = t->children[child];
-    int64_t c, f;
-    if (t->leaf != NULL && child == t->nmodes - 1)
-        return fiber_row(t, node, dst);
-    for (c = lo; c < hi; c++) {
-        const int64_t id = ids[c];
-        double *row = rows + (c - lo) * F;
-        const double *frow;
-        if (id < 0 || id >= t->dims[child])
-            return CSF_BAD_FID;
-        frow = factor + id * F;
-        if (child == t->nmodes - 1) {
-            const double v = t->vals[c];
-            for (f = 0; f < F; f++)
-                row[f] = frow[f] * v;
-        } else {
-            int err = node_row(t, child, c, row);
-            if (err)
-                return err;
-            for (f = 0; f < F; f++)
-                row[f] *= frow[f];
-        }
-    }
-    memcpy(dst, rows, (size_t)F * sizeof(double));
-    if (hi - lo > 1) {
-        pairwise(t, rows + F, hi - lo - 1, t->split, t->split + F);
-        for (f = 0; f < F; f++)
-            dst[f] += t->split[f];
-    }
-    return CSF_OK;
-}
+/* Bit mask of the variants this CPU can run (row_solve.c: same library,
+ * same CPU, same variant ids). */
+int64_t repro_row_solve_variants(void);
 
 /* Rows of a split chain for n rows (pairwise recursion depth + 2). */
 static int64_t split_rows(int64_t n)
@@ -233,10 +259,11 @@ static int check_leaf(const leaf_rep_t *L, int64_t rows, int64_t rank)
  * dims[l] bounds the ids at level l (dims[0] = rows of out); factors[l]
  * is the C-contiguous dims[l] x rank factor of level l's mode
  * (factors[0] is unused).  With a non-NULL `leaf`, the deep factor is
- * read from it instead of factors[nmodes-1] (unused then).  Returns a
- * CSF_* code.
+ * read from it instead of factors[nmodes-1] (unused then).  `variant`
+ * must be one of repro_row_solve_variants().  Returns a CSF_* code.
  */
-int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
+int repro_csf_root(int64_t variant, int64_t nmodes, int64_t rank,
+                   const int64_t *nnodes,
                    const int64_t *dims, const int64_t *const *fptr,
                    const int64_t *const *fids, const double *vals,
                    const double *const *factors, double *out, double init,
@@ -248,7 +275,18 @@ int repro_csf_root(int64_t nmodes, int64_t rank, const int64_t *nnodes,
     int64_t maxfan = 1, total = 0, level, node;
     double *pool;
     int err = CSF_OK;
+    int (*node_row)(const sweep_t *, int64_t, int64_t, double *);
 
+    if (variant < 0 || variant > VARIANT_AVX512F
+            || !(repro_row_solve_variants() >> variant & 1))
+        return CSF_BAD_VARIANT;
+    switch (variant) {
+#ifdef CSF_X86
+    case VARIANT_AVX512F: node_row = avx512f_node_row; break;
+    case VARIANT_AVX2: node_row = avx2_node_row; break;
+#endif
+    default: node_row = baseline_node_row; break;
+    }
     if (nmodes < 2 || nmodes > 64 || rank < 1)
         return CSF_BAD_FPTR;
     /* Validate every pointer array: starts at 0, strictly increasing

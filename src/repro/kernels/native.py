@@ -31,6 +31,16 @@ and so returns byte-equal results to the NumPy sweep.  The starting
 value of NumPy's short sums (``-0.0`` or ``0.0``, which differs across
 NumPy versions) is probed at load time and handed to the kernel.
 
+**ISA variants.**  The one C body is compiled three times, under
+``target("avx512f")``, ``target("avx2")`` and no attribute (only the
+last on CPUs other than x86), with no global ``-m`` flag and no
+intrinsics.  Every inner loop runs across the rank columns, so the
+compiler vectorizes it at the variant's width without changing the
+order of any column's sum: all variants return the same bytes.
+:func:`load_kernels` returns every variant the CPU runs (the mask of
+``row_solve.c``'s ``repro_row_solve_variants()``, the same library on
+the same CPU), widest last, and :func:`root_kernel` serves the widest.
+
 **Build and cache.**  At first use the sources are compiled with ``cc``
 (else ``gcc``) from ``PATH`` into one library,
 ``$XDG_CACHE_HOME/repro/native/<hash>.so`` (``~/.cache`` when unset),
@@ -42,14 +52,16 @@ load a half-written file.  It is loaded with :mod:`ctypes`, which
 releases the GIL for the call, so slabs run truly in parallel on a
 thread pool.
 
-**Fallback.**  Before first use, the loaded kernel is checked for byte
+**Fallback.**  Before first use, the widest variant is checked for byte
 equality against the NumPy sweep on probe trees whose fan-outs reach
 every branch of the pairwise sum, and against the SciPy sparse path with
-CSR and CSR-H deep factors.  If there is no compiler, the compile
-or load fails, or the self-check finds a single differing bit,
-:func:`root_kernel` returns ``None`` for the rest of the process, one
-``RuntimeWarning`` and one ``kernel_fallback`` observability record are
-emitted, and callers use the NumPy sweep instead.
+CSR and CSR-H deep factors, at ranks (:data:`PROBE_RANKS`) that reach
+the 8-wide and 4-wide vector bodies and their tails.  If there is no
+compiler, the compile or load fails, or the self-check finds a single
+differing bit, :func:`root_kernel` returns ``None`` for the rest of the
+process, one ``RuntimeWarning`` and one ``kernel_fallback``
+observability record are emitted, and callers use the NumPy sweep
+instead.
 
 **Input safety.**  The kernel never reads out of bounds: pointer arrays
 must start at 0, increase strictly and end at the child count, and every
@@ -82,6 +94,7 @@ from ..sparse.hybrid import HybridFactor
 from ..tensor.csf import CSFTensor
 from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
 from .mttkrp_sparse import mttkrp_csf_root_repr
+from .row_solve import VARIANTS, supported_variants
 
 #: C sources of the one shared library: this module's kernel and the
 #: ADMM kernels of :mod:`repro.kernels.row_solve`.
@@ -94,6 +107,10 @@ CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: Tree depth limit of the C loop's per-level tables.
 MAX_MODES = 64
 
+#: Ranks of the self-check: below AVX2's vector width (1, 3), and the
+#: 8-wide and 4-wide vector bodies with a 4-wide (12) or scalar (9, 17)
+#: tail.
+PROBE_RANKS = (1, 3, 8, 9, 12, 17)
 #: Fan-outs of the self-check probe trees.  A node with ``k`` children
 #: pairwise-sums ``k - 1`` rows, so these reach every branch: fewer than
 #: 8 rows (including none), exactly 8, 8-128 with and without a
@@ -105,8 +122,10 @@ _ERRORS = {1: "a fiber id is out of range of its factor",
               "end at the child count)",
            5: "malformed sparse deep factor (row pointers, tail columns "
               "or column permutation)"}
-#: ``csf_root.c`` code for a fiber whose leaf ids decrease.
+#: ``csf_root.c`` codes for a fiber whose leaf ids decrease and for a
+#: variant this CPU does not run.
 _UNSORTED = 4
+_BAD_VARIANT = 6
 
 
 class NativeUnavailable(RuntimeError):
@@ -182,14 +201,18 @@ def load_library() -> ctypes.CDLL:
     return ctypes.CDLL(str(path))
 
 
-def load_function() -> Callable:
-    """The ``repro_csf_root`` entry point, compiling it if not cached."""
-    fn = load_library().repro_csf_root
+def load_kernels() -> dict[str, RootKernel]:
+    """Every variant this CPU runs, by name, widest last; builds the
+    library if it is not cached (raises :class:`NativeUnavailable` when
+    it cannot)."""
+    lib = load_library()
+    fn = lib.repro_csf_root
     fn.restype = ctypes.c_int
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64] \
-        + [ctypes.c_void_p] * 7 + [ctypes.c_double,
-                                   ctypes.POINTER(_LeafRep)]
-    return fn
+    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 \
+        + [ctypes.c_double, ctypes.POINTER(_LeafRep)]
+    init = numpy_pairwise_init()
+    return {name: RootKernel(fn, init, name)
+            for name in supported_variants(lib)}
 
 
 def _index_array(arr: np.ndarray) -> np.ndarray:
@@ -197,12 +220,16 @@ def _index_array(arr: np.ndarray) -> np.ndarray:
 
 
 class RootKernel:
-    """The loaded kernel: ``bind`` one call's factors, then run trees."""
+    """One compiled variant: ``bind`` one call's factors, then run trees."""
 
-    def __init__(self, fn: Callable, init: float):
+    def __init__(self, fn: Callable, init: float, variant: str):
         self._fn = fn
+        self._id = VARIANTS.index(variant)
         #: Starting value of NumPy's short pairwise sums.
         self.init = float(init)
+        #: ISA variant name (one of :data:`~repro.kernels.row_solve.
+        #: VARIANTS`).
+        self.variant = variant
 
     def bind(self, mode_order: Sequence[int], factors: FactorList,
              out: np.ndarray, leaf: CSRMatrix | HybridFactor | None = None
@@ -244,7 +271,7 @@ class RootKernel:
             fac_ptrs.append(0)
         dims = np.array(rows, dtype=INDEX_DTYPE)
         fac_ptrs = np.array(fac_ptrs, dtype=np.uintp)
-        fn, init = self._fn, self.init
+        fn, init, variant_id = self._fn, self.init, self._id
 
         def run(tree: CSFTensor) -> None:
             if tuple(tree.mode_order) != mode_order:
@@ -264,8 +291,8 @@ class RootKernel:
                                  "lengths")
             ptrs = np.array([a.ctypes.data for a in fptr + fids],
                             dtype=np.uintp)
-            code = fn(nmodes, rank, nnodes.ctypes.data, dims.ctypes.data,
-                      ptrs.ctypes.data,
+            code = fn(variant_id, nmodes, rank, nnodes.ctypes.data,
+                      dims.ctypes.data, ptrs.ctypes.data,
                       ptrs.ctypes.data + ptrs.itemsize * (nmodes - 1),
                       vals.ctypes.data, fac_ptrs.ctypes.data,
                       out.ctypes.data, init, leaf_ref)
@@ -275,6 +302,9 @@ class RootKernel:
                                  "CSFTensor.from_coo builds them")
             if code == 3:
                 raise MemoryError("native CSF kernel scratch")
+            if code == _BAD_VARIANT:
+                raise ValueError(f"this CPU does not run the {self.variant} "
+                                 "variant")
             if code:
                 raise IndexError(_ERRORS.get(code, f"native error {code}"))
 
@@ -386,33 +416,34 @@ def sparse_values(rng: np.random.Generator, rows: int,
 def self_check(kernel: RootKernel) -> None:
     """Raise :class:`NativeUnavailable` unless *kernel* is byte-equal.
 
-    Compares against the monolithic NumPy sweep on a 3-mode probe with
-    :data:`PROBE_FANOUTS` at both levels and a 4-mode probe, at ranks 1
-    and 3 (scalar and vector-plus-tail column loops); then against the
-    SciPy path of :func:`~repro.kernels.mttkrp_sparse.
-    mttkrp_csf_root_repr` with CSR and CSR-H deep factors, on a 3-mode
-    probe with :data:`PROBE_FANOUTS` at the leaf level and its leaf ids
-    sorted per fiber, as ``from_coo`` builds them (runs of equal ids
-    included).
+    Compares against the monolithic NumPy sweep on two 3-mode probes,
+    one with :data:`PROBE_FANOUTS` at the fiber level and one at the
+    root level, and a 4-mode probe; then against the SciPy path of
+    :func:`~repro.kernels.mttkrp_sparse.mttkrp_csf_root_repr` with CSR
+    and CSR-H deep factors, on a 3-mode probe with :data:`PROBE_FANOUTS`
+    at the leaf level and its leaf ids sorted per fiber, as ``from_coo``
+    builds them (runs of equal ids included).  Both at every rank of
+    :data:`PROBE_RANKS`.
     """
     from .mttkrp_csf import mttkrp_csf_root
 
     rng = np.random.default_rng(20170814)
     fans = PROBE_FANOUTS
-    trees = [probe_tree([fans, fans], rng),
-             probe_tree([(1, 9, 130), (1, 9), (1, 8, 129)], rng)]
+    trees = [probe_tree([(len(fans),), fans], rng),
+             probe_tree([fans, (1, 2)], rng),
+             probe_tree([(1, 9, 130), (1, 2), (1, 8, 129)], rng)]
     for tree in trees:
-        for rank in (1, 3):
+        for rank in PROBE_RANKS:
             factors = [signed_values(rng, n, rank) for n in tree.shape]
             want = mttkrp_csf_root(tree, factors)
             got = np.zeros_like(want)
             kernel.bind(tree.mode_order, factors, got)(tree)
             if got.tobytes() != want.tobytes():
                 raise NativeUnavailable(
-                    f"self-check mismatch on a {tree.nmodes}-mode probe "
-                    f"at rank {rank}")
+                    f"self-check mismatch ({kernel.variant}) on a "
+                    f"{tree.nmodes}-mode probe at rank {rank}")
     tree = sorted_leaves(probe_tree([(1, 9, 130), fans], rng))
-    for rank in (1, 3):
+    for rank in PROBE_RANKS:
         factors = [signed_values(rng, n, rank) for n in tree.shape]
         deep = sparse_values(rng, tree.shape[-1], rank)
         for leaf in (CSRMatrix.from_dense(deep), HybridFactor(deep)):
@@ -421,8 +452,8 @@ def self_check(kernel: RootKernel) -> None:
             kernel.bind(tree.mode_order, factors, got, leaf=leaf)(tree)
             if got.tobytes() != want.tobytes():
                 raise NativeUnavailable(
-                    f"self-check mismatch with a {type(leaf).__name__} "
-                    f"deep factor at rank {rank}")
+                    f"self-check mismatch ({kernel.variant}) with a "
+                    f"{type(leaf).__name__} deep factor at rank {rank}")
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +465,7 @@ _STATE: dict[str, RootKernel | None] = {}
 
 def _resolve() -> RootKernel | None:
     try:
-        kernel = RootKernel(load_function(), numpy_pairwise_init())
+        kernel = list(load_kernels().values())[-1]
         self_check(kernel)
         return kernel
     except Exception as exc:  # any failure means: use the NumPy sweep
@@ -449,8 +480,9 @@ def _resolve() -> RootKernel | None:
 def root_kernel() -> RootKernel | None:
     """The process's compiled root kernel, or ``None`` to use NumPy.
 
-    Resolved once per process (compile or cache load, then the
-    self-check); every later call returns the same answer.
+    Resolved once per process (compile or cache load, the widest variant
+    the CPU runs, then the self-check); every later call returns the
+    same answer.
     """
     try:
         return _STATE["kernel"]

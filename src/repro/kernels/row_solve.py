@@ -200,17 +200,24 @@ def load_solvers() -> dict[str, RowSolver]:
     fn = lib.repro_row_solve
     fn.restype = ctypes.c_int
     fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-    supported = lib.repro_row_solve_variants
-    supported.restype = ctypes.c_int64
-    supported.argtypes = []
-    mask = int(supported())
     blocks = lib.repro_admm_blocks
     blocks.restype = ctypes.c_int
     blocks.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 4 \
         + [ctypes.c_double, ctypes.c_int64, ctypes.c_double,
            ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 3
     return {name: RowSolver(fn, blocks, name)
-            for i, name in enumerate(VARIANTS) if mask >> i & 1}
+            for name in supported_variants(lib)}
+
+
+def supported_variants(lib: ctypes.CDLL) -> list[str]:
+    """Names of the variants this CPU runs, best last: the mask of
+    ``repro_row_solve_variants()``, which covers every kernel of the
+    library."""
+    supported = lib.repro_row_solve_variants
+    supported.restype = ctypes.c_int64
+    supported.argtypes = []
+    mask = int(supported())
+    return [name for i, name in enumerate(VARIANTS) if mask >> i & 1]
 
 
 def _probe_inverse(rng: np.random.Generator,

@@ -250,11 +250,15 @@ class COOTensor:
     # ------------------------------------------------------------------
     def norm(self) -> float:
         """Frobenius norm ``sqrt(sum of squared values)``."""
-        return float(np.sqrt(np.dot(self.vals, self.vals)))
+        return float(np.sqrt(self.norm_squared()))
 
     def norm_squared(self) -> float:
-        """Squared Frobenius norm."""
-        return float(np.dot(self.vals, self.vals))
+        """Squared Frobenius norm.
+
+        Summed by NumPy's own loop, not BLAS ``ddot``, whose sum depends
+        on the BLAS thread count.
+        """
+        return float(np.einsum("i,i->", self.vals, self.vals))
 
     def mode_slice_counts(self, mode: int) -> np.ndarray:
         """Non-zero count of every slice along *mode* (length = extent)."""

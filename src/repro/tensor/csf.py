@@ -213,11 +213,11 @@ class CSFTensor:
         drivers do, and the sharded store freezes the COO's value in
         its metadata).
         """
-        return float(np.dot(self.vals, self.vals))
+        return float(np.einsum("i,i->", self.vals, self.vals))
 
     def norm(self) -> float:
         """Frobenius norm (square root of :meth:`norm_squared`)."""
-        return float(np.sqrt(np.dot(self.vals, self.vals)))
+        return float(np.sqrt(self.norm_squared()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = "/".join(str(self.nnodes(l)) for l in range(self.nmodes))

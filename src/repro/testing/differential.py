@@ -53,8 +53,12 @@ from ..core.options import AOADMMOptions
 from ..distributed.partition import partition_tensor
 from ..kernels.dispatch import MTTKRPEngine, mttkrp
 from ..kernels.mttkrp_coo import mttkrp_coo
+from ..kernels.native import NativeUnavailable, load_kernels
 from ..linalg.grams import hadamard_gram_excluding
+from ..sparse.csr import CSRMatrix
+from ..sparse.hybrid import HybridFactor
 from ..tensor.coo import COOTensor
+from ..tensor.csf import AllModeCSF
 from ..validation import require
 from .oracles import (
     check_prox,
@@ -283,6 +287,40 @@ def _distributed_backend(tensor: COOTensor, ranks: int) -> Callable:
     return kernel
 
 
+def _isa_backend(tensor: COOTensor, kernel,
+                 leaf: Callable | None = None) -> Callable:
+    """One ISA variant of the compiled root kernel on whole trees.
+
+    *kernel* is a :class:`~repro.kernels.native.RootKernel` from
+    :func:`~repro.kernels.native.load_kernels`, run without the loader's
+    self-check, so every variant the CPU runs is held to its family
+    bitwise, not only the one the loader serves.  With a *leaf*
+    constructor (``CSRMatrix.from_dense`` or ``HybridFactor``) the deep
+    factor is read through that representation, as the sparse engines
+    of the ``sparse-csr`` and ``sparse-csr-h`` families read it.
+    """
+    trees = AllModeCSF(tensor)
+
+    def run(factors: list, mode: int) -> np.ndarray:
+        tree = trees.csf(mode)
+        rank = int(np.asarray(factors[0]).shape[1])
+        out = np.zeros((tensor.shape[mode], rank))
+        deep = (None if leaf is None
+                else leaf(np.asarray(factors[tree.mode_order[-1]])))
+        kernel.bind(tree.mode_order, factors, out, leaf=deep)(tree)
+        return out
+
+    return run
+
+
+def _native_kernels() -> dict:
+    """Every compiled variant this CPU runs; none without a compiler."""
+    try:
+        return load_kernels()
+    except NativeUnavailable:
+        return {}
+
+
 def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
                          slab_targets: Sequence[int] = (32, 100_000),
                          distributed_ranks: Sequence[int] = (3,),
@@ -295,7 +333,11 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
     The tiled backends resolve their executor from the environment
     (``REPRO_EXECUTOR``).  *executors* additionally pins named executors
     as explicit grid points, holding e.g. ``serial`` and ``thread`` to
-    the same **bitwise** family anchor within one run.
+    the same **bitwise** family anchor within one run.  Every ISA
+    variant of the compiled root kernel that the CPU runs joins the
+    ``csf`` family as ``csf-native[isa=<variant>]`` and, with
+    *sparse_factors*, the two sparse families with CSR and CSR-H deep
+    factors.
     """
     specs = [
         BackendSpec("coo", "coo",
@@ -328,6 +370,11 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
                 lambda tensor, x=x, t=t: _engine_backend(
                     tensor, repr_policy="dense", threads=t,
                     slab_nnz_target=small_slab, executor=x)))
+    kernels = _native_kernels()
+    for isa, kernel in kernels.items():
+        specs.append(BackendSpec(
+            f"csf-native[isa={isa}]", "csf",
+            lambda tensor, k=kernel: _isa_backend(tensor, k)))
     if sparse_factors:
         specs.append(BackendSpec(
             "sparse-csr", "sparse-csr",
@@ -337,6 +384,15 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
             "sparse-csr-h", "sparse-csr-h",
             lambda tensor: _engine_backend(tensor, repr_policy="hybrid",
                                            threads=1, slab_nnz_target=None)))
+        for isa, kernel in kernels.items():
+            specs.append(BackendSpec(
+                f"sparse-csr-native[isa={isa}]", "sparse-csr",
+                lambda tensor, k=kernel: _isa_backend(
+                    tensor, k, CSRMatrix.from_dense)))
+            specs.append(BackendSpec(
+                f"sparse-csr-h-native[isa={isa}]", "sparse-csr-h",
+                lambda tensor, k=kernel: _isa_backend(
+                    tensor, k, HybridFactor)))
     # Out-of-core streaming over a temp sharded store.  Family "csf":
     # slab residency/eviction is contractually bit-invisible, so every
     # budget (including a starvation-level one) must match the in-core

@@ -1,5 +1,10 @@
 """Dataset generator, registry, power-law, and loader tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,3 +165,34 @@ class TestStats:
         assert all(f > 0 for f in stats.fibers_per_mode)
         row = stats.summary_row()
         assert row["NNZ"] == small_tensor.nnz
+
+
+#: Prints the generated values' digest and the squared norms, in hex.
+_BLAS_CHILD = """
+import hashlib
+import numpy as np
+from repro.datasets import generate_dataset
+from repro.tensor import COOTensor, CSFTensor
+tensor, _ = generate_dataset("patents", "small", 1)
+vals = np.random.default_rng(0).random(10**6)
+flat = COOTensor(np.zeros((1, vals.size), dtype=np.int64), vals, (1,))
+print(hashlib.sha256(tensor.vals.tobytes()).hexdigest(),
+      tensor.norm_squared().hex(), CSFTensor.from_coo(tensor).norm().hex(),
+      flat.norm_squared().hex())
+"""
+
+
+def test_values_and_norms_do_not_depend_on_blas_threads():
+    """BLAS ``ddot`` splits its sum across threads; the norms, and the
+    dataset values scaled by them, must not move with the thread count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", _BLAS_CHILD],
+                               capture_output=True, text=True, env=env,
+                               timeout=300)
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]

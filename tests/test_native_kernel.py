@@ -6,8 +6,10 @@ every fan-out branch of NumPy's pairwise summation, every rank shape,
 signed zeros, strided factor views, memmapped store slabs and concurrent
 calls; and, with a CSR or CSR-H deep factor, byte equality with the
 SciPy path :func:`repro.kernels.mttkrp_sparse.mttkrp_csf_root_repr`.
-When the kernel cannot be built or fails its self-check, the NumPy
-sweep serves with one warning and unchanged factors.
+The probe trees run on every ISA variant the CPU supports, at ranks
+that reach each variant's vector bodies and their tails.  When the
+kernel cannot be built or fails its self-check, the NumPy sweep serves
+with one warning and unchanged factors.
 """
 
 import json
@@ -23,7 +25,7 @@ from repro.core.aoadmm import fit_aoadmm
 from repro.core.options import AOADMMOptions
 from repro.datasets import load_dataset
 from repro.datasets.registry import all_dataset_names
-from repro.kernels import dispatch, native
+from repro.kernels import dispatch, native, row_solve
 from repro.kernels.dispatch import (MTTKRPEngine, StreamingMTTKRPEngine,
                                     make_engine)
 from repro.kernels.mttkrp_csf import _upward_to_level, mttkrp_csf_root
@@ -38,22 +40,44 @@ from repro.tensor.tiling import _make_slab
 FANOUTS = (1, 7, 8, 9, 128, 129, 300)
 #: Small fan-outs for the levels a test is not probing.
 SMALL = (1, 2, 3)
-RANKS = (1, 7, 32)
+#: Scalar-only ranks, and the 2-, 4- and 8-wide vector bodies with and
+#: without a tail.
+RANKS = (1, 3, 4, 7, 8, 9, 16, 17, 32, 33)
 
 
 @pytest.fixture(scope="module")
-def kernel():
-    """The compiled kernel itself, without the loader's self-check."""
+def kernels():
+    """Every compiled variant this CPU runs, without the self-check."""
     try:
-        return native.RootKernel(native.load_function(),
-                                 native.numpy_pairwise_init())
+        return native.load_kernels()
     except native.NativeUnavailable as exc:
         pytest.skip(f"native CSF kernel unavailable: {exc}")
 
 
-def test_kernel_serves_wherever_it_builds(kernel):
-    """A machine that can build the kernel must also pass its self-check."""
-    assert native.root_kernel() is not None
+@pytest.fixture(scope="module")
+def kernel(kernels):
+    """The widest variant, the one the loader serves."""
+    return list(kernels.values())[-1]
+
+
+def test_best_variant_serves_wherever_it_builds(kernels):
+    """A machine that can build the kernel must also pass its self-check,
+    and the widest variant serves."""
+    served = native.root_kernel()
+    assert served is not None
+    assert served.variant == list(kernels)[-1]
+    assert list(kernels)[0] == "baseline"
+
+
+def test_unsupported_variant_is_refused(kernel):
+    """The C side checks the id against the CPU's mask before running."""
+    rng = np.random.default_rng(0)
+    tree = native.probe_tree([SMALL, SMALL], rng)
+    factors = signed_factors(rng, tree.shape, 3)
+    bogus = native.RootKernel(kernel._fn, kernel.init, "baseline")
+    bogus._id = len(row_solve.VARIANTS)
+    with pytest.raises(ValueError, match="does not run"):
+        native_root(bogus, tree, factors)
 
 
 def numpy_root(tree, factors):
@@ -75,47 +99,53 @@ def signed_factors(rng, shape, rank):
     return [native.signed_values(rng, n, rank) for n in shape]
 
 
-def assert_bytes_equal(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def assert_bytes_equal(got, want, variant=None):
+    assert got.dtype == want.dtype and got.shape == want.shape, variant
+    assert got.tobytes() == want.tobytes(), variant
+
+
+def assert_every_variant(kernels, tree, factors, want):
+    for name, kernel in kernels.items():
+        assert_bytes_equal(native_root(kernel, tree, factors), want, name)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("rank", RANKS)
-    def test_three_mode_every_fanout_at_both_levels(self, kernel, rank):
+    def test_three_mode_every_fanout_at_both_levels(self, kernels, rank):
         rng = np.random.default_rng(1)
         tree = native.probe_tree([FANOUTS, FANOUTS], rng)
         factors = signed_factors(rng, tree.shape, rank)
-        assert_bytes_equal(native_root(kernel, tree, factors),
-                           numpy_root(tree, factors))
+        assert_every_variant(kernels, tree, factors,
+                             numpy_root(tree, factors))
 
     @pytest.mark.parametrize("nmodes,probed", [
         (nmodes, level) for nmodes in (4, 5) for level in range(nmodes - 1)])
     @pytest.mark.parametrize("rank", RANKS)
-    def test_deep_trees_every_fanout_at_each_level(self, kernel, nmodes,
+    def test_deep_trees_every_fanout_at_each_level(self, kernels, nmodes,
                                                     probed, rank):
         rng = np.random.default_rng([nmodes, probed, rank])
         fans = [FANOUTS if level == probed else SMALL
                 for level in range(nmodes - 1)]
         tree = native.probe_tree(fans, rng, dim=20)
         factors = signed_factors(rng, tree.shape, rank)
-        assert_bytes_equal(native_root(kernel, tree, factors),
-                           numpy_root(tree, factors))
+        assert_every_variant(kernels, tree, factors,
+                             numpy_root(tree, factors))
 
     @pytest.mark.parametrize("shape", [(12, 9, 15), (6, 5, 7, 4),
                                        (5, 4, 6, 3, 4)])
-    def test_trees_built_from_coo_every_root(self, kernel, shape):
+    def test_trees_built_from_coo_every_root(self, kernels, shape):
         rng = np.random.default_rng(len(shape))
         tensor = random_coo(shape, 300, seed=3, value_dist="normal")
-        factors = signed_factors(rng, shape, 7)
-        for root in range(len(shape)):
-            order = (root,) + tuple(m for m in range(len(shape))
-                                    if m != root)
-            tree = CSFTensor.from_coo(tensor, mode_order=order)
-            assert_bytes_equal(native_root(kernel, tree, factors),
-                               numpy_root(tree, factors))
+        for rank in (7, 17):
+            factors = signed_factors(rng, shape, rank)
+            for root in range(len(shape)):
+                order = (root,) + tuple(m for m in range(len(shape))
+                                        if m != root)
+                tree = CSFTensor.from_coo(tensor, mode_order=order)
+                assert_every_variant(kernels, tree, factors,
+                                     numpy_root(tree, factors))
 
-    def test_signed_zeros_and_negatives(self, kernel):
+    def test_signed_zeros_and_negatives(self, kernels):
         rng = np.random.default_rng(2)
         tree = native.probe_tree([(1, 2, 9), (1, 2, 3, 9)], rng, dim=6)
         vals = np.where(np.arange(tree.nnz) % 2, -0.0, -1.5)
@@ -123,9 +153,9 @@ class TestBitIdentity:
                          tree.fptr, vals)
         factors = [np.full((n, 3), -0.0) for n in tree.shape]
         factors[1][::2] = -2.0
-        got = native_root(kernel, tree, factors)
-        assert_bytes_equal(got, numpy_root(tree, factors))
-        assert np.signbit(got).any()
+        want = numpy_root(tree, factors)
+        assert np.signbit(want).any()
+        assert_every_variant(kernels, tree, factors, want)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_factor_views(self, kernel, layout):
@@ -223,14 +253,15 @@ def with_leaf_id(tree, level, position, value):
 
 class TestInputSafety:
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_out_of_range_fid_raises_like_numpy(self, kernel, small_tensor,
+    def test_out_of_range_fid_raises_like_numpy(self, kernels, small_tensor,
                                                 small_factors, level):
         tree = CSFTensor.from_coo(small_tensor)
         bad = with_leaf_id(tree, level, 3, 10**6)
         with pytest.raises(IndexError):
             numpy_root(bad, small_factors)
-        with pytest.raises(IndexError):
-            native_root(kernel, bad, small_factors)
+        for kernel in kernels.values():
+            with pytest.raises(IndexError):
+                native_root(kernel, bad, small_factors)
 
     def test_negative_fid_rejected(self, kernel, small_tensor,
                                    small_factors):
@@ -304,16 +335,18 @@ def leaf_reps(deep, tol=0.0):
             HybridFactor(deep, tol=tol)]
 
 
-def assert_sparse_matches(kernel, tree, factors, leaf):
-    assert_bytes_equal(sparse_root(kernel, tree, factors, leaf),
-                       mttkrp_csf_root_repr(tree, factors, leaf))
+def assert_sparse_matches(kernels, tree, factors, leaf):
+    want = mttkrp_csf_root_repr(tree, factors, leaf)
+    for name, kernel in kernels.items():
+        assert_bytes_equal(sparse_root(kernel, tree, factors, leaf), want,
+                           name)
 
 
 class TestSparseLeaf:
     """Byte equality with the SciPy path for CSR and CSR-H deep factors."""
 
     @pytest.mark.parametrize("name", all_dataset_names())
-    def test_every_rooting_of_tiny_presets(self, kernel, name):
+    def test_every_rooting_of_tiny_presets(self, kernels, name):
         tensor, _ = load_dataset(name, "tiny", seed=3)
         rng = np.random.default_rng(list(name.encode()))
         for root in range(tensor.nmodes):
@@ -322,12 +355,12 @@ class TestSparseLeaf:
             deep = native.sparse_values(rng, tree.shape[tree.mode_order[-1]],
                                         16)
             for leaf in leaf_reps(deep):
-                assert_sparse_matches(kernel, tree, factors, leaf)
+                assert_sparse_matches(kernels, tree, factors, leaf)
 
     @pytest.mark.parametrize("shape", [(30, 40), (12, 9, 15), (6, 5, 7, 4),
                                        (5, 4, 6, 3, 4)])
     @pytest.mark.parametrize("rank", RANKS)
-    def test_random_trees_every_root(self, kernel, shape, rank):
+    def test_random_trees_every_root(self, kernels, shape, rank):
         tensor = random_coo(shape, 400, seed=len(shape),
                             value_dist="normal")
         rng = np.random.default_rng([len(shape), rank])
@@ -337,9 +370,9 @@ class TestSparseLeaf:
             deep = native.sparse_values(rng, shape[tree.mode_order[-1]],
                                         rank)
             for leaf in leaf_reps(deep):
-                assert_sparse_matches(kernel, tree, factors, leaf)
+                assert_sparse_matches(kernels, tree, factors, leaf)
 
-    def test_repeated_leaf_ids_in_non_deduplicated_trees(self, kernel):
+    def test_repeated_leaf_ids_in_non_deduplicated_trees(self, kernels):
         rng = np.random.default_rng(11)
         base = random_coo((10, 8, 6), 200, seed=12, value_dist="normal")
         # Every coordinate appears three times with different values.
@@ -354,9 +387,9 @@ class TestSparseLeaf:
             deep = native.sparse_values(rng, tree.shape[tree.mode_order[-1]],
                                         7)
             for leaf in leaf_reps(deep):
-                assert_sparse_matches(kernel, tree, factors, leaf)
+                assert_sparse_matches(kernels, tree, factors, leaf)
 
-    def test_every_fanout_with_long_runs_of_equal_leaf_ids(self, kernel):
+    def test_every_fanout_with_long_runs_of_equal_leaf_ids(self, kernels):
         rng = np.random.default_rng(13)
         tree = native.sorted_leaves(
             native.probe_tree([FANOUTS, FANOUTS], rng, dim=20))
@@ -364,9 +397,9 @@ class TestSparseLeaf:
             factors = signed_factors(rng, tree.shape, rank)
             deep = native.sparse_values(rng, 20, rank)
             for leaf in leaf_reps(deep):
-                assert_sparse_matches(kernel, tree, factors, leaf)
+                assert_sparse_matches(kernels, tree, factors, leaf)
 
-    def test_empty_csr_rows(self, kernel, small_tensor, small_factors):
+    def test_empty_csr_rows(self, kernels, small_tensor, small_factors):
         rng = np.random.default_rng(14)
         deep = native.sparse_values(rng, 15, 5)
         deep[::2] = 0.0
@@ -374,13 +407,13 @@ class TestSparseLeaf:
         for leaf in leaf_reps(deep):
             csr = leaf.csr_part if isinstance(leaf, HybridFactor) else leaf
             assert (csr.row_nnz() == 0).any()
-            assert_sparse_matches(kernel, tree, small_factors, leaf)
+            assert_sparse_matches(kernels, tree, small_factors, leaf)
         zero = CSRMatrix.from_dense(np.zeros((15, 5)))
         assert zero.nnz == 0
-        assert_sparse_matches(kernel, tree, small_factors, zero)
+        assert_sparse_matches(kernels, tree, small_factors, zero)
 
     @pytest.mark.parametrize("columns", ["none", "all"])
-    def test_hybrid_with_no_or_all_dense_columns(self, kernel, monkeypatch,
+    def test_hybrid_with_no_or_all_dense_columns(self, kernels, monkeypatch,
                                                  small_tensor, small_factors,
                                                  columns):
         rng = np.random.default_rng(15)
@@ -393,17 +426,17 @@ class TestSparseLeaf:
             deep[:, 2:] = deep[:, 1:2]
         leaf = HybridFactor(deep)
         assert leaf.n_dense_cols == (5 if columns == "all" else 0)
-        assert_sparse_matches(kernel, CSFTensor.from_coo(small_tensor),
+        assert_sparse_matches(kernels, CSFTensor.from_coo(small_tensor),
                               small_factors, leaf)
 
-    def test_positive_tolerance(self, kernel, small_tensor, small_factors):
+    def test_positive_tolerance(self, kernels, small_tensor, small_factors):
         rng = np.random.default_rng(16)
         deep = rng.standard_normal((15, 5))
         tree = CSFTensor.from_coo(small_tensor)
         for leaf in leaf_reps(deep, tol=0.5):
-            assert_sparse_matches(kernel, tree, small_factors, leaf)
+            assert_sparse_matches(kernels, tree, small_factors, leaf)
 
-    def test_signed_zeros(self, kernel):
+    def test_signed_zeros(self, kernels):
         rng = np.random.default_rng(17)
         tree = native.sorted_leaves(
             native.probe_tree([(1, 2, 9), (1, 2, 3, 9)], rng, dim=6))
@@ -415,18 +448,20 @@ class TestSparseLeaf:
         factors[1][::2] = -2.0
         deep = np.where(rng.random((6, 3)) < 0.5, -1.0, 0.0)
         for leaf in leaf_reps(deep):
-            got = sparse_root(kernel, tree, factors, leaf)
-            assert_bytes_equal(got, mttkrp_csf_root_repr(tree, factors,
-                                                         leaf))
-            assert np.signbit(got).any()
+            assert np.signbit(mttkrp_csf_root_repr(tree, factors,
+                                                   leaf)).any()
+            assert_sparse_matches(kernels, tree, factors, leaf)
 
-    def test_factor_of_the_leaf_mode_is_not_read(self, kernel, small_tensor,
+    def test_factor_of_the_leaf_mode_is_not_read(self, kernels,
+                                                 small_tensor,
                                                  small_factors):
         tree = CSFTensor.from_coo(small_tensor)
         leaf = CSRMatrix.from_dense(small_factors[2])
         factors = small_factors[:2] + [None]
-        assert_bytes_equal(sparse_root(kernel, tree, factors, leaf),
-                           mttkrp_csf_root_repr(tree, small_factors, leaf))
+        want = mttkrp_csf_root_repr(tree, small_factors, leaf)
+        for name, kernel in kernels.items():
+            assert_bytes_equal(sparse_root(kernel, tree, factors, leaf),
+                               want, name)
 
 
 def damaged(leaf, damage):
@@ -477,7 +512,7 @@ class TestSparseInputSafety:
 
     @pytest.mark.parametrize("value", [15, 10**6, -1])
     @pytest.mark.parametrize("position", ["first", "last"])
-    def test_out_of_range_leaf_id_raises(self, kernel, value, position):
+    def test_out_of_range_leaf_id_raises(self, kernels, value, position):
         rng = np.random.default_rng(20)
         tree = native.sorted_leaves(
             native.probe_tree([(1, 9, 30), (1, 8, 20)], rng, dim=15))
@@ -485,17 +520,19 @@ class TestSparseInputSafety:
         bad = with_leaf_id(tree, 2, index, value)
         factors = signed_factors(rng, tree.shape, 5)
         leaf = CSRMatrix.from_dense(native.sparse_values(rng, 15, 5))
-        with pytest.raises(IndexError):
-            sparse_root(kernel, bad, factors, leaf)
+        for kernel in kernels.values():
+            with pytest.raises(IndexError):
+                sparse_root(kernel, bad, factors, leaf)
 
-    def test_descending_leaf_ids_rejected(self, kernel, small_factors):
+    def test_descending_leaf_ids_rejected(self, kernels, small_factors):
         """The SciPy path sorts them; the kernel refuses, never differs."""
         rng = np.random.default_rng(21)
         tree = native.probe_tree([(1, 9, 30), (1, 8, 20)], rng, dim=15)
         leaf = CSRMatrix.from_dense(native.sparse_values(rng, 15, 5))
         factors = signed_factors(rng, tree.shape, 5)
-        with pytest.raises(ValueError, match="ascending"):
-            sparse_root(kernel, tree, factors, leaf)
+        for kernel in kernels.values():
+            with pytest.raises(ValueError, match="ascending"):
+                sparse_root(kernel, tree, factors, leaf)
 
 
 def sparse_fit(tensor, policy):
@@ -547,6 +584,31 @@ class TestSparseEngine:
                 if k.startswith("span_seconds") and "mttkrp" in k]
         assert keys and all(f"kernel={served}" in k for k in keys)
         assert any("representation=csr" in k for k in keys)
+
+
+def off_in_vector_body(variant):
+    """A :class:`~repro.kernels.native.RootKernel` whose *variant* is one
+    ulp off at ranks of 8 and more, dense and sparse."""
+    class OffInVectorBody(native.RootKernel):
+        def bind(self, mode_order, factors, out, leaf=None):
+            run = super().bind(mode_order, factors, out, leaf=leaf)
+            if self.variant != variant or out.shape[1] < 8:
+                return run
+
+            def nudged(tree):
+                run(tree)
+                out.flat[-1] = np.nextafter(out.flat[-1], np.inf)
+            return nudged
+
+    return OffInVectorBody
+
+
+def test_self_check_rejects_a_one_ulp_error_in_any_variant(kernels):
+    for name, kernel in kernels.items():
+        native.self_check(kernel)
+        broken = off_in_vector_body(name)(kernel._fn, kernel.init, name)
+        with pytest.raises(native.NativeUnavailable, match=name):
+            native.self_check(broken)
 
 
 @pytest.fixture(scope="module")
@@ -608,9 +670,16 @@ class TestFallback:
 
         monkeypatch.setattr(native, "RootKernel", SparseOffByOneUlp)
 
+    @staticmethod
+    def break_widest_variant(monkeypatch, tmp_path):
+        """Only the served variant is off, and only at ranks of 8 and more."""
+        widest = list(native.load_kernels())[-1]
+        monkeypatch.setattr(native, "RootKernel", off_in_vector_body(widest))
+
     @pytest.mark.parametrize("failure", ["break_compiler", "break_compile",
                                          "break_self_check",
-                                         "break_sparse_self_check"])
+                                         "break_sparse_self_check",
+                                         "break_widest_variant"])
     def test_one_warning_and_identical_factors(self, fresh, monkeypatch,
                                                tmp_path, failure):
         tensor = random_coo((20, 18, 16), 400, seed=12)
