@@ -56,9 +56,8 @@ ISA_CALLS = 15
 #: Slabs per tree and workers of the thread fan-out rows.
 FANOUT_SLABS = 8
 FANOUT_THREADS = 2
-#: The module whose ``root_kernel`` lookup the NumPy rows switch off
-#: (the package re-exports a function of the same name).
-CSF_MODULE = importlib.import_module("repro.kernels.mttkrp_csf")
+#: The module whose ``root_kernel`` lookup the NumPy rows switch off.
+DISPATCH = importlib.import_module("repro.kernels.dispatch")
 
 
 def _engine_allocations(engine: MTTKRPEngine) -> tuple[int, int]:
@@ -137,7 +136,7 @@ def _native_vs_numpy(datasets, monkeypatch) -> list[dict]:
                        for s in tensor.shape]
             fast = _kernel_rows(tensor, factors)
             with monkeypatch.context() as patch:
-                patch.setattr(CSF_MODULE, "root_kernel", lambda: None)
+                patch.setattr(DISPATCH, "root_kernel", lambda: None)
                 slow = _kernel_rows(tensor, factors)
             assert fast.pop("outputs") == slow.pop("outputs"), \
                 f"native kernel differs from NumPy on {name}"

@@ -1,9 +1,9 @@
-"""Out-of-core streaming MTTKRP: overhead vs. the in-core engine.
+"""Out-of-core MTTKRP: streamed store slabs vs. in-core slabs.
 
 Times full MTTKRP sweeps through the sharded on-disk store at a ladder
 of ``max_bytes_in_core`` budgets — unbounded (everything stays resident
 after the first sweep), half, a quarter, and a twentieth of the store's
-full footprint — against the in-core tiled engine on the same tensor,
+full footprint — against the engine's in-core slabs of the same tensor,
 and records the slab-cache traffic (loads, hits, evictions, peak
 resident bytes) that explains each overhead number.
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kernels import MTTKRPEngine, StreamingMTTKRPEngine
+from repro.kernels import MTTKRPEngine
 from repro.tensor import ShardedTensorStore
 
 from conftest import BENCH_SEED, save_artifact
@@ -73,7 +73,7 @@ def test_bench_ooc_mttkrp(ooc_setup, results_dir):
     for fraction in BUDGET_FRACTIONS:
         budget = None if fraction is None else max(1, int(footprint
                                                           * fraction))
-        engine = StreamingMTTKRPEngine(store, max_bytes_in_core=budget)
+        engine = MTTKRPEngine(store, max_bytes_in_core=budget)
         seconds, streamed = _time_sweeps(engine, factors, nmodes)
         for mode in range(nmodes):  # overhead must not change one bit
             np.testing.assert_array_equal(streamed[mode], reference[mode])

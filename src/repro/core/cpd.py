@@ -86,10 +86,13 @@ class CPModel:
 
         Exact: the inner product only involves coordinates where X is
         non-zero, so evaluating the (dense) model at those points suffices.
+        Summed by NumPy's own loop, not BLAS ``ddot``, whose sum depends
+        on the BLAS thread count.
         """
         if tensor.nnz == 0:
             return 0.0
-        return float(np.dot(tensor.vals, self.values_at(tensor.coords)))
+        return float(np.einsum("i,i->", tensor.vals,
+                               self.values_at(tensor.coords)))
 
     def relative_error(self, tensor: COOTensor) -> float:
         """``||X - X_hat||_F / ||X||_F`` via the expansion identity.

@@ -26,7 +26,6 @@ from .dispatch import (
     make_engine,
     MTTKRPEngine,
     MTTKRPCallStats,
-    StreamingMTTKRPEngine,
 )
 from .autotune import (
     BackendAutotuner,
@@ -54,7 +53,6 @@ __all__ = [
     "make_engine",
     "MTTKRPEngine",
     "MTTKRPCallStats",
-    "StreamingMTTKRPEngine",
     "BackendAutotuner",
     "BackendCandidate",
     "ModeDecision",

@@ -1,21 +1,23 @@
-"""MTTKRP dispatch and the stateful engine used by the AO-ADMM driver.
+"""MTTKRP dispatch and the one engine used by the AO-ADMM driver.
 
 :func:`mttkrp` is the stateless convenience entry point.
-:class:`MTTKRPEngine` is what the factorization loop uses: it owns the
-per-mode CSF trees (built once — the tensor's pattern is static), the
-per-tree slab tilings and kernel workspaces (also built once; see
-:mod:`repro.tensor.tiling` and :mod:`repro.kernels.workspace`), and the
-per-mode factor *representations* (rebuilt when a factor changes — the
-factors' sparsity is dynamic, Section IV-C).  It records per-call
-statistics for the benchmark harness and the machine model, and mirrors
-every call — including memoized ``method="csf"`` hits — into
-:mod:`repro.observability` when observability is enabled.
+:class:`MTTKRPEngine` is what the factorization loop uses, in core and
+out of core alike: it iterates over the slabs of a mode, either the
+slab tilings of its per-mode CSF trees (built once — the tensor's
+pattern is static; see :mod:`repro.tensor.tiling`) or the slabs of a
+sharded store streamed under a byte budget (:mod:`repro.tensor.ooc`).
+It owns the per-mode factor *representations* (rebuilt when a factor
+changes — the factors' sparsity is dynamic, Section IV-C) and one
+pooled output buffer per mode, and runs the compiled root kernel over
+the slabs with the deep factor dense, CSR or CSR-H.  It records
+per-call statistics for the benchmark harness and the machine model,
+and mirrors every call — including memoized ``method="csf"`` hits —
+into :mod:`repro.observability` when observability is enabled.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,12 +39,14 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.hybrid import HybridFactor
 from ..tensor.coo import COOTensor
 from ..tensor.csf import AllModeCSF, CSFTensor
+from ..tensor.ooc import SlabCache, SlabStreamer
+from ..tensor.store import ShardedTensorStore, resolve_byte_budget
 from ..tensor.tiling import CSFTiling
-from ..types import FactorList
+from ..types import VALUE_DTYPE, FactorList
 from ..validation import check_mode, require
 from .autotune import BackendAutotuner, resolve_tune_mode
 from .mttkrp_coo import mttkrp_coo
-from .mttkrp_csf import _upward_to_level, mttkrp_csf, sweep_kernel
+from .mttkrp_csf import _upward_to_level, mttkrp_csf
 from .mttkrp_sparse import (
     FactorRepresentation,
     counted_nnz,
@@ -147,9 +151,8 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
     if method == "auto" and resolve_tune_mode() != "off":
         rank = int(np.asarray(factors[0]).shape[1])
         tree, tiling, ws = _auto_plan(tensor, mode, rank)
-        kernel = sweep_kernel(tree, mode, tiling)
         start = time.perf_counter()
-        with span("mttkrp", mode=mode, method="auto", kernel=kernel):
+        with span("mttkrp", mode=mode, method="auto", kernel="numpy"):
             out = mttkrp_csf(tree, factors, mode, tiling=tiling,
                              workspace=ws, executor="serial")
         if is_enabled():
@@ -161,11 +164,8 @@ def mttkrp(tensor: COOTensor | CSFTensor | AllModeCSF, factors: FactorList,
                 slab_count=tiling.slab_count,
                 seconds=time.perf_counter() - start,
                 executor="serial",
-                kernel=kernel,
             ), rank=rank)
-        # The workspace buffer is pooled (valid until the next call for
-        # this plan); the stateless contract hands back an owned array.
-        return np.array(out, copy=True)
+        return out
     if method in ("auto", "csf"):
         tree = _csf_for_method(tensor, mode)
         start = time.perf_counter()
@@ -194,17 +194,17 @@ class MTTKRPCallStats:
     tensor_nnz: int
     #: Slabs the call was decomposed into (1 = monolithic).
     slab_count: int = 1
-    #: Fresh workspace bytes allocated during the call (0 after warm-up
-    #: on a static pattern — the zero-allocation guarantee).
+    #: Fresh output and workspace bytes allocated during the call (0
+    #: after warm-up on a static pattern — the zero-allocation
+    #: guarantee).
     bytes_allocated: int = 0
     #: Wall-clock seconds of the kernel call.
     seconds: float = 0.0
-    #: The engine's executor (``serial``/``thread``); sparse-
-    #: representation calls record ``serial`` (they run inline).
+    #: The engine's executor (``serial``/``thread``).
     executor: str = "thread"
     #: Threads the call's kernel was allowed to use: 1 for calls that
-    #: run inline (the ``serial`` executor, one-slab, sparse-
-    #: representation and streamed calls).
+    #: run inline (the ``serial`` executor, one-slab and streamed
+    #: calls, and the SciPy sparse path).
     workers: int = 1
     #: Sweep that computed the call: ``native`` (the compiled kernel of
     #: :mod:`repro.kernels.native`) or ``numpy`` (its fallback).
@@ -212,17 +212,40 @@ class MTTKRPCallStats:
 
 
 class MTTKRPEngine:
-    """Per-mode CSF trees + tilings + workspaces + factor representations.
+    """One MTTKRP engine over the slabs of an in-core or a sharded tensor.
+
+    Every call takes the deep factor's representation, zeroes a pooled
+    per-mode output buffer, runs the root kernel over the mode's slabs
+    and writes one :class:`MTTKRPCallStats`.  The slabs come from one of
+    two sources:
+
+    * **in core** (a :class:`~repro.tensor.coo.COOTensor`): the
+      :class:`~repro.tensor.tiling.CSFTiling` slabs of the per-mode CSF
+      trees (built once — the tensor's pattern is static), fanned out
+      through the executor;
+    * **out of core** (a :class:`~repro.tensor.store.ShardedTensorStore`):
+      the store's slabs, streamed inline through an LRU
+      :class:`~repro.tensor.ooc.SlabCache` bounded by
+      ``max_bytes_in_core``, the next slab's read prefetched through the
+      executor while the current one computes.
+
+    **Bit-identity.**  Slabs split trees at root-slice boundaries, so no
+    fiber straddles two slabs and every slab writes a disjoint set of
+    output rows: the result is bit-identical for any slab count, thread
+    count, executor, byte budget, eviction schedule or prefetch timing.
 
     Parameters
     ----------
     tensor:
-        The sparse tensor (COO); one CSF tree per mode is built lazily.
+        The sparse tensor (COO; one CSF tree per mode is built lazily),
+        or a sharded store whose per-mode trees are already on disk.
     repr_policy:
         ``"dense"`` — always dense factors (the paper's DENSE baseline);
         ``"csr"`` / ``"hybrid"`` — force that structure whenever the factor
         is below the density threshold; ``"auto"`` — apply
-        :func:`repro.sparse.analysis.choose_representation`.
+        :func:`repro.sparse.analysis.choose_representation`.  Sparse
+        deep factors need the compiled kernel out of core; without it a
+        store computes dense.
     sparsity_threshold:
         Density below which a factor may be stored sparse (paper: 20%).
     tol:
@@ -230,45 +253,67 @@ class MTTKRPEngine:
     csf_allocation:
         ``"all"`` builds one tree per mode (SPLATT's ALLMODE — fastest);
         ``"one"`` keeps a single tree and serves the other modes with the
-        internal/leaf kernels (SPLATT's memory-lean ONEMODE policy).
+        internal/leaf kernels (SPLATT's memory-lean ONEMODE policy, in
+        core only; it always computes dense).
     threads:
-        Thread count for slab-parallel kernel execution (``None`` = auto
-        via ``REPRO_NUM_THREADS`` / CPU count).  Results are bit-identical
-        for any value — slabs are independent and the reductions are
-        deterministic.
+        Thread count for the in-core slab fan-out (``None`` = auto via
+        ``REPRO_NUM_THREADS`` / CPU count).  Results are bit-identical
+        for any value.
     slab_nnz_target:
-        Non-zeros per slab for the tilings (``None`` =
-        :data:`repro.config.DEFAULT_SLAB_NNZ`).
+        Non-zeros per in-core slab (``None`` =
+        :data:`repro.config.DEFAULT_SLAB_NNZ`).  A store's slabs were
+        fixed when it was sharded.
     executor:
         Execution backend: ``"serial"``, ``"thread"``, or an
         :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` resolves ``REPRO_EXECUTOR`` (default ``thread``).
-        The dense tiled kernels fan their slabs out through it:
-        inline under ``serial`` whatever *threads* says, over a reused
-        pool of *threads* workers under ``thread``.  It is recorded in
-        :attr:`call_log`.  Results are bit-identical across executors.
+        In-core slabs fan out through it: inline under ``serial``
+        whatever *threads* says, over a reused pool of *threads* workers
+        under ``thread``.  Out of core it prefetches slab reads.  It is
+        recorded in :attr:`call_log`.
+    max_bytes_in_core:
+        Out of core only: the slab cache's byte budget (``None`` = the
+        store's own budget, else ``REPRO_MAX_BYTES_IN_CORE``).
 
     Notes
     -----
-    Dense-path MTTKRP outputs are written into pooled workspace buffers:
-    the returned array is valid until the **next** call for the same
-    mode.  Every driver in this repository consumes the output before
-    then; copy it if you need it to survive.
+    MTTKRP outputs are written into pooled per-mode buffers: the
+    returned array is valid until the **next** call for the same mode.
+    Every driver in this repository consumes the output before then;
+    copy it if you need it to survive.
     """
 
-    def __init__(self, tensor: COOTensor,
+    def __init__(self, tensor: "COOTensor | ShardedTensorStore",
                  repr_policy: ReprPolicy = "dense",
                  sparsity_threshold: float = SPARSITY_THRESHOLD,
                  tol: float = 0.0,
                  csf_allocation: str = "all",
                  threads: int | None = 1,
                  slab_nnz_target: int | None = None,
-                 executor: "str | ExecutorBase | None" = None):
+                 executor: "str | ExecutorBase | None" = None,
+                 max_bytes_in_core: int | None = None):
         require(repr_policy in ("dense", "csr", "hybrid", "auto"),
                 f"unknown representation policy {repr_policy!r}")
         require(csf_allocation in ("all", "one"),
                 f"unknown CSF allocation {csf_allocation!r}")
-        self.trees = AllModeCSF(tensor)
+        self._executor = resolve_executor(executor)
+        if isinstance(tensor, ShardedTensorStore):
+            require(csf_allocation == "all",
+                    "a sharded store holds one tree per mode")
+            self.store: ShardedTensorStore | None = tensor
+            self.trees = None
+            if max_bytes_in_core is None:
+                max_bytes_in_core = (tensor.max_bytes_in_core
+                                     or resolve_byte_budget())
+            #: One residency set shared by every mode — the byte budget
+            #: is a process-level promise, not a per-mode one.
+            self.cache: SlabCache | None = SlabCache(max_bytes_in_core)
+            self._streamer = SlabStreamer(tensor, self.cache,
+                                          executor=self._executor)
+        else:
+            self.store = None
+            self.trees = AllModeCSF(tensor)
+            self.cache = None
         self.csf_allocation = csf_allocation
         self.repr_policy: ReprPolicy = repr_policy
         self.sparsity_threshold = float(sparsity_threshold)
@@ -281,7 +326,6 @@ class MTTKRPEngine:
         #: The autotuner's :class:`~repro.kernels.autotune.TuningReport`
         #: (``None`` until :meth:`apply_tuning` runs).
         self.tuning = None
-        self._executor = resolve_executor(executor)
         self._reps: dict[int, FactorRepresentation] = {}
         self._rep_names: dict[int, str] = {}
         #: Per-tree SpGEMM leaf aggregators, built only when the NumPy
@@ -292,23 +336,34 @@ class MTTKRPEngine:
         #: Static per-tree decompositions, keyed by the tree's root mode.
         self._tilings: dict[int, CSFTiling] = {}
         self._workspaces: dict[int, KernelWorkspace] = {}
+        #: Pooled output buffers, one per target mode, and the bytes
+        #: they have ever allocated.
+        self._out: dict[int, np.ndarray] = {}
+        self._out_bytes = 0
         #: Stats of every MTTKRP call, in order.
         self.call_log: list[MTTKRPCallStats] = []
 
     @property
     def nmodes(self) -> int:
-        return self.trees.nmodes
+        return (self.store or self.trees).nmodes
 
     @property
     def executor_name(self) -> str:
-        """Name of the executor currently serving the tiled kernels."""
+        """Name of the executor currently serving the slabs."""
         return self._executor.name
 
+    @property
+    def max_bytes_in_core(self) -> int | None:
+        """The slab cache's byte budget (``None`` in core or unbounded)."""
+        return None if self.cache is None else self.cache.max_bytes_in_core
+
     # ------------------------------------------------------------------
-    # Lifecycle (same surface as the streaming engine)
+    # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Nothing to release: every buffer is an ordinary array."""
+        """Drop resident slabs (idempotent; a store stays open)."""
+        if self.cache is not None:
+            self.cache.clear()
 
     def __enter__(self) -> "MTTKRPEngine":
         return self
@@ -337,7 +392,7 @@ class MTTKRPEngine:
         self.tuning = report
 
     def tiling(self, root_mode: int) -> CSFTiling:
-        """The slab tiling of the tree rooted at *root_mode*."""
+        """The slab tiling of the in-core tree rooted at *root_mode*."""
         tiling = self._tilings.get(root_mode)
         if tiling is None:
             target = self._tuned_targets.get(root_mode,
@@ -349,7 +404,7 @@ class MTTKRPEngine:
         return tiling
 
     def workspace(self, root_mode: int) -> KernelWorkspace:
-        """The kernel workspace of the tree rooted at *root_mode*."""
+        """The NumPy sweeps' workspace of the tree rooted at *root_mode*."""
         ws = self._workspaces.get(root_mode)
         if ws is None:
             ws = KernelWorkspace(self.tiling(root_mode))
@@ -357,8 +412,9 @@ class MTTKRPEngine:
         return ws
 
     def workspace_bytes(self) -> int:
-        """Total bytes currently pooled across all workspaces."""
-        return sum(ws.bytes_allocated for ws in self._workspaces.values())
+        """Bytes the output buffers and workspaces have ever allocated."""
+        return self._out_bytes + sum(ws.bytes_allocated
+                                     for ws in self._workspaces.values())
 
     # ------------------------------------------------------------------
     # Representation management
@@ -390,7 +446,9 @@ class MTTKRPEngine:
         return self._rep_names.get(mode, "dense")
 
     def _decide(self, factor: np.ndarray) -> str:
-        if self.repr_policy == "dense":
+        # Out of core only the compiled kernel reads sparse deep factors.
+        if self.repr_policy == "dense" or (self.store is not None
+                                           and root_kernel() is None):
             return "dense"
         dens = density(factor, self.tol)
         if dens >= self.sparsity_threshold:
@@ -409,262 +467,119 @@ class MTTKRPEngine:
     def mttkrp(self, factors: FactorList, mode: int) -> np.ndarray:
         """MTTKRP for *mode*, honoring the deep factor's representation."""
         mode = check_mode(mode, self.nmodes)
-        start = time.perf_counter()
-        if self.csf_allocation == "one":
-            # Memory-lean: a single mode-0-rooted tree serves every mode
-            # via the root / internal / leaf kernels.  Sparse factor
-            # representations need the root kernel's leaf aggregation, so
-            # this policy always computes dense (documented trade-off).
-            csf = self.trees.csf(0)
-            tiling = self.tiling(0)
-            ws = self.workspace(0)
-            kernel = sweep_kernel(csf, mode, tiling)
-            allocs0, bytes0 = ws.snapshot()
-            with span("mttkrp", mode=mode, representation="dense",
-                      kernel=kernel):
-                out = mttkrp_csf(csf, factors, mode, tiling=tiling,
-                                 workspace=ws, threads=self.threads,
-                                 executor=self._executor)
-            _, bytes1 = ws.snapshot()
-            stats = MTTKRPCallStats(
-                mode=mode, leaf_mode=csf.mode_order[-1],
-                representation="dense",
-                gathered_nnz=csf.nnz * int(np.asarray(factors[0]).shape[1]),
-                tensor_nnz=csf.nnz,
-                slab_count=tiling.slab_count,
-                bytes_allocated=bytes1 - bytes0,
-                seconds=time.perf_counter() - start,
-                executor=self._executor.name,
-                workers=self._workers(self._executor.name,
-                                      tiling.slab_count),
-                kernel=kernel)
-            self.call_log.append(stats)
-            record_mttkrp_call(
-                stats, rank=int(np.asarray(factors[0]).shape[1]))
-            return out
-        csf = self.trees.csf(mode)
-        leaf_mode = csf.mode_order[-1]
-        rep = self._reps.get(leaf_mode)
-        if rep is None or isinstance(rep, np.ndarray):
-            # Dense path: slab-tiled Algorithm 3 through the workspace.
-            tiling = self.tiling(mode)
-            ws = self.workspace(mode)
-            kernel = sweep_kernel(csf, mode, tiling)
-            _, bytes0 = ws.snapshot()
-            with span("mttkrp", mode=mode, representation="dense",
-                      kernel=kernel):
-                out = mttkrp_csf(csf, factors, mode, tiling=tiling,
-                                 workspace=ws, threads=self.threads,
-                                 executor=self._executor)
-            _, bytes1 = ws.snapshot()
-            rep_name = "dense"
-            touched = csf.nnz * int(np.asarray(factors[0]).shape[1])
-            slab_count = tiling.slab_count
-            bytes_allocated = bytes1 - bytes0
-            call_executor = self._executor.name
-        else:
-            rep_name = representation_name(rep)
-            out, kernel = self._mttkrp_sparse(csf, factors, mode, rep,
-                                              rep_name)
-            counts = self._leaf_counts.get(mode)
-            if counts is None:
-                counts = self._leaf_counts[mode] = leaf_counts(csf)
-            touched = counted_nnz(rep, counts)
-            slab_count = 1
-            bytes_allocated = 0
-            # Sparse-representation calls run inline in the parent.
-            call_executor = "serial"
-        stats = MTTKRPCallStats(
-            mode=mode, leaf_mode=leaf_mode, representation=rep_name,
-            gathered_nnz=touched, tensor_nnz=csf.nnz,
-            slab_count=slab_count, bytes_allocated=bytes_allocated,
-            seconds=time.perf_counter() - start,
-            executor=call_executor,
-            workers=self._workers(call_executor, slab_count),
-            kernel=kernel)
-        self.call_log.append(stats)
-        record_mttkrp_call(stats, rank=int(np.asarray(factors[0]).shape[1]))
-        return out
-
-    def _workers(self, executor: str, slab_count: int) -> int:
-        """Threads a call may use: one when its slabs run inline."""
-        if executor == "serial" or slab_count <= 1:
-            return 1
-        return effective_threads(self.threads)
-
-    def _mttkrp_sparse(self, csf: CSFTensor, factors: FactorList,
-                       mode: int, rep: FactorRepresentation,
-                       rep_name: str) -> tuple[np.ndarray, str]:
-        """Root-mode MTTKRP of *csf* through a CSR/CSR-H deep factor.
-
-        The compiled kernel's sparse leaf stage serves when it is
-        available; otherwise the SciPy path of
-        :func:`mttkrp_csf_root_repr`, byte-equal to it, runs against the
-        tree's cached leaf aggregator.  Returns the output and the name
-        of the kernel that served.
-        """
-        native = root_kernel()
-        kernel = "numpy" if native is None else "native"
-        with span("mttkrp", mode=mode, representation=rep_name,
-                  kernel=kernel):
-            if native is not None:
-                rank = int(np.asarray(factors[0]).shape[1])
-                out = np.zeros((csf.shape[mode], rank))
-                native.bind(csf.mode_order, factors, out, leaf=rep)(csf)
-                return out, kernel
-            agg = self._aggregators.get(mode)
-            if agg is None:
-                # One-time per tree: the tensor pattern is static.
-                agg = self._aggregators[mode] = leaf_aggregator(csf)
-            return mttkrp_csf_root_repr(csf, factors, rep,
-                                        aggregator=agg), kernel
-
-
-class StreamingMTTKRPEngine:
-    """Out-of-core MTTKRP over a :class:`~repro.tensor.store.ShardedTensorStore`.
-
-    Drop-in replacement for :class:`MTTKRPEngine` on the driver side
-    (same ``update_factor`` / ``mttkrp`` / ``representation`` / ``close``
-    / ``call_log`` surface), but instead of owning
-    in-core CSF trees it streams each mode's pre-sharded slabs from disk
-    through an LRU :class:`~repro.tensor.ooc.SlabCache` bounded by
-    ``max_bytes_in_core``, prefetching one slab ahead through the
-    executor while the parent computes on the current one.
-
-    **Bit-identity.**  The store holds ALLMODE trees split at root-slice
-    boundaries, so every slab is served by the root kernel — the
-    compiled one of :mod:`repro.kernels.native`, or the NumPy sweep
-    :func:`~repro.kernels.mttkrp_csf._upward_to_level` when it is
-    unavailable.  Either computes each slab segment-by-segment exactly
-    as the monolithic in-core sweep would (fiber segments never cross a
-    slab boundary, and both replay ``reduceat``'s order), and each slab
-    writes a **disjoint** set of output rows (root ids are unique and
-    ascending across slabs), so no reduction — and no reduction-order
-    sensitivity — exists.  Residency decisions only change *when* bytes
-    are mapped, never *what* is computed, so factors and traces are
-    bit-identical to the in-core engines for any byte budget, eviction
-    schedule, or prefetch timing.
-
-    Streaming always computes with dense factors (the root kernel's
-    sparse-representation path needs a persistent leaf aggregator per
-    tree, which would defeat eviction), so ``repr_policy`` must be
-    ``"dense"``.
-    """
-
-    def __init__(self, store,
-                 repr_policy: ReprPolicy = "dense",
-                 threads: int | None = 1,
-                 executor: "str | ExecutorBase | None" = None,
-                 max_bytes_in_core: int | None = None,
-                 prefetch: bool = True):
-        from ..tensor.ooc import SlabCache, SlabStreamer
-        from ..tensor.store import resolve_byte_budget
-        require(repr_policy == "dense",
-                "the streaming (out-of-core) engine computes with dense "
-                f"factors only; got repr_policy={repr_policy!r}")
-        self.store = store
-        self.repr_policy: ReprPolicy = "dense"
-        self.threads = threads
-        self._executor = resolve_executor(executor)
-        if max_bytes_in_core is None:
-            max_bytes_in_core = getattr(store, "max_bytes_in_core", None)
-        if max_bytes_in_core is None:
-            max_bytes_in_core = resolve_byte_budget()
-        #: One residency set shared by every mode — the byte budget is a
-        #: process-level promise, not a per-mode one.
-        self.cache = SlabCache(max_bytes_in_core)
-        self._streamer = SlabStreamer(store, self.cache,
-                                      executor=self._executor,
-                                      prefetch=prefetch)
-        self._rep_names: dict[int, str] = {}
-        #: Pooled output buffers, one per mode (zero-allocation after
-        #: warm-up, matching the in-core workspace contract: the result
-        #: is valid until the next call for the same mode).
-        self._out: dict[int, np.ndarray] = {}
-        self.call_log: list[MTTKRPCallStats] = []
-
-    @property
-    def nmodes(self) -> int:
-        return self.store.nmodes
-
-    @property
-    def executor_name(self) -> str:
-        return self._executor.name
-
-    @property
-    def max_bytes_in_core(self) -> int | None:
-        return self.cache.max_bytes_in_core
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drop resident slabs (idempotent; the store stays open)."""
-        self.cache.clear()
-
-    def __enter__(self) -> "StreamingMTTKRPEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def update_factor(self, mode: int, factor: np.ndarray) -> str:
-        """Register a factor update; streaming always computes dense."""
-        mode = check_mode(mode, self.nmodes)
-        self._rep_names[mode] = "dense"
-        record_representation(mode, "dense", np.asarray(factor))
-        return "dense"
-
-    def representation(self, mode: int) -> str:
-        return self._rep_names.get(mode, "dense")
-
-    def _out_buffer(self, mode: int, rank: int) -> tuple[np.ndarray, int]:
-        shape = (self.store.shape[mode], rank)
-        out = self._out.get(mode)
-        allocated = 0
-        if out is None or out.shape != shape:
-            out = np.empty(shape, dtype=np.float64)
-            self._out[mode] = out
-            allocated = out.nbytes
-        out.fill(0.0)
-        return out, allocated
-
-    def mttkrp(self, factors: FactorList, mode: int) -> np.ndarray:
-        """MTTKRP for *mode*, streamed slab-by-slab under the byte budget."""
-        mode = check_mode(mode, self.nmodes)
         rank = int(np.asarray(factors[0]).shape[1])
         start = time.perf_counter()
-        out, allocated = self._out_buffer(mode, rank)
-        kernel = root_kernel()
-        run = (kernel.bind(self.store.mode_order(mode), factors, out)
-               if kernel is not None else None)
-        kernel_name = "numpy" if run is None else "native"
-        with span("mttkrp", mode=mode, representation="dense",
-                  streaming=True, kernel=kernel_name):
-            for slab in self._streamer.iter_mode(mode):
-                tree = slab.tree
-                # The root kernel on one slab: fibers never straddle a
-                # slab boundary and root ids are disjoint across slabs,
-                # so these row writes compose bit-identically with the
-                # monolithic sweep.
-                if run is not None:
-                    run(tree)
-                else:
-                    out[tree.fids[0]] = _upward_to_level(tree, factors, 0)
+        pooled = self.workspace_bytes()
+        # ONEMODE serves every mode from the mode-0 tree and stays dense.
+        root = mode if self.csf_allocation == "all" else 0
+        if self.store is not None:
+            order, nnz = self.store.mode_order(root), self.store.nnz
+        else:
+            tree = self.trees.csf(root)
+            order, nnz = tree.mode_order, tree.nnz
+        rep = (self._reps.get(order[-1])
+               if self.csf_allocation == "all" else None)
+        if isinstance(rep, np.ndarray):
+            rep = None
+        rep_name = "dense" if rep is None else representation_name(rep)
+        kernel = root_kernel() if root == mode else None
+        kernel_name = "numpy" if kernel is None else "native"
+        out = self._out_buffer(mode, rank)
+        with span("mttkrp", mode=mode, representation=rep_name,
+                  kernel=kernel_name):
+            slab_count = self._sweep(mode, order, factors, out, rep,
+                                     kernel)
+        if rep is None:
+            gathered = nnz * rank
+        else:
+            gathered = counted_nnz(rep, self._counts(root))
         stats = MTTKRPCallStats(
-            mode=mode, leaf_mode=self.store.mode_order(mode)[-1],
-            representation="dense",
-            gathered_nnz=self.store.nnz * rank,
-            tensor_nnz=self.store.nnz,
-            slab_count=self.store.slab_count(mode),
-            bytes_allocated=allocated,
+            mode=mode, leaf_mode=order[-1], representation=rep_name,
+            gathered_nnz=gathered, tensor_nnz=nnz,
+            slab_count=slab_count,
+            bytes_allocated=self.workspace_bytes() - pooled,
             seconds=time.perf_counter() - start,
             executor=self._executor.name,
-            # The sweep runs inline; the executor only prefetches slabs.
-            workers=1,
+            # Streamed slabs run inline; the executor only prefetches.
+            workers=(1 if self.store is not None
+                     else self._workers(slab_count)),
             kernel=kernel_name)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=rank)
         return out
+
+    def _workers(self, slab_count: int) -> int:
+        """Threads an in-core call may use: one when its slabs run inline."""
+        if self._executor.name == "serial" or slab_count <= 1:
+            return 1
+        return effective_threads(self.threads)
+
+    def _counts(self, root: int) -> np.ndarray:
+        """Leaf-id counts of the tree rooted at *root* (see ``_sweep``)."""
+        counts = self._leaf_counts.get(root)
+        if counts is None:
+            counts = self._leaf_counts[root] = leaf_counts(
+                self.trees.csf(root))
+        return counts
+
+    def _out_buffer(self, mode: int, rank: int) -> np.ndarray:
+        """The pooled output matrix of *mode*, zeroed."""
+        shape = ((self.store or self.trees.tensor).shape[mode], rank)
+        out = self._out.get(mode)
+        if out is None or out.shape != shape:
+            out = self._out[mode] = np.empty(shape, dtype=VALUE_DTYPE)
+            self._out_bytes += out.nbytes
+        out.fill(0.0)
+        return out
+
+    def _sweep(self, mode: int, order: tuple[int, ...],
+               factors: FactorList, out: np.ndarray,
+               rep: FactorRepresentation | None, kernel) -> int:
+        """Write *mode*'s MTTKRP into *out*; returns the slab count.
+
+        The compiled root kernel runs slab by slab, with the deep factor
+        read through *rep* when it is sparse.  Without it the NumPy
+        fallbacks serve: per streamed slab the upward sweep, in core the
+        tiled sweeps of :func:`mttkrp_csf` or, for a sparse deep factor,
+        the SciPy path over the whole tree.
+        """
+        root = order[0]
+        run = (None if kernel is None
+               else kernel.bind(order, factors, out, leaf=rep))
+        if self.store is not None:
+            # A sparse call's gathered_nnz needs the tree's leaf counts:
+            # out of core they add up over the first sweep that needs them.
+            counts = (None if rep is None or root in self._leaf_counts
+                      else np.zeros(self.store.shape[order[-1]],
+                                    dtype=np.int64))
+            for slab in self._streamer.iter_mode(mode):
+                tree = slab.tree
+                if run is not None:
+                    run(tree)
+                else:
+                    out[tree.fids[0]] = _upward_to_level(tree, factors, 0)
+                if counts is not None:
+                    counts += leaf_counts(tree)
+            if counts is not None:
+                self._leaf_counts[root] = counts
+            return self.store.slab_count(mode)
+        tiling = self.tiling(root)
+        if run is not None:
+            self._executor.parallel_for(lambda slab: run(slab.tree),
+                                        tiling.slabs, threads=self.threads)
+            return tiling.slab_count
+        if rep is not None:
+            agg = self._aggregators.get(root)
+            if agg is None:
+                # One-time per tree: the tensor pattern is static.
+                agg = self._aggregators[root] = leaf_aggregator(tiling.csf)
+            np.copyto(out, mttkrp_csf_root_repr(tiling.csf, factors, rep,
+                                                aggregator=agg))
+            return 1
+        mttkrp_csf(tiling.csf, factors, mode, tiling=tiling,
+                   workspace=self.workspace(root), threads=self.threads,
+                   executor=self._executor, out=out)
+        return tiling.slab_count
 
 
 def make_engine(tensor,
@@ -677,17 +592,17 @@ def make_engine(tensor,
                 executor: "str | ExecutorBase | None" = None,
                 max_bytes_in_core: int | None = None,
                 rank: int | None = None,
-                tune: str | None = None):
-    """Build the right MTTKRP engine for any ``TensorSource``.
+                tune: str | None = None) -> MTTKRPEngine:
+    """Build the MTTKRP engine for any ``TensorSource``.
 
     The single dispatch point the drivers use:
 
-    * :class:`~repro.tensor.store.ShardedTensorStore` →
-      :class:`StreamingMTTKRPEngine` (out-of-core, budget-bounded);
+    * :class:`~repro.tensor.store.ShardedTensorStore` → streamed slabs
+      under ``max_bytes_in_core`` (out of core);
     * :class:`~repro.tensor.csf.CSFTensor` → expanded back to COO (the
       engine re-sorts per mode anyway) and handled below;
-    * :class:`~repro.tensor.coo.COOTensor` → :class:`MTTKRPEngine` with
-      the trees it serves from built eagerly: every tree under
+    * :class:`~repro.tensor.coo.COOTensor` → in-core slabs, with the
+      trees the engine serves from built eagerly: every tree under
       ``csf_allocation="all"``, only the mode-0 tree under ``"one"``
       (which is also the only tree the autotuner then tunes).
 
@@ -699,42 +614,30 @@ def make_engine(tensor,
     ``REPRO_TUNE``, else ``"model"``) is not ``"off"``, the in-core
     engine's per-mode slab targets are chosen by the
     :class:`~repro.kernels.autotune.BackendAutotuner` — selection is
-    performance-only and bit-invisible (csf family).  The streaming
-    engine is never tuned: its slab decomposition was fixed on disk
-    when the store was sharded.
+    performance-only and bit-invisible (csf family).  A store is never
+    tuned: its slab decomposition was fixed on disk when it was sharded.
     """
-    from ..tensor.store import ShardedTensorStore
-    if isinstance(tensor, ShardedTensorStore):
-        if repr_policy != "dense":
-            # The streaming root kernel has no sparse-factor variant
-            # (a persistent per-tree leaf aggregator would defeat
-            # eviction): degrade to dense rather than fail — otherwise
-            # a process-wide REPRO_MAX_BYTES_IN_CORE would break any
-            # run configured with repr_policy="auto"/"csr".
-            warnings.warn(
-                f"repr_policy={repr_policy!r} is unavailable out of "
-                "core; the streaming engine computes with dense factors",
-                RuntimeWarning, stacklevel=2)
-        return StreamingMTTKRPEngine(
-            tensor, threads=threads,
-            executor=executor, max_bytes_in_core=max_bytes_in_core)
     if isinstance(tensor, CSFTensor):
         tensor = tensor.to_coo()
-    require(isinstance(tensor, COOTensor),
+    in_core = isinstance(tensor, COOTensor)
+    require(in_core or isinstance(tensor, ShardedTensorStore),
             f"cannot build an MTTKRP engine from {type(tensor).__name__}")
-    tune_mode = (resolve_tune_mode(tune)
-                 if rank is not None and slab_nnz_target is None else "off")
     engine = MTTKRPEngine(tensor, repr_policy=repr_policy,
                           sparsity_threshold=sparsity_threshold,
                           tol=tol, csf_allocation=csf_allocation,
                           threads=threads,
                           slab_nnz_target=slab_nnz_target,
-                          executor=executor)
+                          executor=executor,
+                          max_bytes_in_core=max_bytes_in_core)
+    if not in_core:
+        return engine
     if csf_allocation == "one":
         # ONEMODE: MTTKRPEngine.mttkrp serves every mode from csf(0).
         engine.trees.csf(0)
     else:
         engine.trees.build_all()
-    if tune_mode != "off":
-        BackendAutotuner(mode=tune_mode).tune_engine(engine, rank)
+    if rank is not None and slab_nnz_target is None:
+        tune_mode = resolve_tune_mode(tune)
+        if tune_mode != "off":
+            BackendAutotuner(mode=tune_mode).tune_engine(engine, rank)
     return engine

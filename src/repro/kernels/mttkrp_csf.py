@@ -35,20 +35,20 @@ Each kernel has two execution paths:
   scatter then reduces — so results are **bit-identical** for any slab
   count and any thread count, like blocked ADMM.
 
-The tiled **root** kernel runs each slab as one call into the compiled
-fused kernel of :mod:`repro.kernels.native` (one recursive per-fiber C
-loop, no nnz x rank temporaries, GIL released).  It replays
+These are NumPy sweeps.  :class:`repro.kernels.dispatch.MTTKRPEngine`
+runs root-mode slabs through the compiled fused kernel of
+:mod:`repro.kernels.native` instead (one recursive per-fiber C loop, no
+nnz x rank temporaries, GIL released).  It replays
 ``np.add.reduceat``'s summation order exactly — each fiber is
 ``x[lo] + pairwise_sum(x[lo+1:hi])`` with NumPy's pairwise scheme
 (sequential below 8 rows, 8 strided accumulators up to 128, a split at
 ``n/2`` rounded down to a multiple of 8 above) — so it is byte-equal to
-the NumPy sweep and stays in the ``csf`` family.  The library is built
-at first use with the system C compiler into
+the root sweep here and stays in the ``csf`` family.  The library is
+built at first use with the system C compiler into
 ``$XDG_CACHE_HOME/repro/native/``; without a compiler, on a build
 failure, or if its self-check against the NumPy sweep finds one
-differing bit, the NumPy slab sweep below serves instead (one
-``RuntimeWarning`` per process).  The monolithic path and the
-leaf/internal kernels always run NumPy.
+differing bit, the engine falls back to the tiled sweeps here (one
+``RuntimeWarning`` per process).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from ..tensor.csf import CSFTensor
 from ..tensor.tiling import CSFSlab, CSFTiling
 from ..types import VALUE_DTYPE, FactorList
 from ..validation import check_mode, require
-from .native import root_kernel
 from .scatter import scatter_add_rows, segment_sums
 from .workspace import KernelWorkspace
 
@@ -183,6 +182,14 @@ def _scatter_add_static(out: np.ndarray, rows: np.ndarray,
     return out
 
 
+def _zeroed(out: np.ndarray | None, rows: int, rank: int) -> np.ndarray:
+    """*out* filled with zeros, or a fresh zero ``(rows, rank)`` matrix."""
+    if out is None:
+        return np.zeros((rows, rank), dtype=VALUE_DTYPE)
+    out.fill(0.0)
+    return out
+
+
 def _workspace_for(tiling: CSFTiling,
                    workspace: KernelWorkspace | None) -> KernelWorkspace:
     if workspace is not None:
@@ -192,21 +199,6 @@ def _workspace_for(tiling: CSFTiling,
     return KernelWorkspace(tiling)
 
 
-def sweep_kernel(csf: CSFTensor, mode: int,
-                 tiling: CSFTiling | None = None) -> str:
-    """``"native"`` when :func:`mttkrp_csf` with these arguments runs the
-    compiled root kernel, else ``"numpy"``.
-
-    The compiled kernel serves tiled root-mode calls in this process;
-    monolithic calls, leaf/internal modes and a process without the
-    kernel run the NumPy sweep.
-    """
-    if tiling is None or csf.mode_order[0] != mode \
-            or root_kernel() is None:
-        return "numpy"
-    return "native"
-
-
 # ----------------------------------------------------------------------
 # The three kernels
 # ----------------------------------------------------------------------
@@ -214,40 +206,26 @@ def mttkrp_csf_root(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
                     threads: int | None = None,
-                    executor: "str | ExecutorBase | None" = None
-                    ) -> np.ndarray:
+                    executor: "str | ExecutorBase | None" = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """MTTKRP for the CSF's root mode (paper Algorithm 3).
 
     With a *tiling*, slabs run in parallel and write disjoint output rows
     (root ids are unique and ascending across slabs), so no reduction is
     needed and the result is bit-identical for any slab/thread count.
-    The returned array is owned by *workspace* when one is given — valid
-    until the next root-mode call on the same workspace.
+    Every kernel here writes into *out* (zeroed first) when one is
+    given, else into a fresh array.
     """
     rank = _rank_of(factors)
-    root_mode = csf.mode_order[0]
-    if tiling is None:
-        out = np.zeros((csf.shape[root_mode], rank), dtype=VALUE_DTYPE)
-        if csf.nnz == 0:
-            return out
-        require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
-        slice_rows = _upward_to_level(csf, factors, 0)
-        out[csf.fids[0]] = slice_rows
-        return out
-
-    ws = _workspace_for(tiling, workspace)
-    out = ws.buf(("out", root_mode), (csf.shape[root_mode], rank))
-    out.fill(0.0)
+    out = _zeroed(out, csf.shape[csf.mode_order[0]], rank)
     if csf.nnz == 0:
         return out
     require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
-
-    kernel = root_kernel()
-    if kernel is not None:
-        run = kernel.bind(csf.mode_order, factors, out)
-        resolve_executor(executor).parallel_for(
-            lambda slab: run(slab.tree), tiling.slabs, threads=threads)
+    if tiling is None:
+        out[csf.fids[0]] = _upward_to_level(csf, factors, 0)
         return out
+
+    ws = _workspace_for(tiling, workspace)
 
     def run_slab(slab: CSFSlab) -> None:
         rows = _slab_upward(slab, factors, 0, ws, rank)
@@ -262,8 +240,8 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
                     tiling: CSFTiling | None = None,
                     workspace: KernelWorkspace | None = None,
                     threads: int | None = None,
-                    executor: "str | ExecutorBase | None" = None
-                    ) -> np.ndarray:
+                    executor: "str | ExecutorBase | None" = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """MTTKRP for the CSF's deepest mode.
 
     With a *tiling*, each slab propagates its ancestor products downward
@@ -275,22 +253,16 @@ def mttkrp_csf_leaf(csf: CSFTensor, factors: FactorList,
     """
     rank = _rank_of(factors)
     leaf_level = csf.nmodes - 1
-    leaf_mode = csf.mode_order[leaf_level]
+    out = _zeroed(out, csf.shape[csf.mode_order[leaf_level]], rank)
+    if csf.nnz == 0:
+        return out
+    require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
     if tiling is None:
-        out = np.zeros((csf.shape[leaf_mode], rank), dtype=VALUE_DTYPE)
-        if csf.nnz == 0:
-            return out
-        require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
         prod = _downward_to_level(csf, factors, leaf_level)
         prod = prod * csf.vals[:, None]
         return scatter_add_rows(out, csf.fids[leaf_level], prod)
 
     ws = _workspace_for(tiling, workspace)
-    out = ws.buf(("out", leaf_mode), (csf.shape[leaf_mode], rank))
-    out.fill(0.0)
-    if csf.nnz == 0:
-        return out
-    require(csf.nmodes >= 2, "MTTKRP needs at least two modes")
     prod = ws.buf(("prod", leaf_level), (csf.nnz, rank))
 
     def run_slab(slab: CSFSlab) -> None:
@@ -308,8 +280,8 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
                         tiling: CSFTiling | None = None,
                         workspace: KernelWorkspace | None = None,
                         threads: int | None = None,
-                        executor: "str | ExecutorBase | None" = None
-                        ) -> np.ndarray:
+                        executor: "str | ExecutorBase | None" = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """MTTKRP for the mode at an internal CSF *level* (0 < level < N-1).
 
     The tiled path runs each slab's meeting upward/downward sweeps in
@@ -321,20 +293,15 @@ def mttkrp_csf_internal(csf: CSFTensor, factors: FactorList, level: int,
     require(0 < level < csf.nmodes - 1,
             f"level {level} is not internal for {csf.nmodes} modes")
     rank = _rank_of(factors)
-    target_mode = csf.mode_order[level]
+    out = _zeroed(out, csf.shape[csf.mode_order[level]], rank)
+    if csf.nnz == 0:
+        return out
     if tiling is None:
-        out = np.zeros((csf.shape[target_mode], rank), dtype=VALUE_DTYPE)
-        if csf.nnz == 0:
-            return out
         upward = _upward_to_level(csf, factors, level)
         downward = _downward_to_level(csf, factors, level)
         return scatter_add_rows(out, csf.fids[level], upward * downward)
 
     ws = _workspace_for(tiling, workspace)
-    out = ws.buf(("out", target_mode), (csf.shape[target_mode], rank))
-    out.fill(0.0)
-    if csf.nnz == 0:
-        return out
     nodeprod = ws.buf(("nodeprod", level), (csf.nnodes(level), rank))
 
     def run_slab(slab: CSFSlab) -> None:
@@ -353,18 +320,15 @@ def mttkrp_csf(csf: CSFTensor, factors: FactorList, mode: int,
                tiling: CSFTiling | None = None,
                workspace: KernelWorkspace | None = None,
                threads: int | None = None,
-               executor: "str | ExecutorBase | None" = None) -> np.ndarray:
+               executor: "str | ExecutorBase | None" = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """MTTKRP for any *mode*, picking the kernel by the mode's CSF level."""
     mode = check_mode(mode, csf.nmodes)
     level = csf.mode_order.index(mode)
+    kwargs = dict(tiling=tiling, workspace=workspace, threads=threads,
+                  executor=executor, out=out)
     if level == 0:
-        return mttkrp_csf_root(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
+        return mttkrp_csf_root(csf, factors, **kwargs)
     if level == csf.nmodes - 1:
-        return mttkrp_csf_leaf(csf, factors, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
-    return mttkrp_csf_internal(csf, factors, level, tiling=tiling,
-                               workspace=workspace, threads=threads,
-                               executor=executor)
+        return mttkrp_csf_leaf(csf, factors, **kwargs)
+    return mttkrp_csf_internal(csf, factors, level, **kwargs)

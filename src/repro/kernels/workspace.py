@@ -3,9 +3,10 @@
 The MTTKRP kernels are called once per mode per outer iteration over a
 tensor whose sparsity pattern never changes, yet the original sweeps
 re-allocated every temporary on every call: the value-scaled accumulator
-at each level, the ``np.repeat`` expansions, the ``np.diff(fptr)`` child
-counts, and the output matrix itself.  A :class:`KernelWorkspace` makes
-all of that state persistent per (tree, slab):
+at each level, the ``np.repeat`` expansions and the ``np.diff(fptr)``
+child counts.  A :class:`KernelWorkspace` makes all of that state
+persistent per (tree, slab); the output matrix is the caller's (the
+engine pools one per mode):
 
 * **pattern precomputations** — per-(slab, level) child counts and the
   leaf-ward *expansion index* arrays (the gather map equivalent to

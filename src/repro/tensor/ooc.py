@@ -1,7 +1,7 @@
 """Slab residency management for out-of-core MTTKRP.
 
-Two pieces, composed by
-:class:`repro.kernels.dispatch.StreamingMTTKRPEngine`:
+Two pieces, composed by :class:`repro.kernels.dispatch.MTTKRPEngine`
+when its slabs come from a sharded store:
 
 * :class:`SlabCache` — an LRU residency set over ``(mode, slab)`` keys
   under a ``max_bytes_in_core`` byte budget.  Byte accounting uses the
@@ -19,8 +19,9 @@ Two pieces, composed by
 Neither piece touches values: eviction drops array references (the
 memmap pages go with them) and a reload maps the identical bytes from
 disk, so residency decisions are **bit-invisible** to the kernels —
-the streaming MTTKRP stays bit-identical to the in-core engines for
-any budget, eviction order, or prefetch schedule.
+streamed MTTKRP stays bit-identical to in-core MTTKRP, dense or with
+sparse deep factors, for any budget, eviction order, or prefetch
+schedule.
 
 Every load / hit / eviction / prefetch is mirrored into
 :mod:`repro.observability` (``slab_*`` counters and residency gauges)
@@ -145,18 +146,17 @@ class SlabStreamer:
     The streamer issues the load of slab ``k+1`` through the
     executor's :meth:`~repro.parallel.executor.ExecutorBase.submit_one`
     before handing slab ``k`` to the kernel, so disk I/O overlaps the
-    parent's sweep.  A prefetched slab enters the cache (and its byte
-    accounting) only when consumed, in iteration order — residency
-    decisions stay deterministic regardless of I/O timing, which keeps
-    eviction traces reproducible run to run.
+    parent's sweep; with no executor it prefetches nothing.  A
+    prefetched slab enters the cache (and its byte accounting) only when
+    consumed, in iteration order — residency decisions stay
+    deterministic regardless of I/O timing, which keeps eviction traces
+    reproducible run to run.
     """
 
-    def __init__(self, store, cache: SlabCache, executor=None,
-                 prefetch: bool = True):
+    def __init__(self, store, cache: SlabCache, executor=None):
         self.store = store
         self.cache = cache
         self.executor = executor
-        self.prefetch = bool(prefetch) and executor is not None
         self.prefetches = 0
 
     def _loader(self, mode: int, index: int) -> Callable[[], object]:
@@ -200,7 +200,8 @@ class SlabStreamer:
                     self.store.slab_nbytes(mode, index))
             pending_index = pending = None
             nxt = index + 1
-            if self.prefetch and nxt < count and (mode, nxt) not in self.cache:
+            if self.executor is not None and nxt < count \
+                    and (mode, nxt) not in self.cache:
                 pending = self.executor.submit_one(
                     self.store.load_slab, mode, nxt)
                 pending_index = nxt

@@ -13,7 +13,7 @@ Why per-mode trees on disk: the streaming MTTKRP path then always runs
 the **root** kernel, whose slabs write disjoint output rows — no
 nnz-sized scatter buffer has to stay resident, and the per-slab sweep
 is the same monolithic upward sweep the in-core kernels use, so the
-results are **bit-identical** to the in-core engines for any byte
+results are **bit-identical** to in-core MTTKRP for any byte
 budget, eviction order, or prefetch schedule (the family contract the
 differential harness enforces).
 
@@ -161,7 +161,7 @@ class ShardedTensorStore:
     :meth:`create`, reopen with :meth:`open` (or via
     :func:`open_tensor`).  All index/value bytes live on disk; the
     resident-set policy (LRU under ``max_bytes_in_core``) is the
-    streaming engine's job (:mod:`repro.tensor.ooc`), not the store's —
+    MTTKRP engine's job (:mod:`repro.tensor.ooc`), not the store's —
     the store only maps slabs on demand.
     """
 
@@ -171,7 +171,7 @@ class ShardedTensorStore:
                  source: "COOTensor | None" = None):
         self.path = Path(path)
         self.meta = meta
-        #: Default in-core byte budget a streaming engine over this
+        #: Default in-core byte budget an MTTKRP engine over this
         #: store should honor (``None`` = no eviction pressure).
         self.max_bytes_in_core = max_bytes_in_core
         self.closed = False

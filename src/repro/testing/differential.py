@@ -218,29 +218,34 @@ def _engine_backend(tensor: COOTensor, *, repr_policy: str,
     return kernel
 
 
-def _sharded_backend(tensor: COOTensor,
-                     max_bytes_in_core: int | None) -> Callable:
+def _sharded_backend(tensor: COOTensor, max_bytes_in_core: int | None,
+                     repr_policy: str = "dense") -> Callable:
     """Out-of-core grid point: shard to a temp store, stream MTTKRP.
 
-    Joins the ``csf`` family — the store holds the same mode-rooted
-    trees split at root-slice boundaries, so the streamed result is
-    contractually **bitwise** identical to every in-core CSF backend
-    for any byte budget.  The temp shard directory lives until the
-    kernel closure is collected (finalizer-backed), covering the whole
-    sweep over the tensor's modes.
+    The store holds the same mode-rooted trees split at root-slice
+    boundaries, so the streamed result is contractually **bitwise**
+    identical to the in-core backends of its family — ``csf`` when
+    dense, ``sparse-csr`` / ``sparse-csr-h`` with a *repr_policy* of
+    ``csr`` / ``hybrid`` — for any byte budget.  The temp shard
+    directory lives until the kernel closure is collected
+    (finalizer-backed), covering the whole sweep over the tensor's
+    modes.
     """
     import weakref
 
-    from ..kernels.dispatch import StreamingMTTKRPEngine
     from ..tensor.store import open_tensor
 
     # Budget 1 here only forces the shard-to-temp-store path; the
     # engine budget below is the one under test.
     store = open_tensor(tensor, max_bytes_in_core=1, slab_nnz_target=32)
     store.max_bytes_in_core = max_bytes_in_core
-    engine = StreamingMTTKRPEngine(store, executor="serial")
+    engine = MTTKRPEngine(store, repr_policy=repr_policy,
+                          sparsity_threshold=2.0, executor="serial")
 
     def kernel(factors: list, mode: int) -> np.ndarray:
+        if repr_policy != "dense":
+            for m in range(tensor.nmodes):
+                engine.update_factor(m, factors[m])
         return np.array(engine.mttkrp(factors, mode), copy=True)
 
     weakref.finalize(kernel, store.close)
@@ -384,6 +389,15 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
             "sparse-csr-h", "sparse-csr-h",
             lambda tensor: _engine_backend(tensor, repr_policy="hybrid",
                                            threads=1, slab_nnz_target=None)))
+        # Streamed sparse deep factors need the compiled kernel (a
+        # store without it computes dense).
+        for b in ooc_budgets if kernels else ():
+            specs.append(BackendSpec(
+                f"sharded-csr[b={b}]", "sparse-csr",
+                lambda tensor, b=b: _sharded_backend(tensor, b, "csr")))
+            specs.append(BackendSpec(
+                f"sharded-csr-h[b={b}]", "sparse-csr-h",
+                lambda tensor, b=b: _sharded_backend(tensor, b, "hybrid")))
         for isa, kernel in kernels.items():
             specs.append(BackendSpec(
                 f"sparse-csr-native[isa={isa}]", "sparse-csr",

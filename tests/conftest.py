@@ -14,6 +14,7 @@ hypothesis's function-scoped-fixture health check stays quiet.
 
 from __future__ import annotations
 
+import importlib
 import os
 import shutil
 import tempfile
@@ -87,3 +88,11 @@ def small_factors(small_tensor) -> list[np.ndarray]:
 def nonneg_factors(small_tensor) -> list[np.ndarray]:
     """Non-negative factors matching ``small_tensor``."""
     return random_factors(small_tensor.shape, 5, seed=29, nonneg=True)
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """A process without the compiled root kernel: the NumPy sweeps and
+    the SciPy sparse path serve every MTTKRP."""
+    monkeypatch.setattr(importlib.import_module("repro.kernels.dispatch"),
+                        "root_kernel", lambda: None)

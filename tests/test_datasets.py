@@ -182,17 +182,46 @@ print(hashlib.sha256(tensor.vals.tobytes()).hexdigest(),
 """
 
 
-def test_values_and_norms_do_not_depend_on_blas_threads():
-    """BLAS ``ddot`` splits its sum across threads; the norms, and the
-    dataset values scaled by them, must not move with the thread count."""
+#: Prints a model's relative error to a large tensor, in hex.  The
+#: model is scaled by its least-squares weight, so the error is small
+#: enough for the last bits of ``<X, X_hat>`` to show in it.
+_BLAS_ERROR_CHILD = """
+import numpy as np
+from repro.core.cpd import CPModel
+from repro.tensor import random_coo
+from repro.tensor.random import random_factors
+tensor = random_coo((200, 200, 200), 10**6, seed=1)
+factors = random_factors(tensor.shape, 8, seed=2, nonneg=True)
+model = CPModel(factors)
+scale = model.inner_with(tensor) / model.norm_squared()
+model = CPModel(factors, weights=np.full(8, scale))
+print(model.relative_error(tensor).hex())
+"""
+
+
+def _outputs_at_blas_threads(code: str) -> list[str]:
+    """*code*'s stdout in child interpreters at 1 and 2 BLAS threads."""
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src),
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        child = subprocess.run([sys.executable, "-c", _BLAS_CHILD],
+        child = subprocess.run([sys.executable, "-c", code],
                                capture_output=True, text=True, env=env,
                                timeout=300)
         assert child.returncode == 0, child.stderr
         outputs.append(child.stdout)
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_values_and_norms_do_not_depend_on_blas_threads():
+    """BLAS ``ddot`` splits its sum across threads; the norms, and the
+    dataset values scaled by them, must not move with the thread count."""
+    first, second = _outputs_at_blas_threads(_BLAS_CHILD)
+    assert first == second
+
+
+def test_relative_error_does_not_depend_on_blas_threads():
+    """``CPModel.inner_with`` sums ``<X, X_hat>`` without BLAS too."""
+    first, second = _outputs_at_blas_threads(_BLAS_ERROR_CHILD)
+    assert first == second

@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.core.options import AOADMMOptions
 from repro.kernels.dispatch import MTTKRPEngine
+from repro.kernels.native import root_kernel
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     DEFAULT_EXECUTOR,
@@ -117,33 +118,33 @@ class TestExecutorBitIdentity:
         assert stats.workers == 1
         engine.close()
 
-    @pytest.mark.parametrize("slab_nnz_target,workers", [(16, 3),
-                                                         (10**9, 1)])
+    @pytest.mark.parametrize("slab_nnz_target,workers,representation", [
+        pytest.param(16, 3, "dense", id="16-3"),
+        pytest.param(10**9, 1, "dense", id="1000000000-1"),
+        (16, 3, "csr"),
+        (10**9, 1, "csr")])
     def test_call_log_records_thread_workers(self, small_tensor,
-                                             slab_nnz_target, workers):
-        # One slab runs inline under ``thread`` too.
-        factors = _factors(small_tensor.shape)
-        engine = MTTKRPEngine(small_tensor, threads=3,
-                              slab_nnz_target=slab_nnz_target,
-                              executor="thread")
-        engine.mttkrp(factors, 0)
-        stats = engine.call_log[-1]
-        assert stats.executor == "thread"
-        assert (stats.slab_count > 1) == (workers > 1)
-        assert stats.workers == workers
-        engine.close()
-
-    def test_sparse_calls_record_one_worker(self, small_tensor):
+                                             slab_nnz_target, workers,
+                                             representation):
+        # One slab runs inline under ``thread`` too.  A sparse deep
+        # factor fans out over the same slabs when the compiled kernel
+        # serves it; the SciPy fallback runs the whole tree inline.
         factors = _factors(small_tensor.shape)
         factors[2][:, 1:] = 0.0  # well below the 20% density threshold
         factors[2][1:, 0] = 0.0
-        engine = MTTKRPEngine(small_tensor, repr_policy="csr", threads=3,
+        engine = MTTKRPEngine(small_tensor, threads=3,
+                              repr_policy=representation,
+                              slab_nnz_target=slab_nnz_target,
                               executor="thread")
         engine.update_factor(2, factors[2])
         engine.mttkrp(factors, 0)
         stats = engine.call_log[-1]
-        assert stats.representation == "csr"
-        assert (stats.executor, stats.workers) == ("serial", 1)
+        assert stats.representation == representation
+        assert stats.executor == "thread"
+        if representation != "dense" and root_kernel() is None:
+            workers = 1
+        assert (stats.slab_count > 1) == (workers > 1)
+        assert stats.workers == workers
         engine.close()
 
     @pytest.mark.parametrize("executor", ["thread"])
@@ -283,10 +284,11 @@ class TestKernelFanOut:
             ran.clear()
             engine.mttkrp(factors, 2)
             assert engine.call_log[-1].slab_count > 1
+            # Either worker may drain the queue alone, so which of them
+            # ran a slab is up to the scheduler; the contract is reuse.
             assert len(workers) == 2
-            assert first == set(workers)
             assert started == workers  # no thread started by call two
-            assert set(ran) <= first
+            assert first | set(ran) <= set(workers)
         finally:
             executor.close()
 

@@ -26,8 +26,7 @@ from repro.core.options import AOADMMOptions
 from repro.datasets import load_dataset
 from repro.datasets.registry import all_dataset_names
 from repro.kernels import dispatch, native, row_solve
-from repro.kernels.dispatch import (MTTKRPEngine, StreamingMTTKRPEngine,
-                                    make_engine)
+from repro.kernels.dispatch import MTTKRPEngine, make_engine
 from repro.kernels.mttkrp_csf import _upward_to_level, mttkrp_csf_root
 from repro.kernels.mttkrp_sparse import mttkrp_csf_root_repr
 from repro.sparse import CSRMatrix, HybridFactor
@@ -236,7 +235,7 @@ class TestBitIdentity:
                                           slab_nnz_target=64)
         rng = np.random.default_rng(7)
         factors = signed_factors(rng, tensor.shape, 7)
-        engine = StreamingMTTKRPEngine(store, max_bytes_in_core=4096)
+        engine = MTTKRPEngine(store, max_bytes_in_core=4096)
         for mode in range(3):
             order = (mode,) + tuple(m for m in range(3) if m != mode)
             tree = CSFTensor.from_coo(tensor, mode_order=order)
@@ -306,7 +305,7 @@ class TestInputSafety:
             handle.write(np.int64(10**9).tobytes())
         store = ShardedTensorStore.open(path)
         factors = [np.ones((n, 3)) for n in tensor.shape]
-        engine = StreamingMTTKRPEngine(store)
+        engine = MTTKRPEngine(store)
         with pytest.raises(IndexError):
             engine.mttkrp(factors, 0)
         # The damaged bytes passed the v1 read; the NumPy sweep agrees.
@@ -565,14 +564,32 @@ class TestSparseEngine:
         assert {c.kernel for c in engine.call_log} == {served}
         assert not engine._aggregators or served == "numpy"
         monkeypatch.setattr(dispatch, "root_kernel", lambda: None)
-        monkeypatch.setattr(sys.modules["repro.kernels.mttkrp_csf"],
-                            "root_kernel", lambda: None)
         second, fallback = sparse_fit(tensor, policy)
         assert {c.kernel for c in fallback.call_log} == {"numpy"}
         assert [(c.representation, c.gathered_nnz)
                 for c in fallback.call_log] == [
             (c.representation, c.gathered_nnz) for c in engine.call_log]
         for got, want in zip(first.model.factors, second.model.factors):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("policy", ["csr", "hybrid", "auto"])
+    def test_streamed_fit_matches_in_core(self, tensor, tmp_path, policy):
+        """A store's slabs read the sparse deep factors as in core does;
+        without the compiled kernel a store computes dense."""
+        store = ShardedTensorStore.create(tensor, tmp_path / "store",
+                                          slab_nnz_target=2048)
+        store.max_bytes_in_core = store.storage_bytes() // 4
+        in_core, engine = sparse_fit(tensor, policy)
+        streamed, ooc = sparse_fit(store, policy)
+        assert ooc.store is store and ooc.cache.evictions > 0
+        if native.root_kernel() is None:
+            assert {c.representation for c in ooc.call_log} == {"dense"}
+            return
+        assert [(c.representation, c.gathered_nnz, c.kernel)
+                for c in ooc.call_log] == [
+            (c.representation, c.gathered_nnz, c.kernel)
+            for c in engine.call_log]
+        for got, want in zip(streamed.model.factors, in_core.model.factors):
             assert got.tobytes() == want.tobytes()
 
     def test_kernel_tag_on_spans(self, tensor):

@@ -7,6 +7,7 @@ MTTKRP result, and trace must equal the in-core run bitwise.
 
 import glob
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,8 @@ import pytest
 import repro
 from repro.core.aoadmm import fit_aoadmm
 from repro.core.options import AOADMMOptions
-from repro.kernels.dispatch import (
-    MTTKRPEngine,
-    StreamingMTTKRPEngine,
-    make_engine,
-)
+from repro.kernels import native
+from repro.kernels.dispatch import MTTKRPEngine, make_engine
 from repro.observability import Observability
 from repro.tensor import (
     CSFTensor,
@@ -68,7 +66,7 @@ class TestStreamingBitIdentity:
     def test_matches_in_core_every_mode(self, store, tensor, factors,
                                         budget):
         expected = _incore_mttkrp(tensor, factors)
-        with StreamingMTTKRPEngine(store, max_bytes_in_core=budget) as eng:
+        with MTTKRPEngine(store, max_bytes_in_core=budget) as eng:
             for mode in range(tensor.nmodes):
                 np.testing.assert_array_equal(
                     eng.mttkrp(factors, mode), expected[mode])
@@ -77,8 +75,8 @@ class TestStreamingBitIdentity:
     def test_matches_under_prefetch_executors(self, store, tensor,
                                               factors, executor):
         expected = _incore_mttkrp(tensor, factors)
-        eng = StreamingMTTKRPEngine(store, max_bytes_in_core=8192,
-                                    executor=executor)
+        eng = MTTKRPEngine(store, max_bytes_in_core=8192,
+                           executor=executor)
         try:
             # Two sweeps: the second hits whatever stayed resident.
             for _ in range(2):
@@ -91,7 +89,7 @@ class TestStreamingBitIdentity:
     def test_churn_budget_below_one_slab(self, store, tensor, factors):
         """A starvation budget degrades to load-evict churn, not failure."""
         expected = _incore_mttkrp(tensor, factors)
-        with StreamingMTTKRPEngine(store, max_bytes_in_core=1) as eng:
+        with MTTKRPEngine(store, max_bytes_in_core=1) as eng:
             for mode in range(tensor.nmodes):
                 np.testing.assert_array_equal(
                     eng.mttkrp(factors, mode), expected[mode])
@@ -102,7 +100,7 @@ class TestStreamingBitIdentity:
     def test_unbounded_budget_keeps_everything(self, store, tensor,
                                                factors, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_BYTES_IN_CORE", raising=False)
-        with StreamingMTTKRPEngine(store) as eng:
+        with MTTKRPEngine(store) as eng:
             for mode in range(tensor.nmodes):
                 eng.mttkrp(factors, mode)
             assert eng.cache.stats()["evictions"] == 0
@@ -114,29 +112,87 @@ class TestStreamingBitIdentity:
             assert eng.cache.loads == loads
 
     def test_call_log_records_streaming(self, store, factors):
-        with StreamingMTTKRPEngine(store, max_bytes_in_core=4096) as eng:
+        with MTTKRPEngine(store, max_bytes_in_core=4096) as eng:
             eng.mttkrp(factors, 1)
             [stats] = eng.call_log
             assert stats.mode == 1
             assert stats.slab_count == store.slab_count(1)
 
-    def test_rejects_sparse_repr_policy(self, store):
-        with pytest.raises(ValueError, match="dense"):
-            StreamingMTTKRPEngine(store, repr_policy="csr")
+
+
+def _sparse_factors(shape, seed=5):
+    """Factors with about 90% zeros: below the 20% density threshold."""
+    gen = np.random.default_rng(seed)
+    factors = []
+    for rows in shape:
+        factor = gen.standard_normal((rows, RANK))
+        factor[gen.random((rows, RANK)) < 0.9] = 0.0
+        factors.append(factor)
+    return factors
+
+
+def _sparse_run(engine, factors):
+    """Every mode's output and ``(representation, gathered_nnz)`` log."""
+    for mode, factor in enumerate(factors):
+        engine.update_factor(mode, factor)
+    outs = [np.array(engine.mttkrp(factors, m), copy=True)
+            for m in range(len(factors))]
+    return outs, [(c.representation, c.gathered_nnz)
+                  for c in engine.call_log]
+
+
+class TestStreamedSparseFactors:
+    """A store reads CSR / CSR-H deep factors exactly as in core does."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("budget", [1, 4096, None])
+    @pytest.mark.parametrize("policy", ["csr", "hybrid", "auto"])
+    def test_matches_in_core_every_mode(self, store, tensor, policy,
+                                        budget, executor):
+        factors = _sparse_factors(tensor.shape)
+        # Without the compiled kernel a store computes dense.
+        served = native.root_kernel() is not None
+        in_core = MTTKRPEngine(tensor, executor=executor,
+                               repr_policy=policy if served else "dense")
+        expected, expected_log = _sparse_run(in_core, factors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with MTTKRPEngine(store, repr_policy=policy, executor=executor,
+                              max_bytes_in_core=budget) as eng:
+                got, log = _sparse_run(eng, factors)
+        for mode in range(tensor.nmodes):
+            assert got[mode].tobytes() == expected[mode].tobytes()
+        assert log == expected_log
+        assert not served or any(rep != "dense" for rep, _ in log)
+
+    def test_without_kernel_store_computes_dense(self, store, tensor,
+                                                 no_native):
+        factors = _sparse_factors(tensor.shape)
+        expected = _incore_mttkrp(tensor, factors)
+        with MTTKRPEngine(store, repr_policy="auto") as eng:
+            assert {eng.update_factor(m, f)
+                    for m, f in enumerate(factors)} == {"dense"}
+            for mode in range(tensor.nmodes):
+                np.testing.assert_array_equal(eng.mttkrp(factors, mode),
+                                              expected[mode])
+            assert {(c.representation, c.kernel)
+                    for c in eng.call_log} == {("dense", "numpy")}
 
 
 class TestMakeEngine:
-    def test_store_gets_streaming_engine(self, store):
+    def test_store_gets_streamed_engine(self, store):
         eng = make_engine(store)
-        assert isinstance(eng, StreamingMTTKRPEngine)
+        assert eng.store is store and eng.trees is None
+        assert eng.cache is not None
         # Engine inherits the store's budget when not given one.
         store.max_bytes_in_core = 1234
         assert make_engine(store).max_bytes_in_core == 1234
 
-    def test_sparse_policy_degrades_to_dense_with_warning(self, store):
-        with pytest.warns(RuntimeWarning, match="dense factors"):
+    def test_store_keeps_sparse_policy_without_warning(self, store):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             eng = make_engine(store, repr_policy="auto")
-        assert isinstance(eng, StreamingMTTKRPEngine)
+        assert eng.repr_policy == "auto"
 
     def test_coo_gets_in_core_engine(self, tensor, factors):
         eng = make_engine(tensor)
@@ -267,6 +323,45 @@ class TestFitOutOfCore:
         assert any(k.startswith("slab_evictions") for k in counters)
         gauges = result.metrics["gauges"]
         assert any(k.startswith("slab_resident_bytes") for k in gauges)
+
+    def test_sparse_cli_fit_streamed_matches_in_core(self, tmp_path,
+                                                      monkeypatch):
+        """The sparse case of CI's "streamed vs in-core" step: its
+        streamed fit must really read CSR / CSR-H deep factors."""
+        from repro.cli import main
+
+        calls = []
+        mttkrp = MTTKRPEngine.mttkrp
+
+        def spy(engine, factors, mode):
+            out = mttkrp(engine, factors, mode)
+            calls.append((engine.store is not None,
+                          engine.call_log[-1].representation))
+            return out
+
+        monkeypatch.setattr(MTTKRPEngine, "mttkrp", spy)
+        # As in that step: the budget comes from the flag alone.
+        monkeypatch.delenv("REPRO_MAX_BYTES_IN_CORE", raising=False)
+        tns, store = str(tmp_path / "t.tns"), str(tmp_path / "t.store")
+        assert main(["generate", "reddit", tns, "--preset", "tiny",
+                     "--seed", "0"]) == 0
+        assert main(["shard", tns, store, "--slab-nnz", "4096"]) == 0
+        fit = ["--rank", "8", "--seed", "0", "--tolerance", "0.0",
+               "--max-iterations", "8", "--constraint", "nonneg_l1",
+               "--unblocked", "--repr", "auto"]
+        outs = [str(tmp_path / "in_core.npz"), str(tmp_path / "streamed.npz")]
+        assert main(["factorize", tns, *fit, "--output", outs[0]]) == 0
+        assert main(["factorize", store, *fit, "--max-bytes-in-core",
+                     "65536", "--output", outs[1]]) == 0
+        streamed = {rep for ooc, rep in calls if ooc}
+        if native.root_kernel() is None:
+            assert streamed == {"dense"}
+            return
+        assert streamed & {"csr", "csr-h"}
+        a, b = np.load(outs[0]), np.load(outs[1])
+        assert a.files == b.files
+        for key in a.files:
+            assert a[key].tobytes() == b[key].tobytes()
 
     def test_checkpoint_interop_in_core_to_store(self, tensor, tmp_path):
         """A checkpoint from an in-core run resumes on the sharded store."""

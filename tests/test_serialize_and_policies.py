@@ -113,6 +113,19 @@ class TestOneModeCSFPolicy:
         # Only the mode-0 tree was built.
         assert set(engine.trees._trees) == {0}
 
+    def test_one_tree_computes_dense_under_sparse_policy(self, small_tensor,
+                                                         small_factors):
+        sparse = [np.where(np.abs(f) > 1.5, f, 0.0) for f in small_factors]
+        engine = MTTKRPEngine(small_tensor, csf_allocation="one",
+                              repr_policy="csr")
+        dense = MTTKRPEngine(small_tensor, csf_allocation="one")
+        for mode in range(3):
+            assert engine.update_factor(mode, sparse[mode]) == "csr"
+        for mode in range(3):
+            assert (engine.mttkrp(sparse, mode).tobytes()
+                    == dense.mttkrp(sparse, mode).tobytes())
+        assert {c.representation for c in engine.call_log} == {"dense"}
+
     def test_memory_saving_vs_allmode(self, small_tensor, small_factors):
         one = MTTKRPEngine(small_tensor, csf_allocation="one")
         allm = MTTKRPEngine(small_tensor, csf_allocation="all")
