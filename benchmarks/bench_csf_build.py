@@ -1,23 +1,37 @@
-"""CSF construction: packed-key sort vs the N-key lexsort reference.
+"""CSF construction: packed-key sort vs the N-key lexsort reference, and
+the all-mode bundle's one sort vs one sort per tree.
 
 Times :meth:`repro.tensor.csf.CSFTensor.from_coo` (one stable sort over
-packed ``int64`` keys, only key words and values permuted) against
+packed ``int64`` keys, each level's ids gathered through it) against
 :func:`repro.testing.oracles.lexsort_csf_reference` (``np.lexsort`` over
 every coordinate row, all rows gathered) for every mode-rooted tree of
-the four Table-I datasets at the ``small`` preset.  Every row asserts
-that the two trees are equal in every byte and dtype, so the time saved
-is pure set-up: the trees, and so every MTTKRP and factor, are the same.
+the four Table-I datasets at the ``small`` preset.  The all-mode rows
+time :meth:`repro.tensor.csf.AllModeCSF.build_all` (sort once for tree
+0, derive every other tree's order by ``uint16`` radix passes over its
+root mode) against ``from_coo`` for each tree in turn, and split one
+tree's order into its own packed-key sort (``sort_s``) and its
+derivation from tree 0's permutation (``derive_s``).  Every row asserts
+that the trees are equal in every byte and dtype, so the time saved is
+pure set-up: the trees, and so every MTTKRP and factor, are the same.
 
 Primary artifact: ``results/BENCH_csf_build.json``; a table is saved
-alongside.
+alongside.  The JSON's ``perfbench`` block (end-to-end ``setup_s`` and
+``tts_ref`` medians, recorded from ``perfbench/run.py`` runs) is carried
+over when the file is regenerated.
 """
 
 from __future__ import annotations
 
+import json
 import statistics
 import time
 
-from repro.tensor.csf import CSFTensor, default_mode_order
+from repro.tensor.csf import (
+    AllModeCSF,
+    CSFTensor,
+    default_mode_order,
+    derive_permutation,
+)
 from repro.testing.oracles import lexsort_csf_reference
 
 from conftest import DATASET_NAMES, save_artifact, save_bench_json
@@ -26,13 +40,13 @@ from conftest import DATASET_NAMES, save_artifact, save_bench_json
 ROUNDS = 7
 
 
-def _median_seconds(build, tensor, order) -> tuple[float, CSFTensor]:
+def _median_seconds(build, *args):
     times = []
     for _ in range(ROUNDS):
         tick = time.perf_counter()
-        tree = build(tensor, order)
+        out = build(*args)
         times.append(time.perf_counter() - tick)
-    return statistics.median(times), tree
+    return statistics.median(times), out
 
 
 def _tree_bytes(tree: CSFTensor) -> list[tuple[str, bytes]]:
@@ -61,18 +75,55 @@ def run_csf_build(datasets) -> list[dict]:
     return rows
 
 
+def _per_tree(tensor):
+    return [CSFTensor.from_coo(tensor, default_mode_order(tensor.nmodes, m))
+            for m in range(tensor.nmodes)]
+
+
+def run_all_mode(datasets) -> list[dict]:
+    rows = []
+    for name in DATASET_NAMES:
+        tensor = datasets[name]
+        per_tree_s, per_tree = _median_seconds(_per_tree, tensor)
+        bundle_s, bundle = _median_seconds(
+            lambda: AllModeCSF(tensor).build_all())
+        bytes_equal = all(_tree_bytes(bundle.csf(m)) == _tree_bytes(tree)
+                          for m, tree in enumerate(per_tree))
+        assert bytes_equal, f"all-mode trees differ on {name}"
+        perm0 = tensor.permutation_lex()
+        sort_s = [_median_seconds(tensor.permutation_lex,
+                                  default_mode_order(tensor.nmodes, m))[0]
+                  for m in range(tensor.nmodes)]
+        derive_s = [_median_seconds(derive_permutation, tensor, perm0, m)[0]
+                    for m in range(tensor.nmodes)]
+        rows.append({
+            "dataset": f"{name}/small", "nnz": tensor.nnz,
+            "shape": list(tensor.shape),
+            "per_tree_from_coo_s": per_tree_s, "build_all_s": bundle_s,
+            "speedup": per_tree_s / bundle_s, "bytes_equal": bytes_equal,
+            "sort_s": sort_s, "derive_s": derive_s,
+        })
+    return rows
+
+
 def test_bench_csf_build(small_datasets, results_dir):
     rows = run_csf_build(small_datasets)
+    all_mode = run_all_mode(small_datasets)
     totals = {}
     for row in rows:
         ref_s, packed_s = totals.get(row["dataset"], (0.0, 0.0))
         totals[row["dataset"]] = (ref_s + row["reference_s"],
                                   packed_s + row["packed_s"])
+    previous = results_dir / "BENCH_csf_build.json"
+    perfbench = (json.loads(previous.read_text()).get("perfbench")
+                 if previous.exists() else None)
     path = save_bench_json(results_dir, "csf_build", {
         "rounds": ROUNDS, "rows": rows,
         "all_modes": [{"dataset": name, "reference_s": ref_s,
                        "packed_s": packed_s, "speedup": ref_s / packed_s}
                       for name, (ref_s, packed_s) in totals.items()],
+        "all_mode_bundle": all_mode,
+        **({"perfbench": perfbench} if perfbench else {}),
     })
 
     lines = ["CSF construction: N-key lexsort reference vs packed keys "
@@ -87,5 +138,16 @@ def test_bench_csf_build(small_datasets, results_dir):
     for name, (ref_s, packed_s) in totals.items():
         lines.append(f"{name:>15} {'all':>5} {ref_s * 1e3:>13.1f} "
                      f"{packed_s * 1e3:>10.1f} {ref_s / packed_s:>8.1f}")
+    lines += ["", "All trees: from_coo per tree vs AllModeCSF.build_all "
+              "(one sort + radix derivation, byte-identical trees)",
+              f"{'dataset':>15} {'per-tree ms':>12} {'build_all ms':>13} "
+              f"{'speedup':>8}  sort ms / derive ms per mode"]
+    for row in all_mode:
+        split = "  ".join(f"{a * 1e3:.1f}/{b * 1e3:.1f}"
+                          for a, b in zip(row["sort_s"], row["derive_s"]))
+        lines.append(f"{row['dataset']:>15} "
+                     f"{row['per_tree_from_coo_s'] * 1e3:>12.1f} "
+                     f"{row['build_all_s'] * 1e3:>13.1f} "
+                     f"{row['speedup']:>8.1f}  {split}")
     lines.append(f"[json saved to results/{path.name}]")
     save_artifact(results_dir, "bench_csf_build", "\n".join(lines))

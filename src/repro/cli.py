@@ -109,7 +109,8 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 def _cmd_shard(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .tensor.store import META_FILE, ShardedTensorStore, open_tensor
+    from .tensor.io import read_tns
+    from .tensor.store import META_FILE, ShardedTensorStore
 
     # Look before writing: a target directory that exists but is not a
     # store (no meta.json) is somebody's data — refuse to shard into
@@ -125,10 +126,12 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                   f"(no {META_FILE}); refusing to overwrite it — "
                   f"pick an empty or new directory")
             return 2
-    tensor = open_tensor(args.tensor)
-    if isinstance(tensor, ShardedTensorStore):
+    if ShardedTensorStore.is_store(args.tensor):
         print(f"{args.tensor} is already a sharded store")
         return 2
+    # read_tns, not open_tensor: a byte budget in the environment must
+    # not turn the input into a temporary store.
+    tensor = read_tns(args.tensor)
     store = ShardedTensorStore.create(tensor, output,
                                       slab_nnz_target=args.slab_nnz)
     slabs = "/".join(str(store.slab_count(m)) for m in range(store.nmodes))
@@ -142,14 +145,14 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
     source = None
     if args.source is not None:
-        from .tensor.coo import COOTensor
-        from .tensor.store import open_tensor
+        from .tensor.io import read_tns
+        from .tensor.store import ShardedTensorStore
 
-        source = open_tensor(args.source)
-        if not isinstance(source, COOTensor):
+        if ShardedTensorStore.is_store(args.source):
             print(f"--source {args.source} must be an in-core tensor "
                   f"file (.tns), not a store")
             return 2
+        source = read_tns(args.source)
     report = fsck_path(args.path, repair=args.repair, source=source)
     if args.json:
         print(report.to_json())

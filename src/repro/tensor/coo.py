@@ -40,8 +40,7 @@ KEY_WORD_BITS = 63
 
 
 def pack_lex_keys(coords: np.ndarray, shape: Sequence[int],
-                  mode_order: Sequence[int]
-                  ) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
+                  mode_order: Sequence[int]) -> list[np.ndarray]:
     """Pack coordinates into order-preserving ``int64`` key words.
 
     Mode ``mode_order[l]`` takes ``int(extent - 1).bit_length()`` bits
@@ -53,9 +52,7 @@ def pack_lex_keys(coords: np.ndarray, shape: Sequence[int],
     first (:func:`~repro.validation.check_coords`): an index out of its
     field would corrupt its neighbours' bits.
 
-    Returns ``(words, fields)``: the ``(nnz,)`` words, most significant
-    first, and per level ``(word, shift, nbits)`` such that level ``l``'s
-    indices are ``(words[word] >> shift) & ((1 << nbits) - 1)``.
+    Returns the ``(nnz,)`` words, most significant first.
     """
     coords = check_coords(coords, shape)
     bits = [int(shape[m] - 1).bit_length() for m in mode_order]
@@ -70,16 +67,14 @@ def pack_lex_keys(coords: np.ndarray, shape: Sequence[int],
         groups[-1].append(level)
         used += nbits
     words: list[np.ndarray] = []
-    fields: list[tuple[int, int, int]] = [(0, 0, 0)] * len(bits)
-    for word_index, levels in enumerate(groups):
+    for levels in groups:
         shift = sum(bits[l] for l in levels)
         word = np.zeros(coords.shape[1], dtype=INDEX_DTYPE)
         for level in levels:
             shift -= bits[level]
-            fields[level] = (word_index, shift, bits[level])
             word |= coords[mode_order[level]] << shift
         words.append(word)
-    return words, fields
+    return words
 
 
 class COOTensor:
@@ -201,7 +196,7 @@ class COOTensor:
         Table-I shape.
         """
         order = self._normalize_order(mode_order)
-        words, _ = pack_lex_keys(self.coords, self.shape, order)
+        words = pack_lex_keys(self.coords, self.shape, order)
         # np.lexsort sorts by the LAST key first, so feed words reversed.
         return np.lexsort(words[::-1])
 
@@ -220,8 +215,8 @@ class COOTensor:
         """Sum values at repeated coordinates; result is lex-sorted."""
         if self.nnz == 0:
             return self.copy()
-        words, _ = pack_lex_keys(self.coords, self.shape,
-                                 tuple(range(self.nmodes)))
+        words = pack_lex_keys(self.coords, self.shape,
+                              tuple(range(self.nmodes)))
         perm = np.lexsort(words[::-1])
         # Equal packed words mean equal coordinates.
         changed = np.zeros(self.nnz, dtype=bool)

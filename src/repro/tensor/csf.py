@@ -23,14 +23,25 @@ finds the unique prefixes of every length — an ``O(nnz log nnz)`` one-time
 cost, amortized over the whole factorization (the tensor's sparsity pattern
 is static; see Section IV-C of the paper for the contrast with the dynamic
 factor sparsity).  The order comes from one stable sort over packed keys
-(:func:`repro.tensor.coo.pack_lex_keys`: each non-zero's coordinates,
-root first, concatenated bit-wise into one ``int64`` word on every
-Table-I shape but full Amazon, which takes two), not from an ``N``-key
-lexsort.  Only the key words and the values are permuted; each level's
-ids are shifted and masked out of the sorted words.  A stable sort over
-keys that are equal exactly when the coordinates are equal yields the
-same permutation as ``np.lexsort`` over the coordinate rows, duplicates
-included, so the trees match the plain construction
+(:meth:`repro.tensor.coo.COOTensor.permutation_lex` over
+:func:`repro.tensor.coo.pack_lex_keys`: each non-zero's coordinates, root
+first, concatenated bit-wise into one ``int64`` word on every Table-I
+shape but full Amazon, which takes two), not from an ``N``-key lexsort.
+A stable sort over keys that are equal exactly when the coordinates are
+equal yields the same permutation as ``np.lexsort`` over the coordinate
+rows, duplicates included.
+
+The ALLMODE bundle (:class:`AllModeCSF`, and the sharded store) sorts
+only once, for tree 0 (order ``(0, 1, ..., N-1)``).  Every other tree
+takes its order from tree 0's permutation by one *stable* sort of the
+root mode's coordinates in that order (:func:`derive_permutation`):
+ties keep tree 0's order, which, with the root mode set aside, is
+exactly ``(other modes ascending)`` with duplicates in input order.
+That sort runs over ``uint16`` digits, where NumPy's stable argsort is
+a linear-time radix sort — one pass for an extent up to 65536, one
+LSD pass per 16-bit digit above, none for an extent of 1.  Given the
+permutation, each level's ids are gathered from the coordinate rows,
+so every tree matches the plain construction
 (:func:`repro.testing.oracles.lexsort_csf_reference`) byte for byte.
 """
 
@@ -42,13 +53,59 @@ import numpy as np
 
 from ..types import INDEX_DTYPE, VALUE_DTYPE
 from ..validation import check_mode, require
-from .coo import COOTensor, pack_lex_keys
+from .coo import COOTensor
 
 
 def default_mode_order(nmodes: int, root: int) -> tuple[int, ...]:
     """Mode order with *root* first and remaining modes in increasing order."""
     root = check_mode(root, nmodes)
     return (root,) + tuple(m for m in range(nmodes) if m != root)
+
+
+#: Bits per radix digit of :func:`derive_permutation`: NumPy's stable
+#: argsort is a radix sort on 16-bit (and narrower) integers.
+DIGIT_BITS = 16
+
+
+def derive_permutation(tensor: COOTensor, perm0: np.ndarray,
+                       root: int) -> np.ndarray:
+    """Tree *root*'s leaf order from tree 0's, by a stable sort on *root*.
+
+    *perm0* orders the non-zeros lexicographically by ``(0, 1, ...,
+    N-1)``.  Sorting it stably by the mode-*root* coordinate alone
+    orders by ``default_mode_order(N, root)``, ties (duplicates) in
+    input order — the permutation ``from_coo`` would sort for.  LSD
+    radix: one stable ``uint16`` argsort per 16-bit digit of the
+    extent, least significant first; tree 0 and an extent of 1 need
+    no pass.  The coordinates must already be validated (computing
+    *perm0* does).
+    """
+    nbits = int(tensor.shape[root] - 1).bit_length()
+    if root == 0 or nbits == 0:
+        return perm0
+    keys = tensor.coords[root][perm0]
+    perm = perm0
+    for shift in range(0, nbits, DIGIT_BITS):
+        # Casting to uint16 keeps the digit's low 16 bits.
+        order = np.argsort((keys >> shift).astype(np.uint16),
+                           kind="stable")
+        perm = perm[order]
+        if shift + DIGIT_BITS < nbits:
+            keys = keys[order]
+    return perm
+
+
+def rooted_tree(tensor: COOTensor, perm0: np.ndarray,
+                root: int) -> "CSFTensor":
+    """The ``default_mode_order`` tree rooted at *root*, from *perm0*.
+
+    *perm0* is tree 0's permutation (``tensor.permutation_lex()``); the
+    ALLMODE bundle and the sharded store sort once for it and build
+    every tree through here.
+    """
+    return CSFTensor._from_permutation(
+        tensor, default_mode_order(tensor.nmodes, root),
+        derive_permutation(tensor, perm0, root))
 
 
 class CSFTensor:
@@ -96,19 +153,26 @@ class CSFTensor:
             require(sorted(mode_order) == list(range(nmodes)),
                     "mode_order must be a permutation of all modes")
 
-        # One stable sort over the packed keys; only the key words and
-        # the values are permuted, and each level's ids are unpacked from
-        # the sorted words.
-        words, fields = pack_lex_keys(tensor.coords, tensor.shape,
-                                      mode_order)
+        return cls._from_permutation(tensor, mode_order,
+                                     tensor.permutation_lex(mode_order))
+
+    @classmethod
+    def _from_permutation(cls, tensor: COOTensor,
+                          mode_order: tuple[int, ...],
+                          perm: np.ndarray) -> "CSFTensor":
+        """The tree of *tensor* whose leaves are the non-zeros in *perm*.
+
+        *perm* must order the non-zeros lexicographically by
+        *mode_order* (stably, for duplicates); each level's ids are
+        gathered from the coordinate rows through it.
+        """
+        nmodes = tensor.nmodes
         nnz = tensor.nnz
         if nnz == 0:
             fids = [np.empty(0, dtype=INDEX_DTYPE) for _ in range(nmodes)]
             fptr = [np.zeros(1, dtype=INDEX_DTYPE) for _ in range(nmodes - 1)]
             return cls(tensor.shape, mode_order, fids,
                        fptr, np.empty(0, dtype=VALUE_DTYPE))
-        perm = np.lexsort(words[::-1])
-        words = [word[perm] for word in words]
         vals = tensor.vals[perm]
 
         # `changed[p]` - True when the length-(l+1) prefix of non-zero p
@@ -118,8 +182,8 @@ class CSFTensor:
         starts_per_level: list[np.ndarray] = []
         changed = np.zeros(nnz, dtype=bool)
         changed[0] = True
-        for level, (word, shift, nbits) in enumerate(fields):
-            ids = (words[word] >> shift) & ((1 << nbits) - 1)
+        for level, mode in enumerate(mode_order):
+            ids = tensor.coords[mode][perm]
             if level < nmodes - 1:
                 changed[1:] |= ids[1:] != ids[:-1]
                 starts = np.flatnonzero(changed).astype(INDEX_DTYPE,
@@ -256,13 +320,18 @@ class AllModeCSF:
 
     SPLATT's ``ALLMODE`` allocation: MTTKRP for mode ``m`` always runs the
     efficient *root-mode* kernel on ``csf(m)``.  Trees are built lazily and
-    cached, so a factorization touching all modes pays each sort exactly
-    once.
+    cached.  The non-zeros are sorted once, for tree 0; every other tree
+    derives its order from that permutation by radix passes over its root
+    mode (:func:`rooted_tree`).  The permutation (8 bytes per non-zero)
+    is kept only while it has trees left to serve: it is dropped once
+    every tree is built, and a bundle asked for tree 0 alone (ONEMODE)
+    does not keep it.
     """
 
     def __init__(self, tensor: COOTensor):
         self._tensor = tensor
         self._trees: dict[int, CSFTensor] = {}
+        self._perm0: np.ndarray | None = None
 
     @property
     def tensor(self) -> COOTensor:
@@ -275,17 +344,24 @@ class AllModeCSF:
 
     def csf(self, mode: int) -> CSFTensor:
         """The CSF tree rooted at *mode* (built on first request)."""
-        mode = check_mode(mode, self._tensor.nmodes)
+        mode = check_mode(mode, self.nmodes)
         tree = self._trees.get(mode)
         if tree is None:
-            order = default_mode_order(self._tensor.nmodes, mode)
-            tree = CSFTensor.from_coo(self._tensor, order)
-            self._trees[mode] = tree
+            perm0 = self._perm0
+            if perm0 is None:
+                perm0 = self._tensor.permutation_lex()
+            tree = self._trees[mode] = rooted_tree(self._tensor, perm0, mode)
+            done = (len(self._trees) == self.nmodes
+                    or self._trees.keys() == {0})
+            self._perm0 = None if done else perm0
         return tree
 
     def build_all(self) -> "AllModeCSF":
-        """Eagerly build every tree (useful before timing loops)."""
-        for mode in range(self._tensor.nmodes):
+        """Eagerly build every tree (useful before timing loops).
+
+        Tree 0 comes last, so one sort serves every tree.
+        """
+        for mode in (*range(1, self.nmodes), 0):
             self.csf(mode)
         return self
 

@@ -69,7 +69,7 @@ from ..observability import record_integrity_event
 from ..types import INDEX_DTYPE, VALUE_DTYPE, TensorSource
 from ..validation import check_mode, require
 from .coo import COOTensor
-from .csf import CSFTensor, default_mode_order
+from .csf import CSFTensor, rooted_tree
 from .tiling import CSFSlab, CSFTiling
 
 STORE_FORMAT = "repro-sharded-tensor"
@@ -242,9 +242,11 @@ class ShardedTensorStore:
         staging = Path(tempfile.mkdtemp(prefix=STAGING_PREFIX, dir=path))
         try:
             modes_meta = []
+            # One sort for tree 0; each tree derives its order from it
+            # and is written out before the next is built.
+            perm0 = tensor.permutation_lex()
             for mode in range(tensor.nmodes):
-                order = default_mode_order(tensor.nmodes, mode)
-                csf = CSFTensor.from_coo(tensor, mode_order=order)
+                csf = rooted_tree(tensor, perm0, mode)
                 tiling = CSFTiling(csf, slab_nnz_target=slab_nnz_target)
                 (staging / f"mode{mode}").mkdir(exist_ok=True)
                 slabs_meta = []
@@ -257,7 +259,7 @@ class ShardedTensorStore:
                                     durable=durable))
                 modes_meta.append({
                     "mode": mode,
-                    "mode_order": list(order),
+                    "mode_order": list(csf.mode_order),
                     "slabs": slabs_meta,
                 })
             meta = {
@@ -509,8 +511,7 @@ class ShardedTensorStore:
                 "(attach_source a tensor with the store's fingerprint)")
         smeta = self.slab_meta(mode, index)
         file_path = self.path / smeta["file"]
-        order = tuple(self.meta["modes"][mode]["mode_order"])
-        csf = CSFTensor.from_coo(self._source, mode_order=order)
+        csf = rooted_tree(self._source, self._source.permutation_lex(), mode)
         tiling = CSFTiling(
             csf, slab_nnz_target=self.meta.get("slab_nnz_target"))
         rebuilt = None

@@ -13,9 +13,11 @@ from repro.tensor.csf import AllModeCSF, default_mode_order
 from repro.testing.oracles import lexsort_csf_reference
 
 
-def assert_same_tree_bytes(tensor, order):
-    """``from_coo`` matches the lexsort reference in bytes and dtypes."""
-    got = CSFTensor.from_coo(tensor, order)
+def assert_same_tree_bytes(tensor, order, got=None):
+    """*got* (default: ``from_coo``) matches the lexsort reference in
+    bytes and dtypes."""
+    if got is None:
+        got = CSFTensor.from_coo(tensor, order)
     ref = lexsort_csf_reference(tensor, order)
     assert got.mode_order == ref.mode_order
     assert len(got.fids) == len(ref.fids) == tensor.nmodes
@@ -103,8 +105,8 @@ class TestBitwiseAgainstLexsortReference:
                                        (2**62, 2**62)])
     def test_multi_word_keys(self, shape):
         tensor = random_tensor(shape, 400, seed=3, duplicates=True)
-        words, _ = pack_lex_keys(tensor.coords, tensor.shape,
-                                 range(len(shape)))
+        words = pack_lex_keys(tensor.coords, tensor.shape,
+                              range(len(shape)))
         assert len(words) > 1
         for order in itertools.permutations(range(len(shape))):
             assert_same_tree_bytes(tensor, order)
@@ -125,35 +127,124 @@ class TestBitwiseAgainstLexsortReference:
             CSFTensor.from_coo(small_tensor)
 
 
+class TestAllModeTreesFromOneSort:
+    """Every ``AllModeCSF`` tree derives its order from tree 0's sort by
+    radix passes over its root mode, and must still match the lexsort
+    reference byte for byte."""
+
+    @staticmethod
+    def assert_all_trees(tensor, modes=None):
+        trees = AllModeCSF(tensor)
+        if modes is None:
+            trees.build_all()
+            modes = range(tensor.nmodes)
+        for mode in modes:
+            assert_same_tree_bytes(
+                tensor, default_mode_order(tensor.nmodes, mode),
+                got=trees.csf(mode))
+
+    @pytest.mark.parametrize("name", all_dataset_names())
+    def test_tiny_presets(self, name):
+        tensor, _ = load_dataset(name, "tiny", seed=3)
+        self.assert_all_trees(tensor)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (17,), (6, 5, 7, 4),
+                                       (4, 3, 5, 2, 3), (1, 9, 1), (1,),
+                                       (1, 1, 1), (9, 1, 2**20)])
+    def test_duplicates_unit_extents_and_mode_counts(self, shape):
+        tensor = random_tensor(shape, 300, seed=5, duplicates=True)
+        self.assert_all_trees(tensor)
+
+    @pytest.mark.parametrize("shape", [(70000, 7, 5), (7, 70000, 65536),
+                                       (3, 65537, 2, 70000)])
+    def test_modes_longer_than_one_digit(self, shape):
+        tensor = random_tensor(shape, 5000, seed=6, duplicates=True)
+        self.assert_all_trees(tensor)
+
+    def test_mode_longer_than_two_digits(self):
+        # 2**32 + 5 needs 33 bits: three 16-bit passes, the last over
+        # a digit that only the planted coordinates set.
+        extent = 2**32 + 5
+        tensor = random_tensor((4, extent, 3), 400, seed=7, duplicates=True)
+        coords = tensor.coords.copy()
+        coords[1, ::7] = extent - 1 - coords[1, ::7] % 5
+        coords[1, 3::11] = 2**32 - 1 - coords[1, 3::11] % 3
+        tensor = COOTensor(coords, tensor.vals, tensor.shape)
+        assert (tensor.coords[1] >> 32).any()
+        self.assert_all_trees(tensor)
+
+    @pytest.mark.parametrize("nmodes", [1, 3, 4])
+    def test_empty_tensor(self, nmodes):
+        tensor = COOTensor(np.empty((nmodes, 0), dtype=np.int64),
+                           np.empty(0), (4, 5, 6, 7)[:nmodes])
+        self.assert_all_trees(tensor)
+
+    def test_lazy_trees_in_any_order(self):
+        tensor = random_tensor((30, 70000, 20), 2000, seed=8,
+                               duplicates=True)
+        self.assert_all_trees(tensor, modes=[2, 0, 1])
+        self.assert_all_trees(tensor, modes=[1])
+
+    @pytest.mark.parametrize("requests,sorts", [
+        (None, 1), ([2, 0, 1], 1), ([0], 1), ([0, 1, 2], 2)])
+    def test_one_sort_serves_every_tree(self, monkeypatch, small_tensor,
+                                        requests, sorts):
+        # A lone tree 0 (ONEMODE) keeps no permutation, so a later
+        # non-root tree sorts again.
+        calls = []
+        sort = COOTensor.permutation_lex
+        monkeypatch.setattr(COOTensor, "permutation_lex",
+                            lambda t, *a: calls.append(a) or sort(t, *a))
+        trees = AllModeCSF(small_tensor)
+        if requests is None:
+            trees.build_all()
+        else:
+            for mode in requests:
+                trees.csf(mode)
+        assert len(calls) == sorts
+
+    def test_coordinates_validated_before_any_digit_is_cut(self,
+                                                           small_tensor):
+        small_tensor.coords[1, 5] = small_tensor.shape[1]
+        with pytest.raises(ValueError, match="out of range"):
+            AllModeCSF(small_tensor).csf(1)
+        small_tensor.coords[1, 5] = -1
+        with pytest.raises(ValueError, match="negative index"):
+            AllModeCSF(small_tensor).build_all()
+
+
 class TestPackedKeys:
     def test_field_layout(self):
         # 46 -> 6 bits, 2200 -> 12 bits, 1 -> 0 bits: one word,
         # most significant field first.
         coords = np.array([[45, 3], [2199, 0], [0, 0]])
-        words, fields = pack_lex_keys(coords, (46, 2200, 1), (0, 1, 2))
-        assert fields == [(0, 12, 6), (0, 0, 12), (0, 0, 0)]
+        words = pack_lex_keys(coords, (46, 2200, 1), (0, 1, 2))
+        assert len(words) == 1
         assert words[0].tolist() == [(45 << 12) | 2199, 3 << 12]
 
     def test_new_word_before_passing_63_bits(self):
         # 40 + 40 and 32 + 32 bits do not fit one word (the sign bit
         # stays clear); 31 + 31 + 1 bits do.
-        _, fields = pack_lex_keys(np.zeros((2, 1), dtype=np.int64),
-                                  (2**40, 2**40), (1, 0))
-        assert fields == [(0, 0, 40), (1, 0, 40)]
-        _, fields = pack_lex_keys(np.zeros((2, 1), dtype=np.int64),
-                                  (2**32, 2**32), (0, 1))
-        assert fields == [(0, 0, 32), (1, 0, 32)]
-        _, fields = pack_lex_keys(np.zeros((3, 1), dtype=np.int64),
-                                  (2**31, 2**31, 2), (0, 1, 2))
-        assert fields == [(0, 32, 31), (0, 1, 31), (0, 0, 1)]
+        words = pack_lex_keys(np.array([[5], [7]]), (2**40, 2**40), (1, 0))
+        assert [w.tolist() for w in words] == [[7], [5]]
+        words = pack_lex_keys(np.array([[2**32 - 1], [3]]),
+                              (2**32, 2**32), (0, 1))
+        assert [w.tolist() for w in words] == [[2**32 - 1], [3]]
+        words = pack_lex_keys(np.array([[2**31 - 1], [5], [1]]),
+                              (2**31, 2**31, 2), (0, 1, 2))
+        assert [w.tolist() for w in words] == [
+            [((2**31 - 1) << 32) | (5 << 1) | 1]]
+        assert words[0].min() >= 0
 
-    def test_unpacked_fields_recover_coordinates(self):
-        tensor = random_tensor((2**40, 9, 2**30, 1), 100, seed=4)
+    def test_words_order_like_coordinate_lexsort(self):
+        tensor = random_tensor((2**40, 9, 2**30, 1), 100, seed=4,
+                               duplicates=True)
         order = (2, 0, 3, 1)
-        words, fields = pack_lex_keys(tensor.coords, tensor.shape, order)
-        for level, (word, shift, nbits) in enumerate(fields):
-            ids = (words[word] >> shift) & ((1 << nbits) - 1)
-            np.testing.assert_array_equal(ids, tensor.coords[order[level]])
+        words = pack_lex_keys(tensor.coords, tensor.shape, order)
+        assert len(words) == 2
+        np.testing.assert_array_equal(
+            np.lexsort(words[::-1]),
+            np.lexsort([tensor.coords[m] for m in reversed(order)]))
 
 
 class TestStructure:

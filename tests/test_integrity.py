@@ -49,6 +49,7 @@ from repro.robustness import (
 )
 from repro.tensor import noisy_lowrank_coo, save_tns
 from repro.tensor.store import (
+    BUDGET_ENV_VAR,
     SLAB_QUARANTINE_SUFFIX,
     ShardedTensorStore,
 )
@@ -468,6 +469,26 @@ class TestCli:
         empty.mkdir()
         assert cli_main(["shard", str(tns), str(empty)]) == 0
         assert cli_main(["shard", str(tns), str(empty)]) == 2  # a store now
+
+    def test_shard_and_fsck_source_ignore_byte_budget(self, tensor, tmp_path,
+                                                      monkeypatch, capsys):
+        # Both commands need the .tns in core; a budget in the
+        # environment must not turn it into a temporary store.
+        monkeypatch.setenv(BUDGET_ENV_VAR, "65536")
+        tns = tmp_path / "t.tns"
+        save_tns(tensor, tns)
+        target = tmp_path / "s"
+        assert cli_main(["shard", str(tns), str(target),
+                         "--slab-nnz", "64"]) == 0
+        store = ShardedTensorStore.open(target)
+        inject_slab_fault(store, SlabFaultSpec("slab_bitflip", seed=4))
+        store.close()
+        assert cli_main(["fsck", str(target), "--repair",
+                         "--source", str(tns)]) == 0
+        assert "repaired" in capsys.readouterr().out
+        assert cli_main(["fsck", str(target), "--repair",
+                         "--source", str(target)]) == 2
+        assert "not a store" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,11 @@ from repro.tensor import (
     read_tns,
     write_tns,
 )
+from repro.integrity import IntegrityError
+from repro.tensor.csf import default_mode_order
 from repro.tensor.store import BUDGET_ENV_VAR, resolve_byte_budget
+from repro.tensor.tiling import CSFTiling
+from repro.testing.oracles import lexsort_csf_reference
 from repro.types import TensorSource
 
 
@@ -82,6 +86,63 @@ class TestPinnedOnDiskBytes:
                 pinned_store.rebuild_slab(mode, index)
                 assert pinned_store.slab_problem(mode, index) is None
         assert self.checksums(pinned_store) == PINNED_SLAB_CHECKSUMS
+
+
+def _random_tensor(shape, nnz, seed):
+    """Uniform coordinates; the second half repeats the first."""
+    rng = np.random.default_rng(seed)
+    coords = np.vstack([rng.integers(0, extent, nnz) for extent in shape])
+    coords[:, nnz // 2:] = coords[:, :nnz - nnz // 2]
+    return COOTensor(coords, rng.standard_normal(nnz), shape)
+
+
+class TestTreesFromOneSort:
+    """``create`` sorts once and derives every other tree's order by
+    radix passes; every slab must equal the same slab of the lexsort
+    reference tree, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (6, 1, 7, 4),
+                                       (4, 3, 5, 2, 3), (40, 70000, 9),
+                                       (3, 2**32 + 5, 6)])
+    def test_slabs_match_lexsort_reference(self, tmp_path, shape):
+        tensor = _random_tensor(shape, 600, seed=4)
+        store = ShardedTensorStore.create(tensor, tmp_path / "s",
+                                          slab_nnz_target=64,
+                                          durable=False)
+        for mode in range(tensor.nmodes):
+            order = default_mode_order(tensor.nmodes, mode)
+            assert store.mode_order(mode) == order
+            ref = CSFTiling(lexsort_csf_reference(tensor, order),
+                            slab_nnz_target=64)
+            assert store.slab_count(mode) == len(ref)
+            for want in ref:
+                got = store.load_slab(mode, want.index)
+                assert got.node_ranges == want.node_ranges
+                for name, arr in want.tree.buffers().items():
+                    stored = got.tree.buffers()[name]
+                    assert stored.dtype == arr.dtype
+                    assert stored.tobytes() == arr.tobytes()
+
+    def test_rebuild_checks_the_recorded_checksum(self, tmp_path):
+        tensor = _random_tensor((30, 70000, 20), 2000, seed=5)
+        store = ShardedTensorStore.create(tensor, tmp_path / "s",
+                                          slab_nnz_target=256,
+                                          durable=False)
+        store.slab_path(2, 1).unlink()
+        store.rebuild_slab(2, 1)
+        assert store.slab_problem(2, 1) is None
+        # The store keeps the tensor it was sharded from as its source;
+        # a changed value makes the rebuilt bytes differ.
+        tensor.vals[:] += 1.0
+        with pytest.raises(IntegrityError, match="recorded at shard time"):
+            store.rebuild_slab(2, 1)
+
+    def test_coordinates_validated_before_sharding(self, tmp_path,
+                                                   small_tensor):
+        small_tensor.coords[2, 3] = small_tensor.shape[2]
+        with pytest.raises(ValueError, match="out of range"):
+            ShardedTensorStore.create(small_tensor, tmp_path / "s")
+        assert not ShardedTensorStore.is_store(tmp_path / "s")
 
 
 class TestStoreRoundTrip:
