@@ -36,7 +36,8 @@ class AdmmState:
         return self.primal.shape[1]
 
     def copy(self) -> "AdmmState":
-        """Deep copy (used when comparing solver variants on equal starts)."""
+        """Deep copy (equal starts for solver comparisons; the snapshot a
+        background checkpoint write reads)."""
         return AdmmState(self.primal.copy(), self.dual.copy())
 
     def is_finite(self) -> bool:
@@ -44,14 +45,10 @@ class AdmmState:
         return bool(np.isfinite(self.primal).all()
                     and np.isfinite(self.dual).all())
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """Owned copies of ``(primal, dual)`` for checkpoints/rollback."""
-        return self.primal.copy(), self.dual.copy()
-
     @classmethod
     def from_snapshot(cls, primal: np.ndarray,
                       dual: np.ndarray) -> "AdmmState":
-        """Rebuild a state from :meth:`snapshot` output (copies taken)."""
+        """A state holding copies of *primal* and *dual*."""
         return cls(np.array(primal, copy=True), np.array(dual, copy=True))
 
     @classmethod

@@ -18,12 +18,19 @@ series are health-checked every iteration per ``options.guard_policy`` —
 and with periodic checkpointing (``options.checkpoint_every`` /
 ``checkpoint_path``).  A checkpointed run resumes **bit-identically**
 via ``fit_aoadmm(..., resume_from=path)``.
+
+Checkpoints are written behind the loop: ``fit_aoadmm`` copies the state
+on its own thread and hands the write to the engine executor's
+``submit_one`` (inline under the ``serial`` executor), so checkpoint *k*
+is written while iteration *k+1* computes.  At most one write is in
+flight; checkpoint *k* is durable once checkpoint *k+1* starts or the fit
+returns, and a failed write raises from there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,7 @@ from ..observability import StageClock, record_admm_report, record_iteration, sp
 from ..robustness.checkpoint import (
     Checkpoint,
     CheckpointStore,
+    TensorIdentity,
     resolve_resume,
     save_checkpoint,
     verify_checkpoint,
@@ -128,6 +136,10 @@ def fit_aoadmm(tensor: TensorSource,
     ------
     repro.robustness.guards.NumericalFaultError
         When a numerical guard fires under ``guard_policy="raise"``.
+    OSError
+        When a checkpoint write fails; it raises when the next checkpoint
+        starts or the fit returns (at once under the ``serial``
+        executor).
     """
     options = options or AOADMMOptions()
     require(tensor.nmodes >= 2, "factorization needs at least two modes")
@@ -141,12 +153,17 @@ def fit_aoadmm(tensor: TensorSource,
     rho_policy = make_rho_policy(options.rho_policy)
 
     setup_start = time.perf_counter()
+    # The tensor's fingerprint, hashed once for the resume check and
+    # every checkpoint this fit writes.
+    identity: TensorIdentity | None = None
+    if resume_from is not None or options.checkpoint_path is not None:
+        identity = TensorIdentity(tensor)
     checkpoint: Checkpoint | None = None
     if resume_from is not None:
         require(initial_factors is None,
                 "resume_from and initial_factors are mutually exclusive")
         checkpoint = resolve_resume(resume_from)
-        verify_checkpoint(checkpoint, tensor, options)
+        verify_checkpoint(checkpoint, identity, options)
 
     if checkpoint is not None:
         states = checkpoint.states()
@@ -203,12 +220,34 @@ def fit_aoadmm(tensor: TensorSource,
         store = CheckpointStore(options.checkpoint_path,
                                 keep_last=options.checkpoint_keep_last)
 
+    # The checkpoint write in flight, if any (a future-like).
+    pending_write = None
+
+    def wait_for_checkpoint() -> None:
+        """Block until the write in flight is durable; re-raise its error."""
+        nonlocal pending_write
+        if pending_write is not None:
+            write, pending_write = pending_write, None
+            write.result()
+
     def write_checkpoint() -> None:
+        nonlocal pending_write
+        wait_for_checkpoint()
+        # Owned copies: the loop goes on mutating states, trace and
+        # last_rhos while the write runs.
+        snapshot = [s.copy() for s in states]
+        frozen = replace(trace, records=list(trace.records),
+                         guard_log=list(trace.guard_log))
         if store is not None:
-            store.save(tensor, options, states, trace, rhos=last_rhos)
+            pending_write = engine.executor.submit_one(
+                store.save, identity, options, snapshot, frozen,
+                list(last_rhos))
         else:
-            save_checkpoint(options.checkpoint_path, tensor, options,
-                            states, trace, rhos=last_rhos)
+            pending_write = engine.executor.submit_one(
+                save_checkpoint, options.checkpoint_path, identity,
+                options, snapshot, frozen, list(last_rhos))
+        if pending_write.done():  # inline (serial): raise at once
+            wait_for_checkpoint()
 
     nmodes = tensor.nmodes
     converged = False
@@ -235,134 +274,147 @@ def fit_aoadmm(tensor: TensorSource,
 
     last_rhos = [0.0] * nmodes
     clock = StageClock(scope="aoadmm")
-    while not stop_reason:
-        iteration = len(trace) + 1
-        clock.reset()
-        inner_iterations: list[int] = []
-        block_reports: list[object] = []
-        jitter: list[float] = []
-        last_mttkrp: np.ndarray | None = None
+    try:
+        while not stop_reason:
+            iteration = len(trace) + 1
+            clock.reset()
+            inner_iterations: list[int] = []
+            block_reports: list[object] = []
+            jitter: list[float] = []
+            last_mttkrp: np.ndarray | None = None
 
-        try:
-            with span("aoadmm.iteration", iteration=iteration):
-                for mode in range(nmodes):
+            try:
+                with span("aoadmm.iteration", iteration=iteration):
+                    for mode in range(nmodes):
+                        with clock.stage("other"):
+                            gram = gram_cache.gram_excluding(mode)
+                        if injector is not None:
+                            gram = injector.corrupt_gram(gram, iteration, mode)
+
+                        with clock.stage("mttkrp"):
+                            current = [s.primal for s in states]
+                            kmat = engine.mttkrp(current, mode)
+                        if injector is not None:
+                            kmat = injector.corrupt_mttkrp(kmat, iteration,
+                                                           mode)
+                        if monitor is not None:
+                            kmat = monitor.check_mttkrp(kmat, iteration, mode)
+
+                        with clock.stage("admm"):
+                            if options.blocked:
+                                report = blocked_admm_update(
+                                    states[mode], kmat, gram,
+                                    constraints[mode],
+                                    rho_policy=rho_policy,
+                                    tolerance=options.inner_tolerance,
+                                    max_iterations=(
+                                        options.max_inner_iterations),
+                                    block_size=options.block_size)
+                            else:
+                                report = admm_update(
+                                    states[mode], kmat, gram,
+                                    constraints[mode],
+                                    rho_policy=rho_policy,
+                                    tolerance=options.inner_tolerance,
+                                    max_iterations=(
+                                        options.max_inner_iterations))
+                            inner_iterations.append(report.iterations)
+                        record_admm_report(report, mode, options.blocked)
+                        last_rhos[mode] = report.rho
+                        jitter.append(report.jitter_added)
+                        if options.track_block_reports:
+                            block_reports.append(report)
+                        if monitor is not None:
+                            monitor.check_state(states[mode], iteration, mode)
+
+                        with clock.stage("other"):
+                            gram_cache.set_factor(mode, states[mode].primal)
+                            engine.update_factor(mode, states[mode].primal)
+
+                        last_mttkrp = kmat
+
+                    # Relative error from the last mode's MTTKRP: K was
+                    # computed with the other factors at their current
+                    # values, and only mode N-1's factor changed
+                    # afterwards, so <X, X_hat> = <K, A_{N-1}>.
                     with clock.stage("other"):
-                        gram = gram_cache.gram_excluding(mode)
+                        assert last_mttkrp is not None
+                        inner = float(np.einsum("ij,ij->", last_mttkrp,
+                                                states[nmodes - 1].primal))
+                        model_sq = max(float(gram_cache.gram_all().sum()), 0.0)
+                        err_sq = max(norm_x_sq - 2.0 * inner + model_sq, 0.0)
+                        relative_error = float(np.sqrt(err_sq / norm_x_sq))
                     if injector is not None:
-                        gram = injector.corrupt_gram(gram, iteration, mode)
-
-                    with clock.stage("mttkrp"):
-                        current = [s.primal for s in states]
-                        kmat = engine.mttkrp(current, mode)
-                    if injector is not None:
-                        kmat = injector.corrupt_mttkrp(kmat, iteration, mode)
+                        relative_error = injector.corrupt_error(relative_error,
+                                                                iteration)
                     if monitor is not None:
-                        kmat = monitor.check_mttkrp(kmat, iteration, mode)
+                        monitor.observe_error(relative_error, iteration)
+            except RollbackRequested as rollback:
+                assert monitor is not None
+                trace.guard_log.append(rollback.event)
+                monitor.restore(states)
+                stop_reason = rollback.stop_reason
+                break
 
-                    with clock.stage("admm"):
-                        if options.blocked:
-                            report = blocked_admm_update(
-                                states[mode], kmat, gram, constraints[mode],
-                                rho_policy=rho_policy,
-                                tolerance=options.inner_tolerance,
-                                max_iterations=options.max_inner_iterations,
-                                block_size=options.block_size)
-                        else:
-                            report = admm_update(
-                                states[mode], kmat, gram, constraints[mode],
-                                rho_policy=rho_policy,
-                                tolerance=options.inner_tolerance,
-                                max_iterations=options.max_inner_iterations)
-                        inner_iterations.append(report.iterations)
-                    record_admm_report(report, mode, options.blocked)
-                    last_rhos[mode] = report.rho
-                    jitter.append(report.jitter_added)
-                    if options.track_block_reports:
-                        block_reports.append(report)
-                    if monitor is not None:
-                        monitor.check_state(states[mode], iteration, mode)
+            densities = tuple(density(s.primal, options.factor_zero_tol)
+                              for s in states)
+            representations = tuple(engine.representation(m)
+                                    for m in range(nmodes))
+            trace.append(OuterIterationRecord.from_stages(
+                clock,
+                iteration=iteration,
+                relative_error=relative_error,
+                inner_iterations=tuple(inner_iterations),
+                factor_densities=densities,
+                representations=representations,
+                block_reports=tuple(block_reports) if block_reports else None,
+                jitter_added=tuple(jitter),
+                guard_events=(monitor.drain_iteration_events()
+                              if monitor is not None else ()),
+            ))
 
-                    with clock.stage("other"):
-                        gram_cache.set_factor(mode, states[mode].primal)
-                        engine.update_factor(mode, states[mode].primal)
-
-                    last_mttkrp = kmat
-
-                # Relative error from the last mode's MTTKRP: K was computed
-                # with the other factors at their current values, and only
-                # mode N-1's factor changed afterwards, so <X, X_hat> = <K,
-                # A_{N-1}>.
-                with clock.stage("other"):
-                    assert last_mttkrp is not None
-                    inner = float(np.einsum("ij,ij->", last_mttkrp,
-                                            states[nmodes - 1].primal))
-                    model_sq = max(float(gram_cache.gram_all().sum()), 0.0)
-                    err_sq = max(norm_x_sq - 2.0 * inner + model_sq, 0.0)
-                    relative_error = float(np.sqrt(err_sq / norm_x_sq))
-                if injector is not None:
-                    relative_error = injector.corrupt_error(relative_error,
-                                                            iteration)
-                if monitor is not None:
-                    monitor.observe_error(relative_error, iteration)
-        except RollbackRequested as rollback:
-            assert monitor is not None
-            trace.guard_log.append(rollback.event)
-            monitor.restore(states)
-            stop_reason = rollback.stop_reason
-            break
-
-        densities = tuple(density(s.primal, options.factor_zero_tol)
-                          for s in states)
-        representations = tuple(engine.representation(m)
-                                for m in range(nmodes))
-        trace.append(OuterIterationRecord.from_stages(
-            clock,
-            iteration=iteration,
-            relative_error=relative_error,
-            inner_iterations=tuple(inner_iterations),
-            factor_densities=densities,
-            representations=representations,
-            block_reports=tuple(block_reports) if block_reports else None,
-            jitter_added=tuple(jitter),
-            guard_events=(monitor.drain_iteration_events()
-                          if monitor is not None else ()),
-        ))
-
-        record = trace.records[-1]
-        record_iteration(record, scope="aoadmm")
-        if monitor is not None:
-            monitor.commit(states, relative_error, iteration)
-        checkpointed = False
-        if options.checkpoint_every is not None \
-                and iteration % options.checkpoint_every == 0:
-            write_checkpoint()
-            checkpointed = True
-
-        stop_reason = ""
-        if criterion.update(relative_error):
-            stop_reason = criterion.reason
-        if not stop_reason and options.callback is not None \
-                and options.callback(record):
-            stop_reason = "callback"
-        if not stop_reason and options.time_budget_seconds is not None \
-                and trace.total_seconds() >= options.time_budget_seconds:
-            stop_reason = "time_budget"
-        if not stop_reason and options.preempt_flag is not None \
-                and options.preempt_flag.is_set():
-            stop_reason = "preempted"
-            # Persist the completed iteration so the preempted run
-            # resumes bit-identically; skip when this iteration's
-            # periodic checkpoint already captured exactly this state.
-            if options.checkpoint_path is not None and not checkpointed:
+            record = trace.records[-1]
+            record_iteration(record, scope="aoadmm")
+            if monitor is not None:
+                monitor.commit(states, relative_error, iteration)
+            checkpointed = False
+            if options.checkpoint_every is not None \
+                    and iteration % options.checkpoint_every == 0:
                 write_checkpoint()
-        if stop_reason:
-            converged = stop_reason == "tolerance"
-            break
+                checkpointed = True
+
+            stop_reason = ""
+            if criterion.update(relative_error):
+                stop_reason = criterion.reason
+            if not stop_reason and options.callback is not None \
+                    and options.callback(record):
+                stop_reason = "callback"
+            if not stop_reason and options.time_budget_seconds is not None \
+                    and trace.total_seconds() >= options.time_budget_seconds:
+                stop_reason = "time_budget"
+            if not stop_reason and options.preempt_flag is not None \
+                    and options.preempt_flag.is_set():
+                stop_reason = "preempted"
+                # Persist the completed iteration so the preempted run
+                # resumes bit-identically; skip when this iteration's
+                # periodic checkpoint already captured exactly this state.
+                if options.checkpoint_path is not None and not checkpointed:
+                    write_checkpoint()
+            if stop_reason:
+                converged = stop_reason == "tolerance"
+                break
+    finally:
+        # Every exit -- return, guard raise, rollback -- waits for the
+        # write in flight, so no checkpoint is torn and no write error
+        # is lost.
+        try:
+            wait_for_checkpoint()
+        finally:
+            if owned_engine:
+                # Drop the engine's resident slabs; a caller-supplied
+                # engine stays open.
+                engine.close()
 
     model = CPModel([s.primal.copy() for s in states])
-    if owned_engine:
-        # Drop the engine's resident slabs; a caller-supplied engine
-        # stays open.
-        engine.close()
     return FactorizationResult(model=model, trace=trace, converged=converged,
                                stop_reason=stop_reason, options=options)

@@ -74,16 +74,18 @@ def load_model(path: str | Path) -> CPModel:
 def array_fingerprint(*arrays: np.ndarray) -> str:
     """Order-sensitive SHA-1 over the raw bytes of *arrays*.
 
-    Used to fingerprint tensors (coords + values) and factor sets (the
-    Gram-cache inputs) so a resumed run can verify it is continuing from
-    exactly the state that was checkpointed.
+    Used to fingerprint tensors (coords + values) and checkpoint
+    payloads so a resumed run can verify it is continuing from exactly
+    the state that was checkpointed.  A C-contiguous buffer is hashed
+    in place through the buffer protocol (no ``tobytes()`` copy); the
+    digest is the same as hashing ``tobytes()``.
     """
     digest = hashlib.sha1()
     for arr in arrays:
         arr = np.ascontiguousarray(arr)
         digest.update(str(arr.dtype).encode())
         digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(arr.tobytes() if arr.dtype.hasobject else arr.data)
     return digest.hexdigest()
 
 

@@ -224,7 +224,7 @@ class MTTKRPEngine:
       trees (built once — the tensor's pattern is static), fanned out
       through the executor;
     * **out of core** (a :class:`~repro.tensor.store.ShardedTensorStore`):
-      the store's slabs, streamed inline through an LRU
+      the store's slabs, streamed inline through a
       :class:`~repro.tensor.ooc.SlabCache` bounded by
       ``max_bytes_in_core``, the next slab's read prefetched through the
       executor while the current one computes.
@@ -346,6 +346,11 @@ class MTTKRPEngine:
     @property
     def nmodes(self) -> int:
         return (self.store or self.trees).nmodes
+
+    @property
+    def executor(self) -> ExecutorBase:
+        """The executor serving the slabs (and the background I/O)."""
+        return self._executor
 
     @property
     def executor_name(self) -> str:

@@ -92,7 +92,7 @@ from ..observability import record_kernel_fallback
 from ..sparse.csr import CSRMatrix
 from ..sparse.hybrid import HybridFactor
 from ..tensor.csf import CSFTensor
-from ..types import INDEX_DTYPE, VALUE_DTYPE, FactorList
+from ..types import INDEX_DTYPE, MAX_MODES, VALUE_DTYPE, FactorList
 from .mttkrp_sparse import mttkrp_csf_root_repr
 from .row_solve import VARIANTS, supported_variants
 
@@ -104,8 +104,6 @@ SOURCES = tuple(Path(__file__).with_name(name)
 COMPILERS = ("cc", "gcc")
 #: Portable flags: no ``-march=native``, no fast-math, no FMA contraction.
 CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
-#: Tree depth limit of the C loop's per-level tables.
-MAX_MODES = 64
 
 #: Ranks of the self-check: below AVX2's vector width (1, 3), and the
 #: 8-wide and 4-wide vector bodies with a 4-wide (12) or scalar (9, 17)

@@ -3,10 +3,10 @@
 A checkpoint captures *everything* the outer loop carries across
 iterations — per-mode primal factors **and** scaled duals (the ADMM
 warm starts), the per-iteration trace, the last per-mode rho, and
-fingerprints of the tensor, the options, and the factor set feeding the
-Gram cache — so ``fit_aoadmm(..., resume_from=...)`` continues a run
-**bit-identically**: the resumed trace tail and final model match an
-uninterrupted run exactly.  Grams, Cholesky factors, CSF trees, and
+fingerprints of the tensor and the options — so
+``fit_aoadmm(..., resume_from=...)`` continues a run **bit-identically**:
+the resumed trace tail and final model match an uninterrupted run
+exactly.  Grams, Cholesky factors, CSF trees, and
 factor representations are deliberately *not* stored: they are all
 deterministic functions of (tensor, factors) and are rebuilt on resume.
 
@@ -30,12 +30,16 @@ What is checked on resume
   ``time_budget_seconds``, ``callback``) and performance knobs
   (``threads``, ``slab_nnz_target``) may legitimately differ, e.g. to
   extend an exhausted iteration budget,
-* the SHA-1 of the stored factor state itself (corruption detection),
-* a whole-payload checksum over **every** stored array — duals, trace
-  history, rhos included — embedded by
+* a whole-payload checksum over **every** stored array — primals,
+  duals, trace history, rhos — embedded by
   :func:`repro.core.serialize.save_state_npz` and verified at load
   time, so bit-rot anywhere in the container quarantines the file and
   falls back to the next older version instead of resuming from it.
+
+Version 2 hashes each file once, with that payload checksum.  Version 1
+files also carry ``state_sha1``, a second SHA-1 over the primals alone;
+they still load, and ``state_sha1`` is still verified whenever a file
+carries it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from ..constraints.base import Constraint
 from ..constraints.registry import make_constraint
 from ..core.options import AOADMMOptions
 from ..core.serialize import (
+    PAYLOAD_SHA_KEY,
     array_fingerprint,
     load_state_npz,
     save_state_npz,
@@ -64,7 +69,7 @@ from ..validation import require
 from .guards import GuardEvent
 
 CHECKPOINT_FORMAT = "repro-aoadmm-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Option fields that must match between checkpoint and resume (they
 #: change the numerics).  Constraints and rho policy are handled
@@ -125,6 +130,24 @@ def tensor_fingerprint(tensor) -> dict:
         return own()
     return {"shape": list(tensor.shape), "nnz": int(tensor.nnz),
             "sha1": array_fingerprint(tensor.coords, tensor.vals)}
+
+
+class TensorIdentity:
+    """A tensor's fingerprint, taken once, standing in for the tensor.
+
+    Pass it wherever a checkpoint call takes a tensor (``save_checkpoint``,
+    ``CheckpointStore.save``, ``verify_checkpoint``): those calls only
+    fingerprint the tensor, and this answers without hashing its
+    non-zeros again.  ``fit_aoadmm`` takes one per fit.
+    """
+
+    __slots__ = ("_fingerprint",)
+
+    def __init__(self, tensor) -> None:
+        self._fingerprint = tensor_fingerprint(tensor)
+
+    def fingerprint(self) -> dict:
+        return self._fingerprint
 
 
 @dataclass
@@ -216,12 +239,16 @@ def _trace_from_arrays(arrays: dict[str, np.ndarray],
 # Save / load / verify
 # ----------------------------------------------------------------------
 
-def save_checkpoint(path: str | Path, tensor: COOTensor,
+def save_checkpoint(path: str | Path, tensor: "COOTensor | TensorIdentity",
                     options: AOADMMOptions, states: list[AdmmState],
                     trace: FactorizationTrace,
                     rhos: "list[float] | None" = None,
                     fsync: bool = False) -> Path:
     """Atomically write the full optimizer state to *path*; returns it.
+
+    The arrays of *states* are written as they are, without a copy:
+    a caller that keeps iterating while the write runs on another
+    thread hands over owned copies (``fit_aoadmm`` does).
 
     ``block_reports`` (when ``options.track_block_reports`` is set) are
     the one trace field not persisted — they hold per-block objects with
@@ -232,9 +259,8 @@ def save_checkpoint(path: str | Path, tensor: COOTensor,
     nmodes = len(states)
     arrays: dict[str, np.ndarray] = {}
     for m, state in enumerate(states):
-        primal, dual = state.snapshot()
-        arrays[f"primal{m}"] = primal
-        arrays[f"dual{m}"] = dual
+        arrays[f"primal{m}"] = state.primal
+        arrays[f"dual{m}"] = state.dual
     arrays["rhos"] = np.array(rhos if rhos is not None
                               else [0.0] * nmodes, dtype=float)
     arrays.update(_trace_arrays(trace, nmodes))
@@ -246,7 +272,6 @@ def save_checkpoint(path: str | Path, tensor: COOTensor,
         "setup_seconds": trace.setup_seconds,
         "options": options_fingerprint(options),
         "tensor": tensor_fingerprint(tensor),
-        "state_sha1": array_fingerprint(*(s.primal for s in states)),
         # The loop consumes no randomness after initialization; the seed
         # spec below therefore fully determines the run's RNG history.
         "rng": {"init": options.init, "seed": _json_safe(options.seed)},
@@ -268,9 +293,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     nmodes = int(meta["nmodes"])
     primals = [arrays[f"primal{m}"] for m in range(nmodes)]
     duals = [arrays[f"dual{m}"] for m in range(nmodes)]
-    require(array_fingerprint(*primals) == meta["state_sha1"],
-            f"{path} failed its integrity check (factor state hash "
-            "mismatch)")
+    # load_state_npz has verified the payload checksum; a file without
+    # one would load unchecked.
+    require(PAYLOAD_SHA_KEY in meta or "state_sha1" in meta,
+            f"{path} carries no checksum")
+    if "state_sha1" in meta:  # version 1: a second hash of the primals
+        require(array_fingerprint(*primals) == meta["state_sha1"],
+                f"{path} failed its integrity check (factor state hash "
+                "mismatch)")
     return Checkpoint(iteration=int(meta["iteration"]), primals=primals,
                       duals=duals, rhos=arrays["rhos"],
                       trace=_trace_from_arrays(arrays, meta), meta=meta)
@@ -340,10 +370,14 @@ class CheckpointStore:
         return int(match.group(1)) if match else -1
 
     # -- write ---------------------------------------------------------
-    def save(self, tensor: COOTensor, options: AOADMMOptions,
+    def save(self, tensor: "COOTensor | TensorIdentity",
+             options: AOADMMOptions,
              states: list[AdmmState], trace: FactorizationTrace,
              rhos: "list[float] | None" = None) -> Path:
-        """Write a new version for ``len(trace)``; prune after the fsync."""
+        """Write a new version for ``len(trace)``; prune after the fsync.
+
+        Synchronous: the file is complete and fsynced when this returns.
+        """
         path = save_checkpoint(self.version_path(len(trace)), tensor,
                                options, states, trace, rhos=rhos,
                                fsync=True)
@@ -424,7 +458,8 @@ def resolve_resume(resume_from: "str | Path | Checkpoint") -> Checkpoint:
                             f"{path.stem}.it*.npz versions beside it)")
 
 
-def verify_checkpoint(checkpoint: Checkpoint, tensor: COOTensor,
+def verify_checkpoint(checkpoint: Checkpoint,
+                      tensor: "COOTensor | TensorIdentity",
                       options: AOADMMOptions) -> None:
     """Reject a resume whose tensor or numerics-affecting options differ."""
     stored_tensor = checkpoint.meta["tensor"]

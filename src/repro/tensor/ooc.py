@@ -3,13 +3,16 @@
 Two pieces, composed by :class:`repro.kernels.dispatch.MTTKRPEngine`
 when its slabs come from a sharded store:
 
-* :class:`SlabCache` — an LRU residency set over ``(mode, slab)`` keys
-  under a ``max_bytes_in_core`` byte budget.  Byte accounting uses the
-  slab's *stored* bytes (exactly what the memmap can page in), and the
-  cache always allows the **most recently touched** slab to stay
-  resident even when it alone exceeds the budget — a budget below one
-  slab's working set degrades to load-evict churn, never to a
-  deadlock.
+* :class:`SlabCache` — a residency set over ``(mode, slab)`` keys
+  under a ``max_bytes_in_core`` byte budget.  Once full it evicts the
+  most recently used slab other than the one just touched, so the
+  engine's cyclic scan over every mode's slabs keeps a fixed resident
+  set that hits on every sweep (LRU would evict each slab just before
+  its next use).  Byte accounting uses the slab's *stored* bytes
+  (exactly what the memmap can page in), and the cache always allows
+  the **most recently touched** slab to stay resident even when it
+  alone exceeds the budget — a budget below one slab's working set
+  degrades to load-evict churn, never to a deadlock.
 * :class:`SlabStreamer` — in-order iteration over one mode's slabs
   with one-slab-ahead prefetch issued through the engine's executor
   backend (:meth:`repro.parallel.executor.ExecutorBase.submit_one`;
@@ -42,13 +45,13 @@ SlabKey = tuple[int, int]
 
 
 class SlabCache:
-    """LRU residency set of loaded slabs under a byte budget.
+    """Residency set of loaded slabs under a byte budget.
 
     ``max_bytes_in_core=None`` disables eviction (everything loaded
     stays resident — the "in-core after first sweep" mode); a budget
-    evicts least-recently-used slabs after each insertion until the
-    resident bytes fit, while always keeping at least the slab just
-    touched.
+    evicts, after each insertion and until the resident bytes fit, the
+    most recently used slab other than the one just touched, which
+    always stays.
     """
 
     def __init__(self, max_bytes_in_core: int | None = None):
@@ -57,7 +60,7 @@ class SlabCache:
                     "max_bytes_in_core must be positive")
             max_bytes_in_core = int(max_bytes_in_core)
         self.max_bytes_in_core = max_bytes_in_core
-        #: key -> (slab, nbytes); insertion/refresh order == LRU order.
+        #: key -> (slab, nbytes), least recently used first.
         self._resident: "OrderedDict[SlabKey, tuple[object, int]]" = \
             OrderedDict()
         self.resident_bytes = 0
@@ -98,7 +101,7 @@ class SlabCache:
         return slab
 
     def put(self, key: SlabKey, slab: object, nbytes: int) -> None:
-        """Insert (or refresh) *key*, then evict LRU slabs over budget."""
+        """Insert (or refresh) *key*, then evict while over budget."""
         nbytes = int(nbytes)
         old = self._resident.pop(key, None)
         if old is not None:
@@ -113,10 +116,15 @@ class SlabCache:
         if self.max_bytes_in_core is None:
             return
         # Never evict the most recently touched slab (the last key):
-        # the kernel is about to (or still does) read it.
+        # the kernel is about to (or still does) read it.  Evict the
+        # one touched before it instead: a cyclic scan reaches that
+        # slab again last, while the older residents stay and hit.
         while (self.resident_bytes > self.max_bytes_in_core
                and len(self._resident) > 1):
-            key, (_, nbytes) = self._resident.popitem(last=False)
+            newest = reversed(self._resident)
+            next(newest)
+            key = next(newest)
+            _, nbytes = self._resident.pop(key)
             self.resident_bytes -= nbytes
             self.evictions += 1
             record_slab_event("evict", key[0], nbytes,

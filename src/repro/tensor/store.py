@@ -66,7 +66,7 @@ from ..integrity import (
     verify_reads_enabled,
 )
 from ..observability import record_integrity_event
-from ..types import INDEX_DTYPE, VALUE_DTYPE, TensorSource
+from ..types import INDEX_DTYPE, MAX_MODES, VALUE_DTYPE, TensorSource
 from ..validation import check_mode, require
 from .coo import COOTensor
 from .csf import CSFTensor, rooted_tree
@@ -113,7 +113,7 @@ def _fingerprint_arrays(*arrays: np.ndarray) -> str:
         arr = np.ascontiguousarray(arr)
         digest.update(str(arr.dtype).encode())
         digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(arr.data)
     return digest.hexdigest()
 
 
@@ -160,7 +160,7 @@ class ShardedTensorStore:
     Satisfies :class:`repro.types.TensorSource`; build with
     :meth:`create`, reopen with :meth:`open` (or via
     :func:`open_tensor`).  All index/value bytes live on disk; the
-    resident-set policy (LRU under ``max_bytes_in_core``) is the
+    resident-set policy (under ``max_bytes_in_core``) is the
     MTTKRP engine's job (:mod:`repro.tensor.ooc`), not the store's —
     the store only maps slabs on demand.
     """
@@ -235,6 +235,12 @@ class ShardedTensorStore:
         """
         require(isinstance(tensor, COOTensor),
                 "ShardedTensorStore.create shards a COOTensor")
+        # Checked before anything is written: a 1-mode tree has no
+        # fibers to tile, and the kernel that streams the slabs takes
+        # 2 to MAX_MODES modes.
+        require(2 <= tensor.nmodes <= MAX_MODES,
+                f"a sharded store takes 2 to {MAX_MODES} modes, not "
+                f"{tensor.nmodes}")
         path = Path(path)
         require(not (path / META_FILE).exists(),
                 f"{path} already contains a sharded tensor store")
@@ -377,7 +383,7 @@ class ShardedTensorStore:
 
         The returned arrays are read-only ``np.memmap`` views — pages
         fault in lazily and are released when the slab object is
-        dropped (which is exactly what the LRU eviction in
+        dropped (which is exactly what eviction from
         :class:`repro.tensor.ooc.SlabCache` does).
 
         This is a **verified read**: the slab file is always
@@ -789,8 +795,12 @@ def _shard_in_core(tensor: COOTensor, budget: int,
         # Self-cleaning temp store: its lifetime is this process, so
         # fsync durability buys nothing — skip it (durable=False).
         tmp = Path(tempfile.mkdtemp(prefix=TEMP_SHARD_PREFIX))
-        store = ShardedTensorStore.create(
-            tensor, tmp / "store", slab_nnz_target=slab_nnz_target,
-            cleanup_root=tmp, durable=False)
+        try:
+            store = ShardedTensorStore.create(
+                tensor, tmp / "store", slab_nnz_target=slab_nnz_target,
+                cleanup_root=tmp, durable=False)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
     store.max_bytes_in_core = budget
     return store

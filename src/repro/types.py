@@ -22,6 +22,10 @@ INDEX_DTYPE = np.int64
 #: dtype used for all tensor / factor values.
 VALUE_DTYPE = np.float64
 
+#: Most modes the compiled MTTKRP kernel's per-level tables hold; a
+#: tensor the kernel or a sharded store serves has 2 to this many.
+MAX_MODES = 64
+
 #: A dense factor matrix (``I_m x F``).
 FactorMatrix = np.ndarray
 

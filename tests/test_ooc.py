@@ -210,19 +210,32 @@ class TestMakeEngine:
 # ---------------------------------------------------------------------------
 
 class TestSlabCache:
-    def test_lru_order_and_eviction(self):
+    def test_evicts_most_recent_but_the_touched_slab(self):
         cache = SlabCache(max_bytes_in_core=30)
         for i in range(3):
             cache.put((0, i), f"slab{i}", 10)
         assert cache.resident_keys() == [(0, 0), (0, 1), (0, 2)]
-        # Touch the oldest: refreshes recency.
+        # Touch the oldest: it becomes the most recently used.
         assert cache.get((0, 0), lambda: None, 10) == "slab0"
         assert cache.resident_keys() == [(0, 1), (0, 2), (0, 0)]
-        # Over budget: evicts LRU-first, i.e. (0, 1).
+        # Over budget: (0, 3) stays and the slab touched before it,
+        # (0, 0), goes; the older (0, 1) and (0, 2) stay resident.
         cache.put((0, 3), "slab3", 10)
-        assert (0, 1) not in cache
+        assert cache.resident_keys() == [(0, 1), (0, 2), (0, 3)]
         assert cache.resident_bytes == 30
         assert cache.evictions == 1
+
+    def test_cyclic_scan_hits(self):
+        """Five slabs cycled through room for three: LRU would miss on
+        every lookup; a fixed resident set hits three times a sweep."""
+        cache = SlabCache(max_bytes_in_core=30)
+        for _ in range(3):
+            for i in range(5):
+                assert cache.get((0, i), lambda i=i: f"slab{i}",
+                                 10) == f"slab{i}"
+        assert cache.stats()["hits"] == 6
+        assert cache.stats()["loads"] == 9
+        assert cache.peak_resident_bytes == 40  # one insert over, then evict
 
     def test_never_evicts_last_touched(self):
         cache = SlabCache(max_bytes_in_core=5)
@@ -307,6 +320,29 @@ class TestFitOutOfCore:
         store.max_bytes_in_core = 1
         ooc = repro.fit(store, rank=RANK, seed=0, max_outer_iterations=3)
         for a, b in zip(in_core.factors, ooc.factors):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(in_core.trace.errors(),
+                                      ooc.trace.errors())
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_fit_hits_resident_slabs_under_quarter_budget(
+            self, tensor, tmp_path, executor):
+        """Repeated sweeps over every mode's slabs hit the resident set
+        under a quarter budget, with the in-core bits."""
+        in_core = repro.fit(tensor, rank=RANK, seed=0,
+                            max_outer_iterations=4)
+        store = ShardedTensorStore.create(tensor, tmp_path / "s",
+                                          slab_nnz_target=64)
+        slabs = sum(store.slab_count(m) for m in range(tensor.nmodes))
+        engine = MTTKRPEngine(store, executor=executor,
+                              max_bytes_in_core=store.storage_bytes() // 4)
+        ooc = fit_aoadmm(store, AOADMMOptions(rank=RANK, seed=0,
+                                              max_outer_iterations=4),
+                         engine=engine)
+        stats = engine.cache.stats()
+        assert stats["hits"] > 0
+        assert stats["loads"] < 4 * slabs
+        for a, b in zip(in_core.factors, ooc.model.factors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(in_core.trace.errors(),
                                       ooc.trace.errors())

@@ -8,6 +8,7 @@ versioned checkpoint store with a corrupt latest version and after a
 SIGTERM/SIGINT preemption.
 """
 
+import errno
 import os
 import signal
 import threading
@@ -16,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.core.serialize as serialize
 from repro import AOADMMOptions, fit_aoadmm
 from repro.distributed.comm import WorkerFailure
 from repro.distributed.daoadmm import fit_aoadmm_distributed
@@ -35,7 +37,12 @@ from repro.robustness import (
     resolve_resume,
     save_checkpoint,
 )
-from repro.robustness.checkpoint import QUARANTINE_SUFFIX, options_fingerprint
+from repro.integrity import IntegrityError
+from repro.robustness.checkpoint import (
+    CHECKPOINT_VERSION,
+    QUARANTINE_SUFFIX,
+    options_fingerprint,
+)
 from repro.tensor import noisy_lowrank_coo
 
 
@@ -414,6 +421,220 @@ class TestCheckpointStore:
         fit_aoadmm(tensor, opts)
         resumed = fit_aoadmm(tensor, make_options(), resume_from=path)
         assert_identical(reference, resumed)
+
+
+# ----------------------------------------------------------------------
+# Background checkpoint writes
+# ----------------------------------------------------------------------
+
+EXECUTORS = pytest.mark.parametrize("executor", ["serial", "thread"])
+
+
+def _versions(path):
+    store = CheckpointStore(path)
+    return {store._iteration_of(p): load_checkpoint(p)
+            for p in store.versions()}
+
+
+class TestBackgroundCheckpointWrite:
+    """``fit_aoadmm`` writes each checkpoint on the engine executor's
+    I/O pool (inline under ``serial``) while the next iteration runs."""
+
+    @EXECUTORS
+    @pytest.mark.parametrize("fail_at", [2, 4], ids=["mid", "last"])
+    @pytest.mark.parametrize("keep_last", [None, 10],
+                             ids=["plain", "store"])
+    def test_write_error_surfaces_and_leaves_no_temp_file(
+            self, tensor, tmp_path, monkeypatch, executor, fail_at,
+            keep_last):
+        real_savez = np.savez
+        calls = []
+
+        def savez(handle, **payload):
+            calls.append(threading.current_thread().name)
+            if len(calls) == fail_at:
+                handle.write(b"partial")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_savez(handle, **payload)
+
+        monkeypatch.setattr(serialize.np, "savez", savez)
+        path = tmp_path / "ck.npz"
+        with pytest.raises(OSError, match="No space left"):
+            fit_aoadmm(tensor, make_options(
+                max_outer_iterations=4, checkpoint_every=1,
+                checkpoint_path=path, checkpoint_keep_last=keep_last,
+                executor=executor))
+        monkeypatch.undo()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        if keep_last is None:
+            assert names == ["ck.npz"]
+            assert load_checkpoint(path).iteration == fail_at - 1
+        else:
+            # The failed version never appears; the ones before it do.
+            assert sorted(_versions(path)) == list(range(1, fail_at))
+            assert len(names) == fail_at - 1
+        # The next checkpoint waits for the failed one and raises: no
+        # write is attempted after it.
+        assert len(calls) == fail_at
+
+    @EXECUTORS
+    def test_writes_run_off_the_main_thread_one_at_a_time(
+            self, tensor, tmp_path, monkeypatch, executor):
+        real_save = CheckpointStore.save
+        lock = threading.Lock()
+        threads, active, peak = [], [0], [0]
+
+        def save(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                return real_save(self, *args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(CheckpointStore, "save", save)
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=6, checkpoint_every=1,
+            checkpoint_path=path, checkpoint_keep_last=10,
+            executor=executor))
+        assert len(threads) == 6 and peak[0] == 1
+        on_main = [t is threading.main_thread() for t in threads]
+        assert all(on_main) if executor == "serial" else not any(on_main)
+        # Every write is durable once the fit returns.
+        assert sorted(_versions(path)) == list(range(1, 7))
+
+    def test_every_version_equal_across_executors(self, tensor, tmp_path):
+        runs = {}
+        for executor in ("serial", "thread"):
+            path = tmp_path / executor / "ck.npz"
+            path.parent.mkdir()
+            result = fit_aoadmm(tensor, make_options(
+                max_outer_iterations=6, checkpoint_every=1,
+                checkpoint_path=path, checkpoint_keep_last=10,
+                executor=executor))
+            runs[executor] = (result, _versions(path))
+        (ref, serial), (res, thread) = runs["serial"], runs["thread"]
+        assert sorted(serial) == sorted(thread) == list(range(1, 7))
+        for k in serial:
+            a, b = serial[k], thread[k]
+            assert a.iteration == b.iteration == k
+            for x, y in zip(a.primals + a.duals, b.primals + b.duals):
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(a.rhos, b.rhos)
+            np.testing.assert_array_equal(a.trace.errors(),
+                                          b.trace.errors())
+            # Version k holds iteration k's state, not a later one.
+            np.testing.assert_array_equal(a.trace.errors(),
+                                          ref.trace.errors()[:k])
+        for primal, factor in zip(thread[6].primals, res.model.factors):
+            np.testing.assert_array_equal(primal, factor)
+        assert_identical(ref, res)
+
+    @EXECUTORS
+    def test_resume_is_bit_identical(self, tensor, reference, tmp_path,
+                                     executor):
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=5, checkpoint_every=1,
+            checkpoint_path=path, checkpoint_keep_last=2,
+            executor=executor))
+        resumed = fit_aoadmm(tensor, make_options(executor=executor),
+                             resume_from=path)
+        assert_identical(reference, resumed)
+
+    @EXECUTORS
+    def test_preempt_leaves_the_final_iteration_on_disk(
+            self, tensor, reference, tmp_path, executor):
+        flag = threading.Event()
+        path = tmp_path / "ck.npz"
+        result = fit_aoadmm(tensor, make_options(
+            checkpoint_every=2, checkpoint_path=path, preempt_flag=flag,
+            executor=executor,
+            callback=lambda r: (r.iteration == 3 and flag.set()) and False))
+        assert result.stop_reason == "preempted"
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.iteration == 3
+        for primal, factor in zip(checkpoint.primals,
+                                  result.model.factors):
+            np.testing.assert_array_equal(primal, factor)
+        assert_identical(reference, fit_aoadmm(
+            tensor, make_options(), resume_from=path))
+
+
+class TestCheckpointFormat:
+    def _v1_file(self, tensor, tmp_path, checksum):
+        """A version-1 file: ``state_sha1`` over the primals."""
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=2, checkpoint_every=2,
+            checkpoint_path=path))
+        arrays, meta = serialize.load_state_npz(path)
+        meta.pop(serialize.PAYLOAD_SHA_KEY)
+        meta["version"] = 1
+        meta["state_sha1"] = serialize.array_fingerprint(
+            *(arrays[f"primal{m}"] for m in range(meta["nmodes"])))
+        v1 = tmp_path / "v1.npz"
+        serialize.save_state_npz(v1, arrays, meta, checksum=checksum)
+        return v1, arrays, meta
+
+    def test_new_checkpoints_hash_once(self, tensor, tmp_path):
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=2, checkpoint_every=2,
+            checkpoint_path=path))
+        meta = load_checkpoint(path).meta
+        assert CHECKPOINT_VERSION == 2 and meta["version"] == 2
+        assert "state_sha1" not in meta
+        assert serialize.PAYLOAD_SHA_KEY in meta
+
+    @pytest.mark.parametrize("checksum", [False, True],
+                             ids=["state-only", "state+payload"])
+    def test_v1_file_loads_and_resumes(self, tensor, reference, tmp_path,
+                                       checksum):
+        v1, arrays, _ = self._v1_file(tensor, tmp_path, checksum)
+        checkpoint = load_checkpoint(v1)
+        assert checkpoint.meta["version"] == 1
+        np.testing.assert_array_equal(checkpoint.primals[0],
+                                      arrays["primal0"])
+        assert_identical(reference, fit_aoadmm(
+            tensor, make_options(), resume_from=v1))
+
+    def test_v1_file_with_a_flipped_primal_byte_rejected(self, tensor,
+                                                         tmp_path):
+        v1, arrays, meta = self._v1_file(tensor, tmp_path, checksum=False)
+        primal = arrays["primal1"].copy()
+        primal.view(np.uint8)[5] ^= 0x10
+        arrays["primal1"] = primal
+        serialize.save_state_npz(v1, arrays, meta, checksum=False)
+        with pytest.raises(ValueError, match="factor state hash mismatch"):
+            load_checkpoint(v1)
+
+    def test_v2_file_with_a_flipped_primal_byte_rejected(self, tensor,
+                                                         tmp_path):
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=2, checkpoint_every=2,
+            checkpoint_path=path))
+        arrays, meta = serialize.load_state_npz(path)
+        arrays["primal0"].view(np.uint8)[3] ^= 0x01
+        serialize.save_state_npz(path, arrays, meta, checksum=False)
+        with pytest.raises(IntegrityError, match="payload checksum"):
+            load_checkpoint(path)
+
+    def test_file_without_any_checksum_rejected(self, tensor, tmp_path):
+        path = tmp_path / "ck.npz"
+        fit_aoadmm(tensor, make_options(
+            max_outer_iterations=2, checkpoint_every=2,
+            checkpoint_path=path))
+        arrays, meta = serialize.load_state_npz(path)
+        meta.pop(serialize.PAYLOAD_SHA_KEY)
+        serialize.save_state_npz(path, arrays, meta, checksum=False)
+        with pytest.raises(ValueError, match="carries no checksum"):
+            load_checkpoint(path)
 
 
 # ----------------------------------------------------------------------

@@ -200,6 +200,30 @@ class TestStoreRoundTrip:
         assert (tmp_path / "store" / "meta.json").is_file()
 
 
+class TestModeCount:
+    def test_one_mode_rejected_before_anything_is_written(self, tmp_path):
+        target = tmp_path / "store"
+        with pytest.raises(ValueError, match="takes 2 to 64 modes, not 1"):
+            ShardedTensorStore.create(random_coo((17,), 10, seed=1), target)
+        assert not target.exists()
+
+    def test_open_one_mode_tns_under_budget(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.tensor.store import TEMP_SHARD_PREFIX
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        path = tmp_path / "line.tns"
+        write_tns(random_coo((17,), 10, seed=1), path)
+        with pytest.raises(ValueError, match="takes 2 to 64 modes, not 1"):
+            open_tensor(path, max_bytes_in_core=4096)
+        assert not list(tmp_path.glob(TEMP_SHARD_PREFIX + "*"))
+
+    def test_two_modes_shard(self, tmp_path):
+        tensor = random_coo((9, 7), 20, seed=2)
+        store = ShardedTensorStore.create(tensor, tmp_path / "store")
+        assert _bitwise_equal(store.to_coo(), tensor)
+
+
 class TestTensorSourceProtocol:
     def test_all_sources_satisfy_protocol(self, store, small_tensor):
         csf = CSFTensor.from_coo(small_tensor)
