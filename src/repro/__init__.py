@@ -73,8 +73,6 @@ from .robustness import (
     GuardEvent,
     HealthMonitor,
     NumericalFaultError,
-    WorkerFault,
-    WorkerFaultPlan,
     load_checkpoint,
     resolve_resume,
     save_checkpoint,
@@ -138,8 +136,6 @@ __all__ = [
     "GuardEvent",
     "HealthMonitor",
     "NumericalFaultError",
-    "WorkerFault",
-    "WorkerFaultPlan",
     "load_checkpoint",
     "resolve_resume",
     "save_checkpoint",

@@ -1,11 +1,11 @@
 """Model-priced MTTKRP slab-plan autotuner (paper Section VI).
 
 Section VI leaves open "automatically select the best data structure ...
-during MTTKRP"; :mod:`repro.sparse.autotune` answers it for the *factor*
-side by pricing representations on the machine model.  This module closes
-the *tensor* side: among the CSF execution plans (the slab-tiled kernels
-at different slab-nnz targets) it picks, per tree, the plan the analytic
-cost model prices cheapest.
+during MTTKRP"; on the *factor* side the engine's density rule
+(:func:`repro.sparse.analysis.choose_representation`) answers it.  This
+module covers the *tensor* side: among the CSF execution plans (the
+slab-tiled kernels at different slab-nnz targets) it picks, per tree, the
+plan the analytic cost model prices cheapest.
 
 The selector is deliberately restricted to plans inside the ``csf``
 bit-identity family: every candidate is the same upward sweep over the

@@ -43,8 +43,6 @@ from .faults import (
     ShardCrashPlan,
     SlabFaultRecord,
     SlabFaultSpec,
-    WorkerFault,
-    WorkerFaultPlan,
     inject_slab_fault,
 )
 
@@ -68,7 +66,5 @@ __all__ = [
     "ShardCrashPlan",
     "SlabFaultRecord",
     "SlabFaultSpec",
-    "WorkerFault",
-    "WorkerFaultPlan",
     "inject_slab_fault",
 ]

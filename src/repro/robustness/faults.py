@@ -2,22 +2,16 @@
 
 Guards that are never exercised rot.  This module injects the exact
 failure classes the guards exist for — NaN in a kernel output, an
-indefinite Gram handed to the Cholesky path, a diverging objective, and
-a failed/timed-out distributed worker — at predetermined (iteration,
-mode) points, so ``tests/test_robustness.py`` can prove each guard fires
-and each recovery path works.  Everything is deterministic: no
-randomness, no monkeypatching — the drivers call the injector at their
-hook points when one is configured.
+indefinite Gram handed to the Cholesky path, a diverging objective — at
+predetermined (iteration, mode) points, so ``tests/test_robustness.py``
+can prove each guard fires and each recovery path works.  Everything
+is deterministic: no randomness, no monkeypatching — the driver calls
+the injector at its hook points when one is configured.
 
-Shared-memory driver
+Driver
     Pass a :class:`FaultInjector` via ``AOADMMOptions.fault_injector``;
     ``fit_aoadmm`` routes every MTTKRP output, composed Gram, and
     relative error through it.
-
-Distributed driver
-    Pass a :class:`WorkerFaultPlan` to ``fit_aoadmm_distributed``; the
-    plan raises :class:`~repro.distributed.comm.WorkerFailure` inside a
-    rank's local MTTKRP, exercising the retry and re-partition fallback.
 
 Storage
     :func:`inject_slab_fault` damages a sharded-store slab file on disk
@@ -33,12 +27,11 @@ Storage
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..distributed.comm import WorkerFailure
 from ..validation import require
 
 #: Fault classes understood by :class:`FaultInjector`; each corrupts a
@@ -48,7 +41,7 @@ FAULT_KINDS = ("mttkrp_nan", "indefinite_gram", "diverge_error")
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault for the shared-memory driver.
+    """One scheduled fault for the AO-ADMM driver.
 
     ``once=True`` fires exactly at ``iteration`` (and ``mode``, when
     given) and is then spent; ``once=False`` fires at every matching
@@ -240,65 +233,3 @@ class ShardCrashPlan:
             os._exit(self.exit_code)
         raise InjectedCrash(
             f"injected crash before slab write #{self.writes} ({rel!r})")
-
-
-# ----------------------------------------------------------------------
-# Distributed worker faults
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """One scheduled worker failure for the distributed driver.
-
-    ``kind="timeout"`` is transient: it fires once and the retry
-    succeeds.  ``kind="crash"`` is permanent: the rank keeps failing
-    from ``iteration`` on, so after the retry budget is exhausted the
-    driver drops it and re-partitions the tensor over the survivors.
-    """
-
-    rank: int
-    #: Outer iteration (1-based) from which the fault is active.
-    iteration: int
-    #: Mode during which to fire; ``None`` matches any mode.
-    mode: int | None = None
-    kind: str = "crash"
-
-    def __post_init__(self) -> None:
-        require(self.kind in ("crash", "timeout"),
-                f"unknown worker fault kind {self.kind!r}")
-        require(self.rank >= 0, "rank must be non-negative")
-        require(self.iteration >= 1, "fault iteration is 1-based")
-
-
-@dataclass
-class WorkerFaultPlan:
-    """Schedule of :class:`WorkerFault` consulted by the distributed driver.
-
-    Ranks are identified by their *original* index at launch; the driver
-    keeps the mapping stable across re-partitions.
-    """
-
-    faults: list[WorkerFault] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._spent: set[int] = set()
-        #: Failures actually raised, in order.
-        self.fired: list[WorkerFault] = []
-
-    def maybe_fail(self, rank: int, iteration: int, mode: int) -> None:
-        """Raise :class:`WorkerFailure` if a fault is scheduled here."""
-        for i, f in enumerate(self.faults):
-            if f.rank != rank or i in self._spent:
-                continue
-            if f.mode is not None and f.mode != mode:
-                continue
-            if f.kind == "timeout":
-                if iteration != f.iteration:
-                    continue
-                self._spent.add(i)  # transient: the retry succeeds
-            elif iteration < f.iteration:
-                continue
-            self.fired.append(f)
-            raise WorkerFailure(rank=rank, kind=f.kind,
-                                detail=f"scheduled at iteration "
-                                       f"{f.iteration}")

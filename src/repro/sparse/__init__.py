@@ -15,18 +15,8 @@ from .analysis import (
     should_sparsify,
     choose_representation,
 )
-from .autotune import (
-    FactorProfile,
-    RepresentationCosts,
-    autotune_representation,
-    price_representations,
-)
 
 __all__ = [
-    "FactorProfile",
-    "RepresentationCosts",
-    "autotune_representation",
-    "price_representations",
     "CSRMatrix",
     "HybridFactor",
     "density",

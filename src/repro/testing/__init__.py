@@ -9,7 +9,7 @@ Three layers, each usable on its own:
 * :mod:`repro.testing.strategies` — seeded adversarial input generators
   whose every output is replayable from a compact spec string;
 * :mod:`repro.testing.differential` — the sweep runner that executes one
-  logical computation across every backend × threads × slab × rank-count
+  logical computation across every backend × threads × slab × byte-budget
   combination and reports disagreements with seed-replay commands.
 
 ``python -m repro.testing.differential`` is the fuzz/replay CLI; the

@@ -2,12 +2,12 @@
 
 The paper's equivalence claims (Section III-B: blocked ADMM reaches the
 same subproblem optimum as unblocked; Section IV: every MTTKRP path —
-COO, CSF, tiled/threaded CSF, sparse-factor CSR/CSR-H, distributed —
+COO, CSF, tiled/threaded CSF, streamed CSF, sparse-factor CSR/CSR-H —
 computes the same ``K``) are enforced here as machine-checked sweeps
 instead of piecemeal hand-written assertions:
 
 * :func:`run_mttkrp_sweep` executes one logical MTTKRP across the whole
-  backend × threads × slab-target × rank-count grid on strategy-generated
+  backend × threads × slab-target × byte-budget grid on strategy-generated
   adversarial tensors, asserting **bit-identical** results inside each
   family that promises it (the CSF kernels are bit-identical for any
   slab/thread decomposition) and oracle-tolerance agreement across
@@ -50,7 +50,6 @@ from ..admm.state import AdmmState
 from ..constraints.registry import make_constraint
 from ..core.aoadmm import fit_aoadmm
 from ..core.options import AOADMMOptions
-from ..distributed.partition import partition_tensor
 from ..kernels.dispatch import MTTKRPEngine, mttkrp
 from ..kernels.mttkrp_coo import mttkrp_coo
 from ..kernels.native import NativeUnavailable, load_kernels
@@ -276,22 +275,6 @@ def _auto_backend(tensor: COOTensor) -> Callable:
     return kernel
 
 
-def _distributed_backend(tensor: COOTensor, ranks: int) -> Callable:
-    partition = partition_tensor(tensor, ranks)
-
-    def kernel(factors: list, mode: int) -> np.ndarray:
-        # The distributed driver's invariant: shard-local MTTKRPs sum to
-        # the global K (the allreduce).  Sum in rank order, exactly as
-        # SimComm.allreduce does.
-        out = np.zeros((tensor.shape[mode], np.asarray(factors[0]).shape[1]))
-        for shard in partition.shards:
-            if shard.nnz:
-                out += mttkrp_coo(shard, factors, mode)
-        return out
-
-    return kernel
-
-
 def _isa_backend(tensor: COOTensor, kernel,
                  leaf: Callable | None = None) -> Callable:
     """One ISA variant of the compiled root kernel on whole trees.
@@ -328,7 +311,6 @@ def _native_kernels() -> dict:
 
 def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
                          slab_targets: Sequence[int] = (32, 100_000),
-                         distributed_ranks: Sequence[int] = (3,),
                          sparse_factors: bool = True,
                          executors: Sequence[str] = (),
                          ooc_budgets: Sequence[int | None] = (None, 4096),
@@ -415,10 +397,6 @@ def mttkrp_backend_specs(threads: Sequence[int] = (1, 2, 4),
         specs.append(BackendSpec(
             f"sharded[b={b}]", "csf",
             lambda tensor, b=b: _sharded_backend(tensor, b)))
-    for r in distributed_ranks:
-        specs.append(BackendSpec(
-            f"distributed[ranks={r}]", "distributed",
-            lambda tensor, r=r: _distributed_backend(tensor, r)))
     return specs
 
 

@@ -154,18 +154,15 @@ class TestMTTKRPSweep:
 
         coo, untiled csf, tiled csf over threads {1,2,4} × 2 slab
         targets (bit-identical family), the out-of-core sharded stream
-        at two byte budgets (same bitwise family), sparse-factor csr
-        and csr-h, and the distributed shard-sum — all against the
-        dense oracle.
+        at two byte budgets (same bitwise family), and sparse-factor
+        csr and csr-h — all against the dense oracle.
         """
         cases = tensor_cases(21, seed=TIER1_SEED)
         backends = mttkrp_backend_specs(threads=(1, 2, 4),
-                                        slab_targets=(32, 100_000),
-                                        distributed_ranks=(3,))
+                                        slab_targets=(32, 100_000))
         names = {b.name for b in backends}
         assert {"coo", "csf", "sparse-csr", "sparse-csr-h",
-                "sharded[b=None]", "sharded[b=4096]",
-                "distributed[ranks=3]"} <= names
+                "sharded[b=None]", "sharded[b=4096]"} <= names
         assert sum(n.startswith("csf-tiled") for n in names) == 6
         report = run_mttkrp_sweep(cases, rank=4, backends=backends)
         report.raise_for_failures()

@@ -1,16 +1,8 @@
-"""Tests for the future-work extensions: the analytical block-size model
-and the cost-model-driven representation autotuner."""
+"""Tests for the future-work extension: the analytical block-size model."""
 
-import numpy as np
 import pytest
 
-from repro.admm import BlockSizeModel, recommend_block_size
-from repro.machine import MachineSpec, PAPER_MACHINE
-from repro.sparse import (
-    FactorProfile,
-    autotune_representation,
-    price_representations,
-)
+from repro.admm import recommend_block_size
 
 
 class TestBlockSizeModel:
@@ -54,54 +46,3 @@ class TestBlockSizeModel:
         with pytest.raises(ValueError):
             recommend_block_size(100, 50, conv_waste=0.0)
 
-
-class TestFactorProfile:
-    def test_from_matrix(self, rng):
-        mat = np.zeros((100, 10))
-        mat[:, 0] = 1.0
-        mat[:5, 1:] = 0.5
-        p = FactorProfile.from_matrix(mat)
-        assert p.rows == 100 and p.rank == 10
-        assert 0 < p.density < 1
-        assert p.dense_col_frac == pytest.approx(0.1)
-        assert p.dense_col_share > 0.5
-
-    def test_empty_matrix(self):
-        p = FactorProfile.from_matrix(np.zeros((5, 3)))
-        assert p.density == 0.0
-
-
-class TestAutotune:
-    def test_dense_factor_stays_dense(self, rng):
-        mat = rng.uniform(size=(100_000, 50))
-        assert autotune_representation(mat, 1e8) == "dense"
-
-    def test_sparse_factor_leaves_dense(self, rng):
-        mat = (rng.uniform(size=(500_000, 50)) < 0.02) * 1.0
-        assert autotune_representation(mat, 1e8) != "dense"
-
-    def test_concentrated_columns_prefer_hybrid(self, rng):
-        mat = np.zeros((500_000, 50))
-        mat[:, :2] = rng.uniform(size=(500_000, 2))        # 2 dense cols
-        mat[:500, 2:] = rng.uniform(size=(500, 48))        # thin tail
-        assert autotune_representation(mat, 9.5e7) == "csr-h"
-
-    def test_flat_columns_prefer_csr(self, rng):
-        mat = (rng.uniform(size=(2_000_000, 50)) < 0.03) * 1.0
-        assert autotune_representation(mat, 1.7e9) == "csr"
-
-    def test_price_fields_consistent(self, rng):
-        profile = FactorProfile(rows=10**6, rank=50, density=0.05,
-                                dense_col_frac=0.1, dense_col_share=0.6)
-        costs = price_representations(profile, 1e8)
-        assert costs.best in costs.as_dict() or costs.best == "csr-h"
-        assert min(costs.as_dict().values()) == costs.as_dict()[
-            "csr-h" if costs.best == "csr-h" else costs.best]
-        assert costs.build_seconds > 0
-
-    def test_few_accesses_never_justify_compression(self):
-        """If the factor is barely read, the build cost dominates."""
-        profile = FactorProfile(rows=10**6, rank=50, density=0.05,
-                                dense_col_frac=0.1, dense_col_share=0.6)
-        costs = price_representations(profile, accesses=10.0)
-        assert costs.best == "dense"

@@ -1,4 +1,4 @@
-"""Fault injection, numerical guards, checkpoint/resume, and failover.
+"""Fault injection, numerical guards, checkpoint/resume, and preemption.
 
 Every fault class the harness can inject is proven to be detected and
 handled per the configured policy — no injected NaN ever reaches a
@@ -19,8 +19,6 @@ import pytest
 
 import repro.core.serialize as serialize
 from repro import AOADMMOptions, fit_aoadmm
-from repro.distributed.comm import WorkerFailure
-from repro.distributed.daoadmm import fit_aoadmm_distributed
 from repro.robustness import (
     Checkpoint,
     CheckpointStore,
@@ -30,8 +28,6 @@ from repro.robustness import (
     GuardEvent,
     HealthMonitor,
     NumericalFaultError,
-    WorkerFault,
-    WorkerFaultPlan,
     load_checkpoint,
     preempt_on_signals,
     resolve_resume,
@@ -704,69 +700,6 @@ class TestPreemption:
         thread.join()
         assert len(errors) == 1
         assert signal.getsignal(signal.SIGTERM) is previous
-
-
-# ----------------------------------------------------------------------
-# Distributed worker failures
-# ----------------------------------------------------------------------
-
-class TestDistributedFailover:
-    def test_timeout_is_retried_bit_identically(self, tensor):
-        options = make_options(max_outer_iterations=6)
-        healthy = fit_aoadmm_distributed(tensor, options, ranks=4)
-        plan = WorkerFaultPlan([
-            WorkerFault(rank=2, iteration=3, kind="timeout")])
-        retried = fit_aoadmm_distributed(tensor, options, ranks=4,
-                                         fault_plan=plan)
-        assert [e.action for e in retried.failover_events] == ["retry"]
-        assert retried.failover_events[0].kind == "timeout"
-        np.testing.assert_array_equal(healthy.trace.errors(),
-                                      retried.trace.errors())
-        for a, b in zip(healthy.model.factors, retried.model.factors):
-            np.testing.assert_array_equal(a, b)
-        assert len(retried.partition.shards) == 4  # nobody was dropped
-
-    def test_crash_triggers_repartition(self, tensor):
-        options = make_options(max_outer_iterations=6)
-        healthy = fit_aoadmm_distributed(tensor, options, ranks=4)
-        plan = WorkerFaultPlan([
-            WorkerFault(rank=2, iteration=3, kind="crash")])
-        failed = fit_aoadmm_distributed(tensor, options, ranks=4,
-                                        fault_plan=plan, max_retries=1)
-        assert [e.action for e in failed.failover_events] == \
-            ["retry", "repartition"]
-        assert len(failed.partition.shards) == 3
-        # Re-partitioning changes the allreduce summation order, so the
-        # comparison is to machine precision rather than bitwise.
-        np.testing.assert_allclose(healthy.trace.errors(),
-                                   failed.trace.errors(), rtol=1e-12)
-        for a, b in zip(healthy.model.factors, failed.model.factors):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-
-    def test_crashed_rank_stops_accumulating_time(self, tensor):
-        plan = WorkerFaultPlan([
-            WorkerFault(rank=3, iteration=2, kind="crash")])
-        failed = fit_aoadmm_distributed(
-            tensor, make_options(max_outer_iterations=5), ranks=4,
-            fault_plan=plan, max_retries=0)
-        assert len(failed.rank_compute_seconds) == 4
-        survivors = fit_aoadmm_distributed(
-            tensor, make_options(max_outer_iterations=5), ranks=3)
-        np.testing.assert_allclose(failed.trace.errors(),
-                                   survivors.trace.errors(), rtol=1e-12)
-
-    def test_last_survivor_failure_propagates(self, tensor):
-        plan = WorkerFaultPlan([
-            WorkerFault(rank=0, iteration=2, kind="crash")])
-        with pytest.raises(WorkerFailure):
-            fit_aoadmm_distributed(
-                tensor, make_options(max_outer_iterations=5), ranks=1,
-                fault_plan=plan, max_retries=0)
-
-    def test_healthy_run_reports_no_failover(self, tensor):
-        result = fit_aoadmm_distributed(
-            tensor, make_options(max_outer_iterations=3), ranks=4)
-        assert result.failover_events == ()
 
 
 # ----------------------------------------------------------------------
