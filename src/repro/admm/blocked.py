@@ -13,15 +13,21 @@ and low-signal blocks stop early instead of being dragged along
 
 For the proxes the workloads use (``nonneg`` and ``nonneg_l1``;
 see :meth:`~repro.constraints.base.Constraint.native_prox`) one
-compiled call runs every block in turn to its own convergence with its
-rows resident in cache (:meth:`repro.kernels.row_solve.RowSolver.
-admm_blocks`), which is the paper's temporal-locality argument.  Every
-other constraint, and every constraint when no compiler is present,
-runs :func:`numpy_block_loop`: the blocks are solved together as one
-*active set*.  Each inner step runs the line-6 solve, the prox and the
-dual update once over the stacked rows of every block still running,
-and takes the per-block residuals from one batched row reduction.
-Blocks that converge or reach the iteration cap leave the stack.
+compiled call runs a chunk of consecutive blocks, each in turn to its
+own convergence with its rows resident in cache (:meth:`repro.kernels.
+row_solve.RowSolver.admm_blocks`), which is the paper's
+temporal-locality argument.  The blocks are cut into
+:data:`CHUNKS_PER_WORKER` chunks per worker, which go through the
+executor's ``parallel_for``: ``ctypes`` releases the GIL for each call,
+so the chunks overlap, and a worker that finishes pulls the next chunk
+(the paper's dynamic schedule over blocks).  Every other constraint,
+and every constraint when no compiler is present, runs
+:func:`numpy_block_loop` on the calling thread: the blocks are solved
+together as one *active set*.  Each inner step runs the line-6 solve,
+the prox and the dual update once over the stacked rows of every block
+still running, and takes the per-block residuals from one batched row
+reduction.  Blocks that converge or reach the iteration cap leave the
+stack.
 
 Each row sees exactly the operations the one-block-at-a-time loop
 applies to it: the line-6 solve
@@ -29,9 +35,11 @@ applies to it: the line-6 solve
 every row in one fixed order whatever rows share the call, the prox is
 row separable, and the block sums keep the summation order of
 :mod:`repro.admm.residuals`.  The compiled loop replays the same
-operations in the same order.  Factors, duals and the report are
-bitwise identical to :func:`repro.testing.oracles.
-per_block_admm_reference` on both paths.
+operations in the same order, and no block reads another, so neither
+the cut into chunks nor the thread that runs each one changes a bit.
+Factors, duals and the report are bitwise identical to
+:func:`repro.testing.oracles.per_block_admm_reference` on both paths,
+for every executor and thread count.
 
 The Cholesky factor of ``G + rho I`` and its inverse are mode-global
 (every block shares G and hence rho), computed once and reused by all
@@ -50,12 +58,22 @@ from ..constraints.base import Constraint
 from ..kernels import row_solve
 from ..linalg.cholesky import CholeskyFactor
 from ..observability import span
+from ..parallel.executor import ExecutorBase, resolve_executor
 from ..parallel.partition import row_blocks
+from ..parallel.threadpool import effective_threads
 from ..types import VALUE_DTYPE
 from ..validation import require
 from .residuals import block_relative_residual
 from .rho import RhoPolicy, TraceRho
 from .state import AdmmState
+
+#: Chunks of consecutive row blocks per worker that the compiled loop's
+#: blocks are cut into.  Workers pull chunks as they finish, so a chunk
+#: whose blocks hit the iteration cap does not leave the other workers
+#: idle; each chunk costs one pool hand-off, which is why there are not
+#: more (on two cores, 2 per worker beat 4 and 8 on NELL, Patents and
+#: Amazon fits).
+CHUNKS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,9 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
                         rho_policy: RhoPolicy | None = None,
                         tolerance: float = ADMM_TOLERANCE,
                         max_iterations: int = MAX_ADMM_ITERATIONS,
-                        block_size: int = DEFAULT_BLOCK_SIZE
+                        block_size: int = DEFAULT_BLOCK_SIZE,
+                        executor: "str | ExecutorBase | None" = None,
+                        threads: int | None = None
                         ) -> BlockedAdmmReport:
     """Run blockwise ADMM, updating *state* in place.
 
@@ -98,6 +118,12 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     block_size:
         Rows per block; the paper's default is 50.  ``block_size >= rows``
         degenerates to the unblocked algorithm (one block).
+    executor, threads:
+        Where the compiled loop's chunks of blocks go
+        (:func:`~repro.parallel.executor.resolve_executor`;
+        ``fit_aoadmm`` passes its engine's) and on how many workers
+        (:func:`~repro.parallel.threadpool.effective_threads`).  Neither
+        changes a bit of the result.
     """
     require(constraint.row_separable,
             f"constraint {constraint.name!r} is not row separable; "
@@ -111,10 +137,14 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
     chol = CholeskyFactor(gram + rho * np.eye(rank))
     blocks = row_blocks(state.rows, block_size)
     fused = native_loop(state, constraint, rho)
+    executor = resolve_executor(executor)
+    chunks = [] if fused is None else block_chunks(blocks, threads)
 
     with span("admm.solve", rows=state.rows, blocks=len(blocks),
               solve=chol.rows_backend,
-              loop="numpy" if fused is None else "native"):
+              loop="numpy" if fused is None else "native",
+              chunks=max(len(chunks), 1),
+              workers=executor.workers(len(chunks), threads)):
         if fused is None:
             iterations, converged, _ = numpy_block_loop(
                 state.primal, state.dual, mttkrp,
@@ -122,17 +152,36 @@ def blocked_admm_update(state: AdmmState, mttkrp: np.ndarray,
                 tolerance, max_iterations, block_size)
         else:
             solver, prox = fused
-            iterations, converged, _ = solver.admm_blocks(
-                state.primal, state.dual,
-                np.ascontiguousarray(mttkrp, dtype=VALUE_DTYPE),
-                chol.inverse(), rho, prox, tolerance, max_iterations,
-                block_size)
+            kmat = np.ascontiguousarray(mttkrp, dtype=VALUE_DTYPE)
+            inverse = chol.inverse()
+
+            def run(chunk: slice) -> tuple[np.ndarray, ...]:
+                return solver.admm_blocks(
+                    state.primal[chunk], state.dual[chunk], kmat[chunk],
+                    inverse, rho, prox, tolerance, max_iterations,
+                    block_size)
+
+            parts = executor.parallel_for(run, chunks, threads=threads)
+            iterations = np.concatenate([p[0] for p in parts])
+            converged = np.concatenate([p[1] for p in parts])
 
     return BlockedAdmmReport(block_iterations=tuple(iterations.tolist()),
                              block_rows=tuple(b.stop - b.start
                                               for b in blocks),
                              rho=rho, converged=bool(converged.all()),
                              jitter_added=chol.jitter_added)
+
+
+def block_chunks(blocks: list[slice], threads: int | None
+                 ) -> list[slice]:
+    """Row ranges of :data:`CHUNKS_PER_WORKER` chunks per worker of
+    consecutive *blocks*, or one chunk per block when there are fewer;
+    chunk lengths differ by at most one block."""
+    n = len(blocks)
+    count = min(n, CHUNKS_PER_WORKER * effective_threads(threads))
+    cuts = [i * n // count for i in range(count + 1)]
+    return [slice(blocks[lo].start, blocks[hi - 1].stop)
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def native_loop(state: AdmmState, constraint: Constraint, rho: float

@@ -6,7 +6,9 @@ One outer iteration cycles over the modes; for each mode it
 2. computes the MTTKRP ``K`` through the engine (CSF kernels, honoring the
    deep factor's dynamic sparse representation — Section IV-C),
 3. runs the inner ADMM — full-matrix (baseline) or blockwise
-   (Section IV-B) — warm-started from the previous outer iteration, and
+   (Section IV-B, its row blocks fanned out over the engine's executor
+   on ``options.threads`` workers) — warm-started from the previous
+   outer iteration, and
 4. refreshes the mode's Gram and its factor representation.
 
 The relative error is evaluated from the *last* mode's MTTKRP via the norm
@@ -309,7 +311,9 @@ def fit_aoadmm(tensor: TensorSource,
                                     tolerance=options.inner_tolerance,
                                     max_iterations=(
                                         options.max_inner_iterations),
-                                    block_size=options.block_size)
+                                    block_size=options.block_size,
+                                    executor=engine.executor,
+                                    threads=options.threads)
                             else:
                                 report = admm_update(
                                     states[mode], kmat, gram,

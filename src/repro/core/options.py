@@ -51,16 +51,21 @@ class AOADMMOptions:
         Magnitude at or below which a factor entry counts as zero for
         sparsity analysis and compression.
     threads:
-        Thread count for the real pool used by the slab-tiled MTTKRP
-        kernels (results are bit-identical for any value; scalability is
-        studied on the machine model).  Blocked ADMM ignores it: the
-        compiled block loop runs the blocks one after another in one
-        call, and the NumPy fallback advances them together as one
-        batched active set.
+        Workers the executor fans work out over: the in-core slab-tiled
+        MTTKRP kernels and the chunks of row blocks of blocked ADMM's
+        compiled loop.  ``None`` (the default) resolves the
+        ``REPRO_NUM_THREADS`` environment variable, falling back to the
+        cores this process may run on
+        (:func:`~repro.parallel.threadpool.effective_threads`).  Results
+        are bit-identical for any value; scalability beyond this host
+        is studied on the machine model.  Unblocked ADMM and the NumPy
+        blocked loop (constraints without a compiled prox, or no
+        compiler) run on the calling thread.
     executor:
         Execution backend, which fans the in-core slab-tiled MTTKRP
-        kernels out over ``threads`` workers and runs the out-of-core
-        slab prefetch: ``"serial"`` (everything inline), ``"thread"``,
+        kernels and blocked ADMM's chunks of row blocks out over
+        ``threads`` workers and runs the out-of-core slab prefetch and
+        checkpoint writes: ``"serial"`` (everything inline), ``"thread"``,
         or an :class:`~repro.parallel.executor.ExecutorBase` instance.
         ``None`` (the default) resolves the ``REPRO_EXECUTOR``
         environment variable, falling back to ``"thread"``.  Results
@@ -134,7 +139,7 @@ class AOADMMOptions:
     factor_zero_tol: float = 0.0
     init: str = "uniform"
     seed: SeedLike = None
-    threads: int | None = 1
+    threads: int | None = None
     executor: object = None
     slab_nnz_target: int | None = None
     tune: str | None = None

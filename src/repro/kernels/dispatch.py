@@ -33,7 +33,6 @@ from ..observability import (
     span,
 )
 from ..parallel.executor import ExecutorBase, resolve_executor
-from ..parallel.threadpool import effective_threads
 from ..sparse.analysis import choose_representation, density
 from ..sparse.csr import CSRMatrix
 from ..sparse.hybrid import HybridFactor
@@ -202,9 +201,9 @@ class MTTKRPCallStats:
     seconds: float = 0.0
     #: The engine's executor (``serial``/``thread``).
     executor: str = "thread"
-    #: Threads the call's kernel was allowed to use: 1 for calls that
-    #: run inline (the ``serial`` executor, one-slab and streamed
-    #: calls, and the SciPy sparse path).
+    #: Threads that ran the call's slabs, at most one per slab: 1 for
+    #: calls that run inline (the ``serial`` executor, one-slab and
+    #: streamed calls, and the SciPy sparse path).
     workers: int = 1
     #: Sweep that computed the call: ``native`` (the compiled kernel of
     #: :mod:`repro.kernels.native`) or ``numpy`` (its fallback).
@@ -507,17 +506,11 @@ class MTTKRPEngine:
             executor=self._executor.name,
             # Streamed slabs run inline; the executor only prefetches.
             workers=(1 if self.store is not None
-                     else self._workers(slab_count)),
+                     else self._executor.workers(slab_count, self.threads)),
             kernel=kernel_name)
         self.call_log.append(stats)
         record_mttkrp_call(stats, rank=rank)
         return out
-
-    def _workers(self, slab_count: int) -> int:
-        """Threads an in-core call may use: one when its slabs run inline."""
-        if self._executor.name == "serial" or slab_count <= 1:
-            return 1
-        return effective_threads(self.threads)
 
     def _counts(self, root: int) -> np.ndarray:
         """Leaf-id counts of the tree rooted at *root* (see ``_sweep``)."""

@@ -9,7 +9,8 @@ knob on :class:`~repro.kernels.dispatch.MTTKRPEngine` /
     executor must match bit-for-bit.
 ``thread``
     A :class:`ThreadPoolExecutor` reused across calls: the in-core
-    tiled MTTKRP kernels fan their slabs out over it, and its
+    tiled MTTKRP kernels fan their slabs out over it, and so does the
+    compiled blocked ADMM loop its chunks of row blocks; its
     ``submit_one`` runs the out-of-core slab prefetch on a background
     thread, since file I/O releases the GIL.
 
@@ -78,6 +79,11 @@ class ExecutorBase:
         """
         raise NotImplementedError
 
+    def workers(self, n_items: int, threads: int | None = None) -> int:
+        """Threads :meth:`parallel_for` puts to work on *n_items* items
+        (1 when they run inline)."""
+        return 1
+
     def submit_one(self, func: Callable[..., R], *args):
         """Submit a single task; returns a future-like with ``result()``.
 
@@ -137,12 +143,15 @@ class ThreadExecutor(ExecutorBase):
                     self._pools[key] = pool
         return pool
 
+    def workers(self, n_items, threads=None):
+        return 1 if n_items <= 1 else min(n_items, effective_threads(threads))
+
     def parallel_for(self, func, items, threads=None):
         items = list(items)
-        workers = effective_threads(threads)
-        if workers == 1 or len(items) <= 1:
+        if self.workers(len(items), threads) == 1:
             return [func(item) for item in items]
-        return list(self._pool(f"w{workers}", workers).map(func, items))
+        size = effective_threads(threads)
+        return list(self._pool(f"w{size}", size).map(func, items))
 
     def submit_one(self, func, *args):
         try:

@@ -15,7 +15,10 @@ every one of them, so threads serialize on dispatch and add contention
 on top (a 139-slab NumPy sweep once measured 94.7 ms on 1 thread and
 133.6 ms on 4).  Whenever the compiled kernel is available it serves
 the root mode instead, and then slab threads do overlap (see
-``docs/parallelism.md``).
+``docs/parallelism.md``), and so does the compiled ADMM block loop,
+which releases it for a whole chunk of row blocks.  The NumPy ADMM
+active set re-takes the GIL between small operations the same way, so
+it stays on one thread.
 """
 
 from __future__ import annotations
@@ -30,12 +33,20 @@ _ENV_VAR = "REPRO_NUM_THREADS"
 _WARNED_ENV_VALUES: set[str] = set()
 
 
-def effective_threads(requested: int | None = None) -> int:
-    """Resolve a thread count: argument, env var, then CPU count.
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    reports one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
-    A malformed ``REPRO_NUM_THREADS`` (non-integer, or < 1) used to be
-    silently ignored; it now emits a ``RuntimeWarning`` once per value
-    before falling through to the CPU count.
+
+def effective_threads(requested: int | None = None) -> int:
+    """Resolve a thread count: argument, env var, then the usable cores.
+
+    A malformed ``REPRO_NUM_THREADS`` (non-integer, or < 1) emits a
+    ``RuntimeWarning`` once per value before falling through to
+    :func:`usable_cores`.
     """
     if requested is not None and requested > 0:
         return int(requested)
@@ -51,6 +62,6 @@ def effective_threads(requested: int | None = None) -> int:
             _WARNED_ENV_VALUES.add(env)
             warnings.warn(
                 f"ignoring malformed {_ENV_VAR}={env!r} (expected a "
-                f"positive integer); falling back to the CPU count",
+                f"positive integer); falling back to the usable cores",
                 RuntimeWarning, stacklevel=2)
-    return os.cpu_count() or 1
+    return usable_cores()

@@ -465,6 +465,7 @@ def run_mttkrp_sweep(cases: Sequence[TensorCase], rank: int = 4,
 def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                    constraints: Sequence[str] = ADMM_SWEEP_CONSTRAINTS,
                    block_sizes: Sequence[int] = (3,),
+                   threads: Sequence[int] = (1, 2, 4),
                    inner_tolerance: float = 1e-12,
                    max_iterations: int = 3000,
                    agreement_rtol: float = 1e-3,
@@ -479,9 +480,10 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
 
     * bitwise identity of primal, dual and report with
       :func:`repro.testing.oracles.per_block_admm_reference` (the fused
-      compiled loop, or the batched NumPy active set without a compiler
-      or for other constraints, must do exactly what the
-      one-block-at-a-time loop does);
+      compiled loop, its chunks of blocks fanned out on each of *threads*
+      workers of the ``thread`` executor, or the batched NumPy active
+      set without a compiler or for other constraints, must do exactly
+      what the one-block-at-a-time loop does);
     * tolerance-bounded agreement between the blocked and unblocked
       primal solutions (unique optimum of the convex subproblem).  The
       documented tolerance follows from the stopping rule: each solve
@@ -537,27 +539,32 @@ def run_admm_sweep(cases: Sequence[TensorCase], rank: int = 4,
                 reference, kmat, gram, constraint,
                 tolerance=inner_tolerance, max_iterations=max_iterations,
                 block_size=block_size)
-            state = AdmmState.from_factor(init)
-            blk_report = blocked_admm_update(
-                state, kmat, gram, constraint,
-                tolerance=inner_tolerance,
-                max_iterations=max_iterations,
-                block_size=block_size)
+            for t in threads:
+                state = AdmmState.from_factor(init)
+                blk_report = blocked_admm_update(
+                    state, kmat, gram, constraint,
+                    tolerance=inner_tolerance,
+                    max_iterations=max_iterations,
+                    block_size=block_size, executor="thread", threads=t)
+                report.comparisons += 1
+                if (state.primal.tobytes() != reference.primal.tobytes()
+                        or state.dual.tobytes() != reference.dual.tobytes()
+                        or blk_report != ref_report):
+                    diff = _diff(state.primal, reference.primal)
+                    report.disagreements.append(Disagreement(
+                        kind="bitwise", case=case.spec,
+                        backend=f"blocked[{name},b={block_size},t={t}]",
+                        reference=f"per-block[{name},b={block_size}]",
+                        mode=0,
+                        detail="blocked ADMM must be bit-identical to the "
+                               "per-block reference loop, report included; "
+                               f"max |diff| = {diff:.3e}",
+                        max_abs_diff=diff,
+                        replay=replay_command(case.spec, 0)))
+            # Every blocked state above must equal the reference bitwise,
+            # so the cross-formulation and KKT checks run on it once.
+            state, blk_report = reference, ref_report
             label = f"blocked[{name},b={block_size}]"
-            report.comparisons += 1
-            if (state.primal.tobytes() != reference.primal.tobytes()
-                    or state.dual.tobytes() != reference.dual.tobytes()
-                    or blk_report != ref_report):
-                report.disagreements.append(Disagreement(
-                    kind="bitwise", case=case.spec, backend=label,
-                    reference=f"per-block[{name},b={block_size}]",
-                    mode=0,
-                    detail="blocked ADMM must be bit-identical to the "
-                           "per-block reference loop, report included; "
-                           "max |diff| = "
-                           f"{_diff(state.primal, reference.primal):.3e}",
-                    max_abs_diff=_diff(state.primal, reference.primal),
-                    replay=replay_command(case.spec, 0)))
             if blk_report.converged and base_report.converged:
                 report.comparisons += 1
                 if not _agrees(state.primal, base_state.primal,
@@ -832,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of strategy-generated tensors")
     parser.add_argument("--rank", type=int, default=4)
     parser.add_argument("--threads", type=_parse_int_list, default=(1, 2, 4),
-                        help="comma-separated thread counts for tiled CSF")
+                        help="comma-separated thread counts for tiled CSF "
+                             "and blocked ADMM")
     parser.add_argument("--slabs", type=_parse_int_list,
                         default=(32, 100_000),
                         help="comma-separated slab nnz targets")
@@ -879,12 +887,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = run_mttkrp_sweep([case], rank=args.rank,
                                   backends=backends, modes=modes)
         if not args.no_admm:
-            report.merge(run_admm_sweep([case], rank=args.rank))
+            report.merge(run_admm_sweep([case], rank=args.rank,
+                                        threads=args.threads))
     else:
         cases = tensor_cases(args.cases, args.seed)
         report = run_mttkrp_sweep(cases, rank=args.rank, backends=backends)
         if not args.no_admm:
-            report.merge(run_admm_sweep(cases, rank=args.rank))
+            report.merge(run_admm_sweep(cases, rank=args.rank,
+                                        threads=args.threads))
         report.merge(run_prox_sweep(args.seed))
         if args.storage_faults:
             # Whole fits per fault kind are expensive — a handful of

@@ -19,7 +19,8 @@ import pytest
 import repro
 from repro.admm import (AdmmState, TraceRho, admm_update,
                         blocked_admm_update)
-from repro.admm.blocked import numpy_block_loop
+from repro.admm.blocked import (CHUNKS_PER_WORKER, block_chunks,
+                                 numpy_block_loop)
 from repro.admm import residuals
 from repro.admm.residuals import block_sqnorms, relative_residuals
 from repro.constraints.l1 import NonNegativeL1
@@ -28,6 +29,7 @@ from repro.datasets import load_dataset
 from repro.kernels import native, row_solve
 from repro.kernels.row_solve import PROX_KINDS, numpy_row_solve
 from repro.linalg import CholeskyFactor
+from repro.parallel.partition import row_blocks
 from repro.testing.oracles import per_block_admm_reference
 
 RANKS = tuple(range(1, 10)) + (15, 16, 17, 31, 32, 33, 50, 64)
@@ -306,6 +308,90 @@ class TestBlockedMatchesPerBlockReference:
             assert batched.primal.tobytes() == reference.primal.tobytes()
             assert batched.dual.tobytes() == reference.dual.tobytes()
             assert got == want
+
+
+class TestChunksOfBlocksOverThreads:
+    """The compiled loop's chunks of blocks fan out over the executor; the
+    state and the report are the per-block reference's, byte for byte,
+    for every thread count and executor."""
+
+    @pytest.mark.parametrize("rows, block_size, threads", [
+        (137, 50, 4), (137, 1, 2), (137, 10**9, 4), (1000, 7, 2),
+        (120, 50, 4), (400, 1, 1)])
+    def test_chunks_fall_on_block_boundaries(self, rows, block_size,
+                                           threads):
+        blocks = row_blocks(rows, block_size)
+        chunks = block_chunks(blocks, threads)
+        assert len(chunks) == min(len(blocks), CHUNKS_PER_WORKER * threads)
+        assert chunks[0].start == 0 and chunks[-1].stop == rows
+        starts = {b.start for b in blocks}
+        for a, b in zip(chunks, chunks[1:]):
+            assert a.stop == b.start and b.start in starts
+        sizes = [sum(c.start <= b.start < c.stop for b in blocks)
+                 for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("name", PROX_KINDS)
+    @pytest.mark.parametrize("block_size", [1, 50, 10**9])
+    def test_every_thread_count_and_executor(self, name, block_size):
+        # 137 rows: not a multiple of 50; at 50-row blocks 4 threads
+        # ask for more chunks than the 3 blocks there are, and one block
+        # of every row runs as one call whatever the thread count.
+        rng = np.random.default_rng(120)
+        mttkrp, gram, start = problem(rng, 137, 16)
+        kwargs = dict(tolerance=1e-7, max_iterations=40,
+                      block_size=block_size)
+        want = start.copy()
+        want_report = per_block_admm_reference(
+            want, mttkrp, gram, constraint_of(name), **kwargs)
+        for executor in ("serial", "thread"):
+            for threads in (1, 2, 4):
+                state = start.copy()
+                report = blocked_admm_update(
+                    state, mttkrp, gram, constraint_of(name),
+                    executor=executor, threads=threads, **kwargs)
+                assert report == want_report, (executor, threads)
+                assert state.primal.tobytes() == want.primal.tobytes()
+                assert state.dual.tobytes() == want.dual.tobytes()
+
+    def test_whole_fit_with_capped_blocks(self):
+        # NELL's blocks stop at very different iterations, many at the
+        # cap: the skewed case the chunks per worker are there for.
+        tensor = load_dataset("nell", "tiny", seed=1)[0]
+        kwargs = dict(rank=16, max_outer_iterations=2, seed=7,
+                      track_block_reports=True)
+        runs = [repro.fit(tensor, executor=executor, threads=threads,
+                          **kwargs)
+                for executor, threads in (("serial", 1), ("thread", 2),
+                                          ("thread", 4))]
+        for other in runs[1:]:
+            for got, want in zip(other.model.factors, runs[0].model.factors):
+                assert got.tobytes() == want.tobytes()
+            assert [r.block_reports for r in other.trace.records] \
+                == [r.block_reports for r in runs[0].trace.records]
+
+    @pytest.mark.parametrize("executor, threads", [
+        ("serial", 2), ("thread", 1), ("thread", 2)])
+    def test_chunks_and_workers_on_spans(self, executor, threads):
+        # Reddit tiny's modes have 620, 60 and 1020 rows: 13, 2 and 21
+        # blocks of 50.
+        tensor = load_dataset("reddit", "tiny", seed=3)[0]
+        result = repro.fit(tensor, rank=4, max_outer_iterations=1, seed=5,
+                           executor=executor, threads=threads,
+                           observe=True)
+        spans = [dict(tag.split("=") for tag in k[k.index("{") + 1:-1]
+                      .split(","))
+                 for k in result.metrics["histograms"]
+                 if k.startswith("span_seconds") and "admm.solve" in k]
+        assert len(spans) == 3
+        native = row_solve.row_solver() is not None
+        for tags in spans:
+            blocks = int(tags["blocks"])
+            chunks = min(blocks, CHUNKS_PER_WORKER * threads) \
+                if native else 1
+            assert int(tags["chunks"]) == chunks
+            assert int(tags["workers"]) == (
+                threads if executor == "thread" and chunks > 1 else 1)
 
 
 #: The perfbench configurations (``perfbench/workloads.py``), at ``tiny``

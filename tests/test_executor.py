@@ -35,7 +35,11 @@ from repro.parallel.executor import (
     get_executor,
     resolve_executor,
 )
-from repro.parallel.threadpool import _WARNED_ENV_VALUES, effective_threads
+from repro.parallel.threadpool import (
+    _WARNED_ENV_VALUES,
+    effective_threads,
+    usable_cores,
+)
 
 EXECUTORS = ("serial", "thread")
 
@@ -145,6 +149,15 @@ class TestExecutorBitIdentity:
             workers = 1
         assert (stats.slab_count > 1) == (workers > 1)
         assert stats.workers == workers
+        engine.close()
+
+    def test_workers_never_exceed_slabs(self, small_tensor):
+        # Two slabs at four threads: two workers ran them, not four.
+        engine = MTTKRPEngine(small_tensor, threads=4, slab_nnz_target=100,
+                              executor="thread")
+        engine.mttkrp(_factors(small_tensor.shape), 0)
+        stats = engine.call_log[-1]
+        assert (stats.slab_count, stats.workers) == (2, 2)
         engine.close()
 
     @pytest.mark.parametrize("executor", ["thread"])
@@ -330,7 +343,7 @@ class TestEffectiveThreadsWarning:
             warnings.simplefilter("always")
             first = effective_threads(None)
             effective_threads(None)
-        assert first == (os.cpu_count() or 1)
+        assert first == usable_cores()
         runtime = [w for w in caught
                    if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
@@ -351,3 +364,26 @@ class TestEffectiveThreadsWarning:
             assert effective_threads(None) == 3
         assert not caught
         assert effective_threads(5) == 5
+
+
+class TestUsableCores:
+    """Without a request or ``REPRO_NUM_THREADS``, the thread count is
+    the cores this process may run on, not the host's."""
+
+    def test_affinity_mask_bounds_the_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cores() == 2
+        assert effective_threads(None) == 2
+        assert effective_threads(3) == 3
+        assert AOADMMOptions().threads is None
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert effective_threads(None) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert effective_threads(None) == 1

@@ -1,6 +1,5 @@
 """Scheduler, partitioner, and thread-pool tests."""
 
-import os
 import time
 
 import numpy as np
@@ -17,6 +16,7 @@ from repro.parallel import (
     row_blocks,
     run_schedule,
 )
+from repro.parallel.threadpool import usable_cores
 
 
 def parallel_for(func, items, threads=None):
@@ -171,16 +171,16 @@ class TestThreadPool:
 
     def test_invalid_int_env_falls_back_to_cpu(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "not-a-number")
-        assert effective_threads() == (os.cpu_count() or 1)
+        assert effective_threads() == usable_cores()
 
     def test_nonpositive_env_values_ignored(self, monkeypatch):
         for bad in ("0", "-4"):
             monkeypatch.setenv("REPRO_NUM_THREADS", bad)
-            assert effective_threads() == (os.cpu_count() or 1)
+            assert effective_threads() == usable_cores()
 
     def test_empty_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "")
-        assert effective_threads() == (os.cpu_count() or 1)
+        assert effective_threads() == usable_cores()
 
     def test_nonpositive_request_falls_through(self, monkeypatch):
         # requested <= 0 is treated as "unset" and defers to the env var.
