@@ -15,13 +15,13 @@ import time
 
 import numpy as np
 
-from ..core.aoadmm import FactorizationResult
+from ..core.aoadmm import FactorizationResult, make_fit_engine
 from ..core.convergence import ConvergenceCriterion
 from ..core.cpd import CPModel
 from ..core.init import init_factors
 from ..core.options import AOADMMOptions
 from ..core.trace import FactorizationTrace, OuterIterationRecord
-from ..kernels.dispatch import MTTKRPEngine, make_engine
+from ..kernels.dispatch import MTTKRPEngine
 from ..linalg.grams import GramCache
 from ..observability import StageClock, record_iteration, span
 from ..tensor.coo import COOTensor
@@ -52,7 +52,7 @@ def fit_pgd(tensor: COOTensor,
         factors = [np.maximum(np.array(f, dtype=float, copy=True), 0.0)
                    for f in initial_factors]
     if engine is None:
-        engine = make_engine(tensor, rank=options.rank, tune=options.tune)
+        engine = make_fit_engine(tensor, options)
 
     gram_cache = GramCache(factors)
     norm_x_sq = tensor.norm_squared()

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from ..kernels.dispatch import MTTKRPEngine, make_engine
+from ..kernels.dispatch import MTTKRPEngine
 from ..linalg.cholesky import CholeskyFactor
 from ..linalg.grams import GramCache
 from ..observability import StageClock, record_iteration, span
@@ -23,7 +23,7 @@ from .cpd import CPModel
 from .init import init_factors
 from .options import AOADMMOptions
 from .trace import FactorizationTrace, OuterIterationRecord
-from .aoadmm import FactorizationResult
+from .aoadmm import FactorizationResult, make_fit_engine
 
 
 def fit_als(tensor: COOTensor,
@@ -47,7 +47,7 @@ def fit_als(tensor: COOTensor,
         factors = [np.array(f, dtype=float, copy=True)
                    for f in initial_factors]
     if engine is None:
-        engine = make_engine(tensor, rank=options.rank, tune=options.tune)
+        engine = make_fit_engine(tensor, options)
 
     gram_cache = GramCache(factors)
     norm_x_sq = tensor.norm_squared()

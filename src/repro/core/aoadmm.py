@@ -97,6 +97,21 @@ class FactorizationResult:
         return self.trace.final_error()
 
 
+def make_fit_engine(tensor: TensorSource,
+                    options: AOADMMOptions) -> MTTKRPEngine:
+    """The MTTKRP engine *options* ask for: the one mapping of fit
+    options to :func:`~repro.kernels.dispatch.make_engine` that every
+    fit method (AO-ADMM, ALS, MU, PGD) builds its engine through."""
+    return make_engine(tensor, repr_policy=options.repr_policy,
+                       sparsity_threshold=options.sparsity_threshold,
+                       tol=options.factor_zero_tol,
+                       threads=options.threads,
+                       slab_nnz_target=options.slab_nnz_target,
+                       executor=options.executor,
+                       max_bytes_in_core=options.max_bytes_in_core,
+                       rank=options.rank, tune=options.tune)
+
+
 def fit_aoadmm(tensor: TensorSource,
                options: AOADMMOptions | None = None,
                initial_factors: list[np.ndarray] | None = None,
@@ -182,14 +197,7 @@ def fit_aoadmm(tensor: TensorSource,
 
     owned_engine = engine is None
     if engine is None:
-        engine = make_engine(tensor, repr_policy=options.repr_policy,
-                             sparsity_threshold=options.sparsity_threshold,
-                             tol=options.factor_zero_tol,
-                             threads=options.threads,
-                             slab_nnz_target=options.slab_nnz_target,
-                             executor=options.executor,
-                             max_bytes_in_core=options.max_bytes_in_core,
-                             rank=options.rank, tune=options.tune)
+        engine = make_fit_engine(tensor, options)
     if checkpoint is not None:
         # Rebuild the dynamic factor representations (Section IV-C) the
         # uninterrupted run would carry at this point — they are a pure

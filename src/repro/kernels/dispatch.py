@@ -601,8 +601,9 @@ def make_engine(tensor,
       engine re-sorts per mode anyway) and handled below;
     * :class:`~repro.tensor.coo.COOTensor` → in-core slabs, with the
       trees the engine serves from built eagerly: every tree under
-      ``csf_allocation="all"``, only the mode-0 tree under ``"one"``
-      (which is also the only tree the autotuner then tunes).
+      ``csf_allocation="all"`` (fanned out over the engine's executor
+      on its ``threads``), only the mode-0 tree under ``"one"`` (which
+      is also the only tree the autotuner then tunes).
 
     ``max_bytes_in_core`` only influences the out-of-core path; in-core
     tensors are already resident and the knob is ignored for them.
@@ -633,7 +634,7 @@ def make_engine(tensor,
         # ONEMODE: MTTKRPEngine.mttkrp serves every mode from csf(0).
         engine.trees.csf(0)
     else:
-        engine.trees.build_all()
+        engine.trees.build_all(engine.executor, engine.threads)
     if rank is not None and slab_nnz_target is None:
         tune_mode = resolve_tune_mode(tune)
         if tune_mode != "off":

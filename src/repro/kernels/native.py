@@ -44,9 +44,10 @@ the same CPU), widest last, and :func:`root_kernel` serves the widest.
 **Build and cache.**  At first use the sources are compiled with ``cc``
 (else ``gcc``) from ``PATH`` into one library,
 ``$XDG_CACHE_HOME/repro/native/<hash>.so`` (``~/.cache`` when unset),
-keyed by a hash of both sources (``csf_root.c`` and the ADMM row solve
-and block loop ``row_solve.c``, see :mod:`repro.kernels.row_solve`), the
-compiler and its version, and the flags.  The library is written under a temporary
+keyed by a hash of every source (``csf_root.c``, the ADMM row solve
+and block loop ``row_solve.c``, see :mod:`repro.kernels.row_solve`, and
+the CSF tree builder ``csf_build.c``, see :mod:`repro.kernels.csf_build`),
+the compiler and its version, and the flags.  The library is written under a temporary
 name and published with an atomic rename, so concurrent processes never
 load a half-written file.  It is loaded with :mod:`ctypes`, which
 releases the GIL for the call, so slabs run truly in parallel on a
@@ -96,10 +97,11 @@ from ..types import INDEX_DTYPE, MAX_MODES, VALUE_DTYPE, FactorList
 from .mttkrp_sparse import mttkrp_csf_root_repr
 from .row_solve import VARIANTS, supported_variants
 
-#: C sources of the one shared library: this module's kernel and the
-#: ADMM kernels of :mod:`repro.kernels.row_solve`.
+#: C sources of the one shared library: this module's kernel, the ADMM
+#: kernels of :mod:`repro.kernels.row_solve` and the CSF tree builder of
+#: :mod:`repro.kernels.csf_build`.
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("csf_root.c", "row_solve.c"))
+                for name in ("csf_root.c", "row_solve.c", "csf_build.c"))
 #: Compilers tried in order, looked up on ``PATH``.
 COMPILERS = ("cc", "gcc")
 #: Portable flags: no ``-march=native``, no fast-math, no FMA contraction.
@@ -187,7 +189,7 @@ class _LeafRep(ctypes.Structure):
 
 
 def load_library() -> ctypes.CDLL:
-    """The shared library of both kernels, compiling it if not cached."""
+    """The shared library of every kernel, compiling it if not cached."""
     compiler = find_compiler()
     path = library_path(compiler)
     if path.exists():

@@ -34,15 +34,26 @@ rows, duplicates included.
 The ALLMODE bundle (:class:`AllModeCSF`, and the sharded store) sorts
 only once, for tree 0 (order ``(0, 1, ..., N-1)``).  Every other tree
 takes its order from tree 0's permutation by one *stable* sort of the
-root mode's coordinates in that order (:func:`derive_permutation`):
-ties keep tree 0's order, which, with the root mode set aside, is
-exactly ``(other modes ascending)`` with duplicates in input order.
-That sort runs over ``uint16`` digits, where NumPy's stable argsort is
-a linear-time radix sort — one pass for an extent up to 65536, one
-LSD pass per 16-bit digit above, none for an extent of 1.  Given the
-permutation, each level's ids are gathered from the coordinate rows,
-so every tree matches the plain construction
+root mode's coordinates in that order: ties keep tree 0's order, which,
+with the root mode set aside, is exactly ``(other modes ascending)``
+with duplicates in input order.  A stable order is unique, so every
+tree matches the plain construction
 (:func:`repro.testing.oracles.lexsort_csf_reference`) byte for byte.
+
+:func:`rooted_tree` and :func:`build_trees` build those trees in
+compiled code (:mod:`repro.kernels.csf_build`, resolved on first use;
+importing this module compiles nothing), per tree: one counting pass
+per 16-bit digit of the root extent (none for tree 0 or an extent of 1)
+sorts tree 0's permutation stably by the root coordinate; one pass in
+that order writes the leaf ids and values, finds each non-zero's first
+changed level and counts every level's nodes; and one pass writes
+``fids`` and ``fptr`` above the leaves into arrays of exactly those
+sizes.  The arrays are allocated on the calling thread; the compiled
+passes of several trees run on an executor's workers.  Without a
+compiler the NumPy construction serves, with the same bytes:
+:func:`derive_permutation` (a stable ``uint16`` argsort per 16-bit
+digit, NumPy's radix sort), then each level's ids gathered from the
+coordinate rows.
 """
 
 from __future__ import annotations
@@ -101,11 +112,44 @@ def rooted_tree(tensor: COOTensor, perm0: np.ndarray,
 
     *perm0* is tree 0's permutation (``tensor.permutation_lex()``); the
     ALLMODE bundle and the sharded store sort once for it and build
-    every tree through here.
+    every tree through here or :func:`build_trees`.
     """
-    return CSFTensor._from_permutation(
-        tensor, default_mode_order(tensor.nmodes, root),
-        derive_permutation(tensor, perm0, root))
+    return build_trees(tensor, perm0, [root])[0]
+
+
+def build_trees(tensor: COOTensor, perm0: np.ndarray,
+                roots: Sequence[int], executor=None,
+                threads: int | None = 1) -> list["CSFTensor"]:
+    """The :func:`rooted_tree` of every mode in *roots*, in that order.
+
+    The compiled passes of the trees run through *executor*'s
+    ``parallel_for`` on *threads* (inline when *executor* is ``None``);
+    every array is allocated on the calling thread.  Without the
+    compiled builder each tree is built by NumPy in turn.
+    """
+    roots = [check_mode(root, tensor.nmodes) for root in roots]
+    from ..kernels.csf_build import TreePlan, tree_builder
+
+    builder = tree_builder() if tensor.nnz else None
+    if builder is None:
+        return [CSFTensor._from_permutation(
+                    tensor, default_mode_order(tensor.nmodes, root),
+                    derive_permutation(tensor, perm0, root))
+                for root in roots]
+    plans = [TreePlan(builder, tensor, perm0, root) for root in roots]
+
+    def run(step) -> None:
+        if executor is None:
+            for plan in plans:
+                step(plan)
+        else:
+            executor.parallel_for(step, plans, threads=threads)
+
+    run(lambda plan: plan.plan())
+    for plan in plans:
+        plan.allocate()
+    run(lambda plan: plan.fill())
+    return [plan.tree() for plan in plans]
 
 
 class CSFTensor:
@@ -319,13 +363,15 @@ class AllModeCSF:
     """A bundle of CSF representations, one rooted at each mode.
 
     SPLATT's ``ALLMODE`` allocation: MTTKRP for mode ``m`` always runs the
-    efficient *root-mode* kernel on ``csf(m)``.  Trees are built lazily and
-    cached.  The non-zeros are sorted once, for tree 0; every other tree
-    derives its order from that permutation by radix passes over its root
-    mode (:func:`rooted_tree`).  The permutation (8 bytes per non-zero)
-    is kept only while it has trees left to serve: it is dropped once
-    every tree is built, and a bundle asked for tree 0 alone (ONEMODE)
-    does not keep it.
+    efficient *root-mode* kernel on ``csf(m)``.  Trees are built lazily
+    (:meth:`csf`) or all at once (:meth:`build_all`, which fans the
+    trees' compiled passes out over an executor) and cached.  The
+    non-zeros are sorted once, for tree 0; every other tree derives its
+    order from that permutation by counting passes over its root mode
+    (:func:`build_trees`).  The permutation (8 bytes per non-zero) is
+    kept only while it has trees left to serve: it is dropped once every
+    tree is built, and a bundle asked for tree 0 alone (ONEMODE) does
+    not keep it.
     """
 
     def __init__(self, tensor: COOTensor):
@@ -347,23 +393,37 @@ class AllModeCSF:
         mode = check_mode(mode, self.nmodes)
         tree = self._trees.get(mode)
         if tree is None:
-            perm0 = self._perm0
-            if perm0 is None:
-                perm0 = self._tensor.permutation_lex()
-            tree = self._trees[mode] = rooted_tree(self._tensor, perm0, mode)
-            done = (len(self._trees) == self.nmodes
-                    or self._trees.keys() == {0})
-            self._perm0 = None if done else perm0
+            self._build([mode])
+            tree = self._trees[mode]
         return tree
 
-    def build_all(self) -> "AllModeCSF":
-        """Eagerly build every tree (useful before timing loops).
+    def build_all(self, executor=None,
+                  threads: int | None = 1) -> "AllModeCSF":
+        """Build every tree not built yet, from one sort.
 
-        Tree 0 comes last, so one sort serves every tree.
+        The trees' compiled passes run through *executor*'s
+        ``parallel_for`` on *threads* (inline when it is ``None``, or
+        under the ``serial`` executor); the trees are the same bytes
+        either way.
         """
-        for mode in (*range(1, self.nmodes), 0):
-            self.csf(mode)
+        # Tree 0 needs no counting pass: it goes last.
+        modes = (*range(1, self.nmodes), 0)
+        self._build([m for m in modes if m not in self._trees], executor,
+                    threads)
         return self
+
+    def _build(self, modes: list[int], executor=None,
+               threads: int | None = 1) -> None:
+        if not modes:
+            return
+        perm0 = self._perm0
+        if perm0 is None:
+            perm0 = self._tensor.permutation_lex()
+        trees = build_trees(self._tensor, perm0, modes, executor, threads)
+        self._trees.update(zip(modes, trees))
+        done = (len(self._trees) == self.nmodes
+                or self._trees.keys() == {0})
+        self._perm0 = None if done else perm0
 
     def storage_bytes(self) -> int:
         """Total bytes of all built trees."""

@@ -210,3 +210,52 @@ class TestBaselines:
         mu = fit_mu(tensor, AOADMMOptions(
             rank=3, seed=9, max_outer_iterations=iters, outer_tolerance=0.0))
         assert ao.relative_error < mu.relative_error
+
+
+class TestEveryMethodBuildsTheOptionsEngine:
+    """AO-ADMM, ALS, MU and PGD build their engine from the same options
+    (``make_fit_engine``): executor, threads, slab target and byte
+    budget reach it, and the factors do not depend on the thread
+    count."""
+
+    @staticmethod
+    def fit(monkeypatch, tensor, method, **kwargs):
+        import repro
+        import repro.core.aoadmm as aoadmm
+
+        engines = []
+        build = aoadmm.make_engine
+        monkeypatch.setattr(aoadmm, "make_engine",
+                            lambda *a, **k: engines.append(build(*a, **k))
+                            or engines[-1])
+        result = repro.fit(tensor, method=method, rank=4, seed=5,
+                           max_outer_iterations=4, outer_tolerance=0.0,
+                           **kwargs)
+        assert len(engines) == 1
+        return result, engines[0]
+
+    @pytest.mark.parametrize("method", ["aoadmm", "als", "mu", "pgd"])
+    def test_call_log_records_the_options_executor(self, monkeypatch,
+                                                   planted_sparse, method):
+        tensor, _ = planted_sparse
+        for executor in ("serial", "thread"):
+            _, engine = self.fit(monkeypatch, tensor, method,
+                                 executor=executor, threads=2,
+                                 slab_nnz_target=1024)
+            assert engine.threads == 2
+            assert engine.slab_nnz_target == 1024
+            assert engine.call_log
+            assert {c.executor for c in engine.call_log} == {executor}
+
+    @pytest.mark.parametrize("method", ["aoadmm", "als", "mu", "pgd"])
+    def test_factors_bitwise_equal_at_one_and_two_threads(
+            self, monkeypatch, planted_sparse, method):
+        tensor, _ = planted_sparse
+        one, _ = self.fit(monkeypatch, tensor, method, executor="thread",
+                          threads=1, slab_nnz_target=1024)
+        two, engine = self.fit(monkeypatch, tensor, method,
+                               executor="thread", threads=2,
+                               slab_nnz_target=1024)
+        assert max(c.workers for c in engine.call_log) == 2
+        for a, b in zip(one.model.factors, two.model.factors):
+            assert a.tobytes() == b.tobytes()

@@ -1,6 +1,8 @@
 """Unit tests for the CSF data structure."""
 
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,16 @@ from repro.datasets import load_dataset
 from repro.datasets.registry import all_dataset_names
 from repro.tensor import COOTensor, CSFTensor, random_coo
 from repro.tensor.coo import pack_lex_keys
-from repro.tensor.csf import AllModeCSF, default_mode_order
+from repro.kernels import csf_build
+from repro.kernels.native import NativeUnavailable
+from repro.parallel.executor import resolve_executor
+from repro.tensor.csf import (
+    AllModeCSF,
+    build_trees,
+    default_mode_order,
+    derive_permutation,
+    rooted_tree,
+)
 from repro.testing.oracles import lexsort_csf_reference
 
 
@@ -211,6 +222,190 @@ class TestAllModeTreesFromOneSort:
         small_tensor.coords[1, 5] = -1
         with pytest.raises(ValueError, match="negative index"):
             AllModeCSF(small_tensor).build_all()
+
+
+def planted_high_digits(shape, mode, nnz=400, seed=7):
+    """:func:`random_tensor` with coordinates planted at the top of
+    *mode*'s extent, so its most significant 16-bit digit is set."""
+    tensor = random_tensor(shape, nnz, seed=seed, duplicates=True)
+    coords = tensor.coords.copy()
+    extent = shape[mode]
+    coords[mode, ::7] = extent - 1 - coords[mode, ::7] % 5
+    return COOTensor(coords, tensor.vals, tensor.shape)
+
+
+@pytest.fixture
+def builder():
+    found = csf_build.tree_builder()
+    if found is None:
+        pytest.skip("compiled CSF construction unavailable on this machine")
+    return found
+
+
+class TestCompiledConstruction:
+    """The compiled builder, the NumPy construction and the lexsort
+    reference build the same tree, byte for byte and dtype for dtype."""
+
+    @staticmethod
+    def assert_three_agree(tensor):
+        # The builder fixture resolved the compiled builder, so
+        # rooted_tree builds through it.
+        perm0 = tensor.permutation_lex()
+        for root in range(tensor.nmodes):
+            order = default_mode_order(tensor.nmodes, root)
+            numpy_tree = CSFTensor._from_permutation(
+                tensor, order, derive_permutation(tensor, perm0, root))
+            assert_same_tree_bytes(tensor, order, got=numpy_tree)
+            assert_same_tree_bytes(tensor, order,
+                                   got=rooted_tree(tensor, perm0, root))
+
+    @pytest.mark.parametrize("name", all_dataset_names())
+    def test_tiny_presets(self, builder, name):
+        tensor, _ = load_dataset(name, "tiny", seed=3)
+        self.assert_three_agree(tensor)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (7, 9), (6, 5, 7),
+                                       (6, 5, 7, 4), (4, 3, 5, 2, 3),
+                                       (17,), (1, 9, 1), (1, 1, 1),
+                                       (9, 1, 3)])
+    def test_duplicates_mode_counts_and_unit_extents(self, builder, shape):
+        tensor = random_tensor(shape, 300, seed=5, duplicates=True)
+        assert tensor.deduplicate().nnz < tensor.nnz
+        self.assert_three_agree(tensor)
+
+    @pytest.mark.parametrize("shape", [(65536, 65537, 70000),
+                                       (70000, 3, 65536, 2)])
+    def test_extents_around_one_digit(self, builder, shape):
+        for mode in range(len(shape)):
+            self.assert_three_agree(
+                planted_high_digits(shape, mode, nnz=3000))
+
+    def test_three_digit_passes(self, builder):
+        tensor = planted_high_digits((4, 2**32 + 5, 3), 1)
+        assert (tensor.coords[1] >> 32).any()
+        self.assert_three_agree(tensor)
+
+    @pytest.mark.parametrize("nmodes", [1, 3, 5])
+    def test_empty_tensor(self, builder, nmodes):
+        tensor = COOTensor(np.empty((nmodes, 0), dtype=np.int64),
+                           np.empty(0), (4, 5, 6, 7, 8)[:nmodes])
+        self.assert_three_agree(tensor)
+        trees = build_trees(tensor, tensor.permutation_lex(),
+                            range(nmodes))
+        for mode, tree in enumerate(trees):
+            assert_same_tree_bytes(
+                tensor, default_mode_order(nmodes, mode), got=tree)
+
+    def test_lazy_tree_before_tree_zero(self, builder):
+        tensor = random_tensor((30, 70000, 20), 2000, seed=8,
+                               duplicates=True)
+        trees = AllModeCSF(tensor)
+        for mode in (2, 0, 1):
+            assert_same_tree_bytes(tensor, default_mode_order(3, mode),
+                                   got=trees.csf(mode))
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_build_all_on_any_executor(self, executor, threads):
+        tensor, _ = load_dataset("reddit", "tiny", seed=3)
+        want = [lexsort_csf_reference(tensor, default_mode_order(3, m))
+                for m in range(3)]
+        trees = AllModeCSF(tensor).build_all(resolve_executor(executor),
+                                             threads)
+        for mode, ref in enumerate(want):
+            assert_same_tree_bytes(tensor, ref.mode_order,
+                                   got=trees.csf(mode))
+
+    def test_unavailable_library_falls_back_with_equal_bytes(
+            self, monkeypatch):
+        tensor = random_tensor((70000, 7, 5), 2000, seed=9, duplicates=True)
+
+        def unavailable():
+            raise NativeUnavailable("no library")
+
+        csf_build.reset()
+        monkeypatch.setattr(csf_build, "load_builder", unavailable)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first = AllModeCSF(tensor).build_all(
+                    resolve_executor("thread"), 2)
+                second = AllModeCSF(tensor).build_all()
+            assert csf_build.tree_builder() is None
+        finally:
+            csf_build.reset()
+        ours = [w for w in caught if "compiled CSF construction "
+                "unavailable" in str(w.message)]
+        assert len(ours) == 1
+        assert issubclass(ours[0].category, RuntimeWarning)
+        for trees in (first, second):
+            for mode in range(3):
+                assert_same_tree_bytes(tensor, default_mode_order(3, mode),
+                                       got=trees.csf(mode))
+
+    def test_bad_coordinates_raise_before_any_compiled_call(
+            self, builder, monkeypatch, small_tensor):
+        calls = []
+        for step in ("plan", "fill"):
+            run = getattr(csf_build.TreePlan, step)
+            monkeypatch.setattr(
+                csf_build.TreePlan, step,
+                lambda plan, run=run, step=step:
+                    calls.append(step) or run(plan))
+        for bad, match in ((small_tensor.shape[2], "out of range"),
+                           (-1, "negative index")):
+            small_tensor.coords[2, 5] = bad
+            with pytest.raises(ValueError, match=match):
+                AllModeCSF(small_tensor).build_all(
+                    resolve_executor("thread"), 2)
+            with pytest.raises(ValueError, match=match):
+                AllModeCSF(small_tensor).csf(1)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_compiled_calls_check_every_index(self, builder, small_tensor,
+                                              bad):
+        # A permutation computed before the coordinates went bad, and a
+        # permutation with an entry outside the non-zeros: IndexError,
+        # never an out-of-bounds read.
+        perm0 = small_tensor.permutation_lex()
+        coords = small_tensor.coords
+        for mode in range(3):
+            saved = coords[mode, 5]
+            coords[mode, 5] = bad if bad < 0 else small_tensor.shape[mode]
+            for root in range(3):
+                with pytest.raises(IndexError, match="extent"):
+                    builder.build(small_tensor, perm0, root)
+            coords[mode, 5] = saved
+        broken = perm0.copy()
+        broken[3] = small_tensor.nnz if bad > 0 else bad
+        for root in range(3):
+            with pytest.raises(IndexError, match="permutation"):
+                builder.build(small_tensor, broken, root)
+
+    def test_peak_memory_is_the_trees_plus_a_few_bytes_per_nonzero(self):
+        # Exact level arrays plus the plans' fixed bytes per non-zero
+        # (PEAK_BYTES_PER_NONZERO); a buffer sized by nnz instead of a
+        # level's node count, or one kept past its step, shows.
+        tensor = random_coo((46, 2200, 2200), 200_000, seed=4)
+        trees = AllModeCSF(tensor).build_all()
+        tree_bytes = trees.storage_bytes()
+        del trees
+        tracemalloc.start()
+        try:
+            trees = AllModeCSF(tensor).build_all(
+                resolve_executor("thread"), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trees.storage_bytes() == tree_bytes
+        assert peak <= tree_bytes + PEAK_BYTES_PER_NONZERO * tensor.nnz
+
+
+#: Bytes per non-zero ``build_all`` may hold beyond the trees of a
+#: 3-mode tensor: tree 0's permutation (8), each non-root tree's order
+#: (8) and every tree's first changed levels (1): 27, plus slack.
+PEAK_BYTES_PER_NONZERO = 32
 
 
 class TestPackedKeys:
